@@ -275,10 +275,13 @@ class ParallelConfig:
     speedup, but fork-hostile platforms and small sweeps avoid the
     process-pool startup loss entirely); ``"inline"`` forces the
     reference loop. ``"auto"`` (default) selects by measured break-even:
-    inline below ``inline_below`` items, thread between ``inline_below``
-    and ``process_below`` items or whenever ``fork`` is unavailable
-    (spawn re-imports the world per worker, which is what made small
-    hosts lose), process otherwise.
+    inline below ``inline_below`` items; otherwise it times the first
+    shard inline and projects the rest's parallel savings against the
+    measured pool spin-up and round-trip overheads, choosing the process
+    pool when the savings win by a safety margin, the thread pool when
+    they win but ``fork`` is unavailable (spawn re-imports the world per
+    worker), and inline otherwise — always inline on a host with one
+    usable core (see :func:`repro.parallel._probe_mode`).
     """
 
     jobs: "int | None" = None
@@ -291,20 +294,12 @@ class ParallelConfig:
     ship_caches: bool = True
     #: Shard executor: "auto" | "process" | "thread" | "inline".
     mode: str = "auto"
-    #: Auto-mode break-even: sweeps with fewer items than this use the
-    #: thread pool (process pool spin-up still dominates there), larger
-    #: ones pay it off and fork real workers.
-    process_below: int = 8
 
     def validate(self) -> None:
         if self.mode not in PARALLEL_MODES:
             raise ConfigurationError(
                 f"unknown parallel mode {self.mode!r} "
                 f"(choose from {', '.join(PARALLEL_MODES)})"
-            )
-        if self.process_below < 1:
-            raise ConfigurationError(
-                f"process_below must be >= 1, got {self.process_below}"
             )
         if self.jobs is not None and self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")

@@ -1,4 +1,4 @@
-"""Access paths: the three ways a query can reach its column group.
+"""Access paths: the ways a query can reach its column group.
 
 * ``DIRECT_ROW`` — scan the row-oriented base table in main memory,
   touching one group-width element per row at row-size stride (the
@@ -32,12 +32,3 @@ class AccessPath(Enum):
     INDEX = "index"
     PIM = "pim"
 
-    @property
-    def label(self) -> str:
-        return {
-            AccessPath.DIRECT_ROW: "Direct (row-store)",
-            AccessPath.COLUMNAR: "Columnar (materialised copy)",
-            AccessPath.RME: "Relational Memory",
-            AccessPath.INDEX: "B+-tree index probe",
-            AccessPath.PIM: "Bank-level PIM pushdown",
-        }[self]

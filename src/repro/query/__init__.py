@@ -3,17 +3,18 @@
 Queries are immutable :class:`~repro.query.relation.Relation` expression
 trees — Selection, Projection (the column-group fetch), Join, Aggregate
 as frozen dataclasses — annotated with
-:class:`~repro.query.engines.Engine` objects (RME column-group
-projection, CPU row scan, columnar copy, index, degraded fallback) and
-explicit :class:`~repro.query.relation.Transfer` nodes at engine
-boundaries. The visitor-based
-:class:`~repro.query.processor.Processor` plans (cost-based RME-vs-CPU
-placement) and executes multi-engine trees.
+:class:`~repro.query.engines.Engine` values (RME column-group
+projection, CPU row scan, columnar copy, index, bank-level PIM,
+degraded fallback) and explicit :class:`~repro.query.relation.Transfer`
+nodes at engine boundaries. The visitor-based
+:class:`~repro.query.processor.Processor` plans (cost-based placement
+across the engines) and executes multi-engine trees.
 
 Execution follows the paper's philosophy (Section 3): the hardware only
 *reorganises* data; all actual computation — selection, aggregation,
 group-by — runs on the CPU, priced as per-element compute on top of the
-memory access pattern. The measured scan machinery lives in
+memory access pattern. The PIM engine is the one exception: its DRAM
+banks filter, fold and join in place (:mod:`repro.pim`). The measured scan machinery lives in
 :class:`~repro.query.executor.QueryExecutor`, which the engines
 delegate to — so IR execution is cycle-identical to the historical
 pipeline (``tests/test_ir_equivalence.py`` pins this).
@@ -28,13 +29,7 @@ from .engines import (
     INDEX,
     PIM,
     RME,
-    ColumnarEngine,
-    CpuEngine,
-    DegradedEngine,
     Engine,
-    IndexEngine,
-    PimEngine,
-    RmeEngine,
     engine_by_name,
     engine_names,
 )
@@ -83,23 +78,18 @@ __all__ = [
     "COLUMNAR",
     "CPU",
     "Col",
-    "ColumnarEngine",
     "Const",
-    "CpuEngine",
     "DEGRADED",
-    "DegradedEngine",
     "ENGINES",
     "Engine",
     "ExecutionPlan",
     "ExecutionReport",
     "Expr",
     "INDEX",
-    "IndexEngine",
     "Join",
     "Label",
     "LeafRelation",
     "PIM",
-    "PimEngine",
     "Processor",
     "Projection",
     "Query",
@@ -109,7 +99,6 @@ __all__ = [
     "RME",
     "Relation",
     "RelationVisitor",
-    "RmeEngine",
     "Selection",
     "Transfer",
     "choose_access_path",

@@ -1,7 +1,7 @@
 """Engines: the systems that can own and produce a relation's rows.
 
 Following daf_relation, a relation tree is annotated with *engines* —
-frozen, hashable objects identifying which subsystem holds (or can
+frozen, hashable tags identifying which subsystem holds (or can
 compute) each subtree's rows — and :class:`~repro.query.relation
 .Transfer` nodes mark the boundaries where rows move between them.
 
@@ -23,13 +23,14 @@ The reproduction ships five peer engines plus the fault-recovery one:
   subtree is re-rooted onto when an unrecoverable ``FaultError``
   escapes the RME or the PIM banks (see :mod:`repro.faults.recovery`).
 
-New backends slot in as further ``Engine`` subclasses registered in
-:data:`ENGINES`; the planner, the CLI's engine flags/usage errors and
-``--explain`` output pick them up through the same interface.
+An engine is a plain value: its ``@name`` tag plus the access path the
+cost model prices it as. New backends are further :class:`Engine`
+values registered in :data:`ENGINES`; the planner, the CLI's engine
+flags/usage errors and ``--explain`` output pick them up from there.
 
 >>> CPU.name, RME.name
 ('cpu', 'rme')
->>> CPU == CpuEngine(), CPU == RME
+>>> CPU == Engine("cpu", AccessPath.DIRECT_ROW), CPU == RME
 (True, False)
 >>> RME.access_path.name
 'RME'
@@ -44,163 +45,33 @@ from ..core.access_path import AccessPath
 
 @dataclass(frozen=True)
 class Engine:
-    """Base engine identity: hashable, comparable by type.
+    """An engine identity: hashable, equal by value.
 
-    Subclasses define :attr:`name` (the ``@name`` tag in printed plans)
-    and :attr:`access_path` (the measured path the executor machinery
-    uses to price a scan served by this engine).
+    ``name`` is the ``@name`` tag in printed plans; ``access_path`` is
+    the measured path the executor machinery uses to price a scan
+    served by this engine. :data:`DEGRADED` shares the CPU's access
+    path under its own name, so re-rooted subtrees stay visible in
+    plans and reports — a ``@degraded`` tag means "the RME or the banks
+    faulted and the processor fell back", not "the planner chose rows".
 
-    >>> Engine().name
-    Traceback (most recent call last):
-        ...
-    NotImplementedError: Engine subclasses define a name
+    >>> DEGRADED.access_path is CPU.access_path, DEGRADED == CPU
+    (True, False)
     """
 
-    @property
-    def name(self) -> str:
-        """Short tag used in plan trees (``@cpu``, ``@rme``, ...)."""
-        raise NotImplementedError("Engine subclasses define a name")
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The :class:`~repro.core.access_path.AccessPath` this engine prices."""
-        raise NotImplementedError("Engine subclasses define an access path")
-
-    @property
-    def label(self) -> str:
-        """Human-readable description (the access path's label)."""
-        return self.access_path.label
+    name: str
+    access_path: AccessPath
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class CpuEngine(Engine):
-    """The CPU row-store scan: strided reads over the base table.
-
-    >>> CpuEngine().access_path.name
-    'DIRECT_ROW'
-    """
-
-    @property
-    def name(self) -> str:
-        """``cpu``."""
-        return "cpu"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """Direct row-store access."""
-        return AccessPath.DIRECT_ROW
-
-
-@dataclass(frozen=True)
-class RmeEngine(Engine):
-    """The Relational Memory Engine: on-the-fly column-group projection.
-
-    >>> RmeEngine().access_path.name
-    'RME'
-    """
-
-    @property
-    def name(self) -> str:
-        """``rme``."""
-        return "rme"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The ephemeral-variable path through the PL."""
-        return AccessPath.RME
-
-
-@dataclass(frozen=True)
-class ColumnarEngine(Engine):
-    """A maintained column-store copy scanned by the CPU.
-
-    >>> ColumnarEngine().access_path.name
-    'COLUMNAR'
-    """
-
-    @property
-    def name(self) -> str:
-        """``columnar``."""
-        return "columnar"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The materialised-copy path."""
-        return AccessPath.COLUMNAR
-
-
-@dataclass(frozen=True)
-class IndexEngine(Engine):
-    """A B+-tree probe serving only the rows a range predicate matches.
-
-    >>> IndexEngine().access_path.name
-    'INDEX'
-    """
-
-    @property
-    def name(self) -> str:
-        """``index``."""
-        return "index"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The B+-tree probe path."""
-        return AccessPath.INDEX
-
-
-@dataclass(frozen=True)
-class PimEngine(Engine):
-    """Bank-level processing-in-memory: filter/aggregate at the banks.
-
-    >>> PimEngine().access_path.name
-    'PIM'
-    """
-
-    @property
-    def name(self) -> str:
-        """``pim``."""
-        return "pim"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The in-bank pushdown path."""
-        return AccessPath.PIM
-
-
-@dataclass(frozen=True)
-class DegradedEngine(Engine):
-    """The CPU row scan as a fault-recovery fallback.
-
-    Semantically identical to :class:`CpuEngine` (same access path,
-    same answers); the distinct identity keeps re-rooted subtrees
-    visible in plans and reports — a ``@degraded`` tag means "the RME
-    faulted and the processor fell back", not "the planner chose rows".
-
-    >>> DegradedEngine().access_path.name
-    'DIRECT_ROW'
-    """
-
-    @property
-    def name(self) -> str:
-        """``degraded``."""
-        return "degraded"
-
-    @property
-    def access_path(self) -> AccessPath:
-        """The CPU row scan (staleness-free fallback)."""
-        return AccessPath.DIRECT_ROW
-
-
-#: The singleton engine instances used throughout the query layer.
-CPU = CpuEngine()
-RME = RmeEngine()
-COLUMNAR = ColumnarEngine()
-INDEX = IndexEngine()
-PIM = PimEngine()
-DEGRADED = DegradedEngine()
+#: The engine values used throughout the query layer.
+CPU = Engine("cpu", AccessPath.DIRECT_ROW)
+RME = Engine("rme", AccessPath.RME)
+COLUMNAR = Engine("columnar", AccessPath.COLUMNAR)
+INDEX = Engine("index", AccessPath.INDEX)
+PIM = Engine("pim", AccessPath.PIM)
+DEGRADED = Engine("degraded", AccessPath.DIRECT_ROW)
 
 #: Every planner-eligible engine, in display order.
 ALL_ENGINES = (CPU, RME, COLUMNAR, INDEX, PIM)

@@ -159,24 +159,15 @@ class QueryExecutor:
         try:
             elapsed = self._measure(segments, flush)
         except FaultError as error:
-            # The engine declared the access unrecoverable mid-scan. The
-            # simulated time already burnt stays on the bill; the answer
-            # is recomputed from the authoritative base table (same
-            # snapshot semantics — ``value`` came from the variable's
-            # visible versions, so degradation is staleness-free).
+            # The engine declared the access unrecoverable mid-scan; its
+            # failed state clears only when the next access reconfigures
+            # it. ``value`` came from the variable's visible versions, so
+            # the CPU fallback is staleness-free.
             wasted = sim.now - start_ns
-            faults.stats.bump("rme_faults")
-            faults.stats.bump("wasted_ns", wasted)
-            faults.stats.bump(f"fault_{type(error).__name__}")
-            self._drain_fault_wreckage()
             self.system.deactivate()
-            if not faults.recovery.cpu_fallback:
-                raise
-            faults.stats.bump("cpu_fallbacks")
-            rescan = self._direct_rescan_ns(query, var, selectivity)
-            return self._result(query, AccessPath.DIRECT_ROW, value,
-                                wasted + rescan, n_rows, selectivity,
-                                "degraded")
+            self._fall_back("rme_faults", error, wasted)
+            return self._degraded(query, var.loaded, value, selectivity,
+                                  n_rows, wasted)
         audited = self._audit_rme(query, var, value, selectivity, n_rows,
                                   elapsed)
         if audited is not None:
@@ -206,25 +197,48 @@ class QueryExecutor:
         if flush:
             self.system.flush_caches()
         self.system.reset_stats()
-        faults = self.system.faults
         try:
             execution = device.run(query, loaded)
         except FaultError as error:
-            faults.stats.bump("pim_faults")
-            faults.stats.bump("wasted_ns", device.last_wasted_ns)
-            faults.stats.bump(f"fault_{type(error).__name__}")
-            self._drain_fault_wreckage()
-            if not faults.recovery.cpu_fallback:
-                raise
-            faults.stats.bump("cpu_fallbacks")
+            self._fall_back("pim_faults", error, device.last_wasted_ns)
             value, selectivity, n_rows = self._answer(query, loaded)
-            rescan = self._fallback_rescan_ns(query, loaded, selectivity)
-            return self._result(query, AccessPath.DIRECT_ROW, value,
-                                device.last_wasted_ns + rescan, n_rows,
-                                selectivity, "degraded")
+            return self._degraded(query, loaded, value, selectivity, n_rows,
+                                  device.last_wasted_ns)
         return self._result(query, AccessPath.PIM, execution.value,
                             execution.elapsed_ns, execution.n_rows,
                             execution.selectivity, "-")
+
+    def run_join(
+        self,
+        on: str,
+        lhs_query: Query,
+        lhs_loaded: LoadedTable,
+        rhs_query: Query,
+        rhs_loaded: LoadedTable,
+        flush: bool = True,
+    ) -> JoinScan:
+        """Hash-join two row-store scans on the CPU.
+
+        Both sides are measured direct scans (the right one back to back
+        with the left, caches warm); the hash build over the left side's
+        surviving rows and the probe with the right side's add a per-row
+        surcharge. The rows come from the one shared
+        :func:`ops.hash_join` definition the PIM join's answer uses too.
+        """
+        lhs = self.run_direct(lhs_query, lhs_loaded, flush)
+        rhs = self.run_direct(rhs_query, rhs_loaded, flush=False)
+        lhs_rows = [dict(zip(lhs_query.select, row)) for row in lhs.value]
+        rhs_rows = [dict(zip(rhs_query.select, row)) for row in rhs.value]
+        return JoinScan(
+            rows=ops.hash_join(lhs_rows, rhs_rows, on),
+            elapsed_ns=(lhs.elapsed_ns + rhs.elapsed_ns
+                        + HASH_BUILD_NS * len(lhs_rows)
+                        + HASH_PROBE_NS * len(rhs_rows)),
+            rows_scanned=lhs.rows_scanned + rhs.rows_scanned,
+            rhs_rows=len(rhs_rows),
+            path=AccessPath.DIRECT_ROW,
+            state="-",
+        )
 
     def run_pim_join(
         self,
@@ -254,31 +268,19 @@ class QueryExecutor:
         if flush:
             self.system.flush_caches()
         self.system.reset_stats()
-        faults = self.system.faults
         try:
             execution = device.run_join(on, lhs_query, lhs_loaded,
                                         rhs_query, rhs_loaded)
         except FaultError as error:
-            faults.stats.bump("pim_faults")
-            faults.stats.bump("wasted_ns", device.last_wasted_ns)
-            faults.stats.bump(f"fault_{type(error).__name__}")
-            self._drain_fault_wreckage()
-            if not faults.recovery.cpu_fallback:
-                raise
-            faults.stats.bump("cpu_fallbacks")
+            self._fall_back("pim_faults", error, device.last_wasted_ns)
             elapsed = device.last_wasted_ns
             sides: List[List[Dict[str, Any]]] = []
             for query, loaded in ((lhs_query, lhs_loaded),
                                   (rhs_query, rhs_loaded)):
-                kept = ops.filter_rows(
-                    self._rows(loaded, query.columns(), None), query.predicate
-                )
-                n = loaded.table.n_rows
-                elapsed += self._fallback_rescan_ns(
-                    query, loaded, len(kept) / n if n else 0.0
-                )
-                sides.append([{c: row[c] for c in query.select}
-                              for row in kept])
+                value, selectivity, _ = self._answer(query, loaded)
+                elapsed += self._fallback_rescan_ns(query, loaded,
+                                                    selectivity)
+                sides.append([dict(zip(query.select, row)) for row in value])
             joined = ops.hash_join(sides[0], sides[1], on)
             elapsed += (HASH_BUILD_NS * len(sides[0])
                         + HASH_PROBE_NS * len(sides[1]))
@@ -432,35 +434,6 @@ class QueryExecutor:
                               n_rows, selectivity, "-")
         return result
 
-    def run(
-        self,
-        query: Query,
-        loaded: LoadedTable,
-        path: AccessPath,
-        var: Optional[EphemeralVariable] = None,
-        columnar: Optional[LoadedColumnGroup] = None,
-        index: Optional[LoadedIndex] = None,
-        flush: bool = True,
-    ) -> QueryResult:
-        """Dispatch on the access path."""
-        if path is AccessPath.DIRECT_ROW:
-            return self.run_direct(query, loaded, flush)
-        if path is AccessPath.COLUMNAR:
-            if columnar is None:
-                raise QueryError("columnar path requires a materialised copy")
-            return self.run_columnar(query, loaded, columnar, flush)
-        if path is AccessPath.RME:
-            if var is None:
-                raise QueryError("RME path requires an ephemeral variable")
-            return self.run_rme(query, var, flush)
-        if path is AccessPath.INDEX:
-            if index is None:
-                raise QueryError("index path requires a loaded index")
-            return self.run_index(query, loaded, index, flush)
-        if path is AccessPath.PIM:
-            return self.run_pim(query, loaded, flush)
-        raise QueryError(f"unknown access path {path!r}")
-
     # -- functional evaluation -----------------------------------------------------
     def _answer(
         self,
@@ -528,9 +501,35 @@ class QueryExecutor:
                 continue
             return
 
-    def _direct_rescan_ns(self, query: Query, var: EphemeralVariable,
-                          selectivity: float) -> float:
-        return self._fallback_rescan_ns(query, var.loaded, selectivity)
+    def _fall_back(self, counter: str, error: FaultError,
+                   wasted_ns: float) -> None:
+        """Book an unrecoverable fault and clear the way for the CPU.
+
+        Counts the fault under ``counter`` (``rme_faults`` or
+        ``pim_faults``) and under its error type, books the simulated
+        time it wasted and drains the wreckage. Re-raises ``error`` when
+        the recovery policy forbids a CPU fallback; else counts the
+        fallback, and the caller answers from the base table with the
+        wasted time kept on the bill.
+        """
+        faults = self.system.faults
+        faults.stats.bump(counter)
+        faults.stats.bump("wasted_ns", wasted_ns)
+        faults.stats.bump(f"fault_{type(error).__name__}")
+        self._drain_fault_wreckage()
+        if not faults.recovery.cpu_fallback:
+            raise error
+        faults.stats.bump("cpu_fallbacks")
+
+    def _degraded(self, query: Query, loaded: LoadedTable, value: Any,
+                  selectivity: float, n_rows: int,
+                  spent_ns: float) -> QueryResult:
+        """The CPU fallback's result: the base-table answer, billed as
+        the ``spent_ns`` already burnt plus a direct re-scan."""
+        rescan = self._fallback_rescan_ns(query, loaded, selectivity)
+        return self._result(query, AccessPath.DIRECT_ROW, value,
+                            spent_ns + rescan, n_rows, selectivity,
+                            "degraded")
 
     def _fallback_rescan_ns(self, query: Query, loaded: LoadedTable,
                             selectivity: float) -> float:
@@ -572,10 +571,8 @@ class QueryExecutor:
             # base table and make the next access reconfigure.
             faults.stats.bump("crc_catches")
             self.system.deactivate()
-            rescan = self._direct_rescan_ns(query, var, selectivity)
-            return self._result(query, AccessPath.DIRECT_ROW, value,
-                                elapsed + rescan, n_rows, selectivity,
-                                "degraded")
+            return self._degraded(query, var.loaded, value, selectivity,
+                                  n_rows, elapsed)
         # Undetected with checks off: the CPU really computes over the
         # corrupted bytes. Decode what the buffer holds and answer from
         # that — wrong on purpose, flagged for the chaos harness.

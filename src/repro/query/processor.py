@@ -10,20 +10,24 @@ IR (:mod:`repro.query.relation`). It does three jobs:
    engine-annotated tree — the column-group fetch on the winning
    engine, explicit :class:`~repro.query.relation.Transfer` nodes at
    the boundaries, compute operators on the CPU.
-2. **Execution** (:meth:`Processor.execute`): walk a placed tree with a
-   visitor, compile it back onto the measured scan machinery
-   (:class:`~repro.query.executor.QueryExecutor`) and return the usual
-   :class:`~repro.query.executor.QueryResult`. Because the engines
+2. **Execution** (:meth:`Processor.execute`): compile a placed tree
+   once into the query its scan answers, run the scan through one
+   table from engine to :class:`~repro.query.executor.QueryExecutor`
+   method, and return the usual
+   :class:`~repro.query.executor.QueryResult`. A tree over a ``Join``
+   compiles the same way: the operators above the join become the
+   query the joined rows are finalised with. Because the engines
    delegate to exactly the same measured primitives, answers and cycle
    counts are bit-identical to the pre-IR pipeline (pinned by
    ``tests/test_ir_equivalence.py``).
 3. **Degradation**: when the RME or the PIM banks raise an
    unrecoverable ``FaultError`` and the recovery policy allows a CPU
    fallback, the executor degrades
-   transparently; the processor then *re-roots* the fetch subtree onto
-   :data:`~repro.query.engines.DEGRADED` so the executed tree in
-   :attr:`Processor.last_report` records what actually happened — same
-   semantics as before the refactor, now visible in the plan.
+   transparently; the processor then *re-roots* the scan — or both
+   join inputs — onto :data:`~repro.query.engines.DEGRADED` so the
+   executed tree in :attr:`Processor.last_report` records what actually
+   happened — same semantics as before the refactor, now visible in
+   the plan.
 
 The bridge functions :func:`relation_from_query` / :func:`to_query`
 convert between the benchmark ``Query`` description and canonical IR
@@ -44,9 +48,8 @@ Plan[Q2]: SELECT A1 FROM S WHERE A2 > 0
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.access_path import AccessPath
 from ..core.relmem import (
     LoadedColumnGroup,
     LoadedIndex,
@@ -56,6 +59,7 @@ from ..core.relmem import (
 from ..errors import QueryError
 from . import ops
 from .engines import (
+    ALL_ENGINES,
     COLUMNAR,
     CPU,
     DEGRADED,
@@ -64,9 +68,9 @@ from .engines import (
     RME,
     Engine,
 )
-from .executor import JoinScan, QueryExecutor, QueryResult
+from .executor import QueryExecutor, QueryResult
 from .optimizer import AccessPathChoice, choose_access_path, choose_join_path
-from .queries import HASH_BUILD_NS, HASH_PROBE_NS, Query
+from .queries import Query
 from .relation import (
     Aggregate,
     Join,
@@ -80,13 +84,18 @@ from .relation import (
     print_tree,
 )
 
-#: AccessPath -> the engine that serves it (planner direction).
-_PATH_ENGINES = {
-    AccessPath.DIRECT_ROW: CPU,
-    AccessPath.COLUMNAR: COLUMNAR,
-    AccessPath.RME: RME,
-    AccessPath.INDEX: INDEX,
-    AccessPath.PIM: PIM,
+#: AccessPath -> the planner-eligible engine the optimizer priced it as.
+_ENGINE_OF_PATH = {engine.access_path: engine for engine in ALL_ENGINES}
+
+#: Engine -> the QueryExecutor method that scans for it, and the
+#: :meth:`Processor.execute` bindings that method takes after the query.
+_SCANS = {
+    CPU: (QueryExecutor.run_direct, ("loaded",)),
+    DEGRADED: (QueryExecutor.run_direct, ("loaded",)),
+    RME: (QueryExecutor.run_rme, ("var",)),
+    PIM: (QueryExecutor.run_pim, ("loaded",)),
+    COLUMNAR: (QueryExecutor.run_columnar, ("loaded", "columnar")),
+    INDEX: (QueryExecutor.run_index, ("loaded", "index")),
 }
 
 
@@ -153,13 +162,22 @@ def relation_from_query(
         if query.aggregate is None and tuple(query.select) != fetched:
             body = Projection(target=body, projected=tuple(query.select))
         return body.label(query.name, query.sql)
-    body = fetch.transfer(CPU)
+    return _compute_on_cpu(fetch.transfer(CPU), query, fetched)
+
+
+def _compute_on_cpu(body: Relation, query: Query,
+                    columns: Sequence[str]) -> Label:
+    """Stack ``query``'s σ, γ and output π on ``body``'s CPU rows.
+
+    ``columns`` are the rows' columns: an output projection is added
+    only when the query selects something else.
+    """
     if query.predicate is not None:
         body = body.select(query.predicate)
     if query.aggregate is not None:
         body = body.aggregate(query.aggregate, query.agg_expr,
                               group_by=query.group_by, passes=query.passes)
-    elif tuple(query.select) != fetched:
+    elif tuple(query.select) != tuple(columns):
         body = Projection(target=body, projected=tuple(query.select))
     return body.label(query.name, query.sql)
 
@@ -228,16 +246,18 @@ def join_relation(
 
 
 class _QueryCompiler(RelationVisitor):
-    """Compiles a canonical single-table tree back into a ``Query``.
+    """Compiles a tree into the ``Query`` its scan or its join answers.
 
-    Walks root-to-leaf recording each operator once; rejects shapes the
-    measured executor cannot price (selection above aggregation, two
-    aggregates, joins — :meth:`Processor.execute` special-cases joins
-    before compiling).
+    Walks root-to-leaf recording each operator once and stops at the
+    stored table or at a ``Join`` (whose inputs compile on their own);
+    rejects shapes the measured executor cannot price (selection above
+    aggregation, two aggregates, stacked projections). The compiled
+    query, the scan engine, the leaf, the fetch projection and the join
+    are left on the compiler.
     """
 
     def __init__(self) -> None:
-        self.name = "adhoc"
+        self.name: Optional[str] = None
         self.sql = ""
         self.select: Optional[Tuple[str, ...]] = None
         self.predicate = None
@@ -248,6 +268,8 @@ class _QueryCompiler(RelationVisitor):
         self.fetch: Optional[Projection] = None
         self.scan_engine: Engine = CPU
         self.leaf: Optional[LeafRelation] = None
+        self.join: Optional[Join] = None
+        self.query: Optional[Query] = None
 
     # -- traversal ----------------------------------------------------------------
     def visit_label(self, node: Label) -> None:
@@ -301,28 +323,34 @@ class _QueryCompiler(RelationVisitor):
         self.leaf = node
 
     def visit_join(self, node: Join) -> None:
-        """Joins are executed structurally, never compiled to a Query."""
-        raise QueryError("Join trees execute via Processor.execute with "
-                         "table bindings, not via to_query")
+        """Record the join: its rows feed the operators above it."""
+        self.join = node
+        self.scan_engine = node.engine
 
     # -- assembly ----------------------------------------------------------------
-    def compile(self, relation: Relation) -> Query:
-        """Run the walk and assemble the equivalent ``Query``."""
+    def compile(self, relation: Relation) -> "_QueryCompiler":
+        """Run the walk, assemble the equivalent ``Query`` into
+        :attr:`query` and return this compiler."""
         relation.accept(self)
-        if self.leaf is None:
+        if self.join is not None:
+            source: Optional[Tuple[str, ...]] = self.join.columns
+        elif self.leaf is not None:
+            source = self.fetch.projected if self.fetch is not None else None
+        else:
             raise QueryError(f"no stored table under {relation}")
+        name = self.name
+        if name is None:
+            name = "join" if self.join is not None else "adhoc"
         if self.aggregate is not None:
             select: Tuple[str, ...] = ()
         elif self.select is not None:
             select = self.select
-        elif self.fetch is not None:
-            select = self.fetch.projected
         else:
-            select = self.leaf.columns
+            select = source or self.leaf.columns
             if not select:
                 raise QueryError(f"cannot infer columns for {relation}")
-        query = Query(
-            name=self.name,
+        self.query = Query(
+            name=name,
             sql=self.sql,
             select=select,
             predicate=self.predicate,
@@ -331,15 +359,24 @@ class _QueryCompiler(RelationVisitor):
             group_by=self.group_by,
             passes=self.passes,
         )
-        if self.fetch is not None:
-            uncovered = [c for c in query.columns()
-                         if c not in self.fetch.projected]
+        if source is not None:
+            uncovered = [c for c in self.query.columns() if c not in source]
             if uncovered:
                 raise QueryError(
-                    f"{self.name}: fetch projection {list(self.fetch.projected)} "
-                    f"does not cover {uncovered}"
+                    f"{name}: columns {list(source)} below the operators "
+                    f"do not cover {uncovered}"
                 )
-        return query
+        return self
+
+
+def _compile_side(side: Relation) -> _QueryCompiler:
+    """Compile one join input: a single-table scan with no aggregate."""
+    compiled = _QueryCompiler().compile(side)
+    if compiled.join is not None:
+        raise QueryError("multi-way joins are not executable")
+    if compiled.aggregate is not None:
+        raise QueryError("aggregates below a join are not executable")
+    return compiled
 
 
 def to_query(relation: Relation) -> Query:
@@ -354,7 +391,11 @@ def to_query(relation: Relation) -> Query:
     >>> to_query(relation_from_query(q)) == q
     True
     """
-    return _QueryCompiler().compile(relation)
+    compiled = _QueryCompiler().compile(relation)
+    if compiled.join is not None:
+        raise QueryError("Join trees execute via Processor.execute with "
+                         "table bindings, not via to_query")
+    return compiled.query
 
 
 def scan_engine(relation: Relation) -> Engine:
@@ -369,78 +410,48 @@ def scan_engine(relation: Relation) -> Engine:
     >>> scan_engine(relation_from_query(q1(), engine=RME)).name
     'rme'
     """
-    node = relation
-    while isinstance(node, (Label, Transfer, Selection, Projection,
-                            Aggregate)):
-        node = node.target
-    if isinstance(node, Join):
-        return node.engine
-    compiler = _QueryCompiler()
-    relation.accept(compiler)
-    return compiler.scan_engine
+    return _QueryCompiler().compile(relation).scan_engine
 
 
 def reroot_degraded(relation: Relation) -> Relation:
-    """Re-root the fetch subtree onto the degraded CPU engine.
+    """Re-root the scan onto the degraded CPU engine.
 
     Applied by the processor after the executor's fault fallback fired:
     the returned tree describes the execution that actually happened —
-    the RME subtree replaced by the staleness-free CPU row scan under
-    the :data:`~repro.query.engines.DEGRADED` identity.
+    the RME or PIM subtree replaced by the staleness-free CPU row scan
+    under the :data:`~repro.query.engines.DEGRADED` identity. In a join
+    tree both inputs and the join between them move there, with the
+    result transferred back to the CPU under the same operators.
 
     >>> from repro.query.queries import q1
     >>> from repro.query.engines import RME
     >>> print(reroot_degraded(relation_from_query(q1(), engine=RME)))
     Q1:[degraded→cpu](π[A1]([cpu→degraded](S)))
     """
-    compiler = _QueryCompiler()
-    query = compiler.compile(relation)
-    leaf = compiler.leaf
-    return relation_from_query(
-        query,
-        engine=DEGRADED,
-        table=leaf.name,
-        schema_columns=leaf.schema_columns,
-        fetch_columns=compiler.fetch.projected if compiler.fetch else None,
-    )
+    return _reroot(_QueryCompiler().compile(relation))
 
 
-def reroot_degraded_join(relation: Relation) -> Relation:
-    """Re-root both join inputs onto the degraded CPU engine.
-
-    The join-tree analogue of :func:`reroot_degraded`: after an
-    unrecoverable in-bank fault fell back to software, the executed
-    tree shows both side fetches (and the join between them) under the
-    :data:`~repro.query.engines.DEGRADED` identity, with the result
-    transferred back to the CPU.
-    """
-    name, sql = ("join", "")
-    node: Relation = relation
-    if isinstance(relation, Label):
-        name, sql = relation.name, relation.sql
-        node = relation.target
-    above: List[Relation] = []
-    while not isinstance(node, Join):
-        above.append(node)
-        node = node.target
+def _reroot(compiled: _QueryCompiler) -> Relation:
+    """:func:`reroot_degraded` over an already compiled tree."""
+    query = compiled.query
+    if compiled.join is None:
+        leaf = compiled.leaf
+        return relation_from_query(
+            query,
+            engine=DEGRADED,
+            table=leaf.name,
+            schema_columns=leaf.schema_columns,
+            fetch_columns=(compiled.fetch.projected
+                           if compiled.fetch is not None else None),
+        )
+    join = compiled.join
     sides = []
-    for side in (node.lhs, node.rhs):
-        compiler = _QueryCompiler()
-        query = compiler.compile(side)
-        sides.append(_join_side(query, compiler.leaf.name,
-                                compiler.leaf.schema_columns, DEGRADED))
-    tree: Relation = sides[0].join(sides[1], on=node.on).transfer(CPU)
-    for op in reversed(above):
-        if isinstance(op, Selection):
-            tree = tree.select(op.predicate)
-        elif isinstance(op, Aggregate):
-            tree = tree.aggregate(op.func, op.expr, group_by=op.group_by,
-                                  passes=op.passes)
-        elif isinstance(op, Projection):
-            tree = Projection(target=tree, projected=op.projected)
-        # Transfers above the join are placement only; the new tree
-        # carries its own [degraded → cpu] boundary.
-    return tree.label(name, sql)
+    for side in (join.lhs, join.rhs):
+        inner = _compile_side(side)
+        sides.append(_join_side(inner.query, inner.leaf.name,
+                                inner.leaf.schema_columns, DEGRADED))
+    body = sides[0].join(sides[1], on=join.on).transfer(CPU)
+    return _compute_on_cpu(body, query, join.columns)
 
 
 @dataclass(frozen=True)
@@ -448,7 +459,6 @@ class ExecutionPlan:
     """A placed tree plus the optimizer decision that shaped it."""
 
     relation: Relation
-    query: Query
     choice: Optional[AccessPathChoice] = None
 
     @property
@@ -540,7 +550,7 @@ class Processor:
                 selectivity=selectivity,
                 index=index.index if index is not None else None,
             )
-            engine = _PATH_ENGINES[choice.best]
+            engine = _ENGINE_OF_PATH[choice.best]
         relation = relation_from_query(
             query,
             engine=engine,
@@ -548,7 +558,7 @@ class Processor:
             schema_columns=tuple(loaded.schema.names),
             fetch_columns=fetch_columns,
         )
-        return ExecutionPlan(relation=relation, query=query, choice=choice)
+        return ExecutionPlan(relation=relation, choice=choice)
 
     def plan_join(
         self,
@@ -578,7 +588,7 @@ class Processor:
                 lhs_selectivity=lhs_selectivity,
                 rhs_selectivity=rhs_selectivity,
             )
-            engine = _PATH_ENGINES[choice.best]
+            engine = _ENGINE_OF_PATH[choice.best]
         relation = join_relation(
             on, lhs_query, rhs_query, engine=engine,
             lhs_table=lhs_loaded.name, rhs_table=rhs_loaded.name,
@@ -586,12 +596,7 @@ class Processor:
             rhs_schema_columns=tuple(rhs_loaded.schema.names),
             name=name, sql=sql,
         )
-        node: Relation = relation.target
-        while not isinstance(node, Join):
-            node = node.target
-        query = Query(name=relation.name, sql=sql or relation.sql,
-                      select=tuple(node.columns))
-        return ExecutionPlan(relation=relation, query=query, choice=choice)
+        return ExecutionPlan(relation=relation, choice=choice)
 
     def explain(self, relation: Relation) -> str:
         """Render ``relation`` as the engine-annotated plan tree."""
@@ -611,44 +616,30 @@ class Processor:
         """Execute a placed tree and return the measured result.
 
         Bindings supply the storage objects each engine scans: the
-        ``loaded`` row table (CPU / degraded / index), the ``columnar``
-        copy, the ephemeral ``var`` (RME), or — for join trees — the
-        ``tables`` map from leaf name to loaded table. The executed
-        tree (with any fault re-rooting applied) lands in
+        ``loaded`` row table (CPU / degraded / PIM / index), the
+        ``columnar`` copy, the ephemeral ``var`` (RME), or — for join
+        trees — the ``tables`` map from leaf name to loaded table. The
+        executed tree (with any fault re-rooting applied) lands in
         :attr:`last_report`.
         """
-        if self._join_below(relation):
-            return self._execute_join(relation, tables or {}, flush)
-        query = to_query(relation)
-        engine = scan_engine(relation)
-        executed = relation
-        if engine == RME:
-            if var is None:
-                raise QueryError("an RME-placed tree needs an ephemeral "
-                                 "variable binding (var=...)")
-            result = self.executor.run_rme(query, var, flush)
-            if result.state == "degraded":
-                executed = reroot_degraded(relation)
-        elif engine == PIM:
-            if loaded is None:
-                raise QueryError("a PIM-placed tree needs a loaded= binding")
-            result = self.executor.run_pim(query, loaded, flush)
-            if result.state == "degraded":
-                executed = reroot_degraded(relation)
-        elif engine == COLUMNAR:
-            if loaded is None or columnar is None:
-                raise QueryError("a columnar-placed tree needs loaded= and "
-                                 "columnar= bindings")
-            result = self.executor.run_columnar(query, loaded, columnar, flush)
-        elif engine == INDEX:
-            if loaded is None or index is None:
-                raise QueryError("an index-placed tree needs loaded= and "
-                                 "index= bindings")
-            result = self.executor.run_index(query, loaded, index, flush)
-        else:  # CPU or DEGRADED: the row-store scan
-            if loaded is None:
-                raise QueryError("a CPU-placed tree needs a loaded= binding")
-            result = self.executor.run_direct(query, loaded, flush)
+        compiled = _QueryCompiler().compile(relation)
+        if compiled.join is not None:
+            result = self._run_join(compiled, tables or {}, flush)
+        else:
+            engine = compiled.scan_engine
+            if engine not in _SCANS:
+                raise QueryError(f"no scan is registered for engine "
+                                 f"{engine.name!r}")
+            run, needs = _SCANS[engine]
+            bound = {"loaded": loaded, "var": var, "columnar": columnar,
+                     "index": index}
+            missing = [f"{name}=" for name in needs if bound[name] is None]
+            if missing:
+                raise QueryError(f"a tree placed on {engine.name} needs "
+                                 f"{' and '.join(missing)} to execute")
+            result = run(self.executor, compiled.query,
+                         *(bound[name] for name in needs), flush)
+        executed = _reroot(compiled) if result.state == "degraded" else relation
         self.last_report = ExecutionReport(planned=relation, executed=executed,
                                            result=result)
         return result
@@ -685,130 +676,58 @@ class Processor:
         return self.last_report
 
     # -- joins --------------------------------------------------------------------
-    @staticmethod
-    def _join_below(node: Relation) -> bool:
-        """True when a Join sits under a chain of unary operators."""
-        while isinstance(node, (Selection, Projection, Aggregate, Transfer,
-                                Label)):
-            node = node.target
-        return isinstance(node, Join)
+    def _run_join(self, compiled: _QueryCompiler,
+                  tables: Dict[str, LoadedTable], flush: bool) -> QueryResult:
+        """Join on the Join node's engine, then apply the operators above.
 
-    def _side_rows(
-        self, side: Relation, tables: Dict[str, LoadedTable], flush: bool
-    ) -> Tuple[List[Dict[str, Any]], QueryResult]:
-        """Scan one join input and return its rows as dicts."""
-        compiler = _QueryCompiler()
-        query = compiler.compile(side)
-        if compiler.scan_engine not in (CPU, DEGRADED):
-            raise QueryError(
-                f"join inputs execute on the CPU engine for now; got "
-                f"{compiler.scan_engine.name} (transfer the subtree to CPU)"
-            )
-        name = compiler.leaf.name
-        if name not in tables:
-            raise QueryError(f"join executes with tables={{...}}; no binding "
-                             f"for leaf {name!r}")
-        if query.aggregate is not None:
-            raise QueryError("aggregates below a join are not executable")
-        result = self.executor.run_direct(query, tables[name], flush)
-        columns = query.select
-        rows = [dict(zip(columns, values)) for values in result.value]
-        return rows, result
-
-    def _pim_join_scan(
-        self, node: Join, tables: Dict[str, LoadedTable], flush: bool
-    ) -> JoinScan:
-        """Compile both PIM-placed join inputs and run them at the banks."""
-        queries: List[Query] = []
-        loadeds: List[LoadedTable] = []
-        for side in (node.lhs, node.rhs):
-            compiler = _QueryCompiler()
-            query = compiler.compile(side)
-            if compiler.scan_engine != PIM:
-                raise QueryError(
-                    f"a PIM join needs both inputs on the PIM engine; got "
-                    f"{compiler.scan_engine.name}"
-                )
-            name = compiler.leaf.name
-            if name not in tables:
-                raise QueryError(f"join executes with tables={{...}}; no "
-                                 f"binding for leaf {name!r}")
-            queries.append(query)
-            loadeds.append(tables[name])
-        return self.executor.run_pim_join(node.on, queries[0], loadeds[0],
-                                          queries[1], loadeds[1], flush)
-
-    def _execute_join(
-        self, relation: Relation, tables: Dict[str, LoadedTable], flush: bool
-    ) -> QueryResult:
-        """Join two scanned sides, then apply the operators above.
-
-        The functional answer follows the usual split: rows come from
-        the stored tables (via the one shared :func:`ops.hash_join`
-        definition), the timing from the engine the Join node sits on —
-        two measured row scans plus a per-row hash surcharge on the
-        CPU, or the in-bank partition/build/probe bill on the PIM
-        engine. An unrecoverable PIM fault degrades like any other PIM
-        scan: the software join's rows, the wasted simulated time on
-        the bill, and the executed tree re-rooted onto ``@degraded``.
+        The rows and the bill come from the engine's executor method —
+        two measured row scans plus a per-row hash surcharge on the CPU,
+        or the in-bank partition/build/probe bill on the PIM engine —
+        and the operators above the join from the compiled query,
+        finalised like any single-table scan. The surviving right-side
+        rows are the denominator of the reported selectivity.
         """
-        name = relation.name if isinstance(relation, Label) else "join"
-        above: List[Relation] = []
-        node = relation.target if isinstance(relation, Label) else relation
-        while not isinstance(node, Join):
-            above.append(node)
-            node = node.target
-        executed = relation
-        if node.engine == PIM:
-            scan = self._pim_join_scan(node, tables, flush)
-            if scan.state == "degraded":
-                executed = reroot_degraded_join(relation)
-        else:
-            lhs_rows, lhs_result = self._side_rows(node.lhs, tables, flush)
-            rhs_rows, rhs_result = self._side_rows(node.rhs, tables,
-                                                   flush=False)
-            scan = JoinScan(
-                rows=ops.hash_join(lhs_rows, rhs_rows, node.on),
-                elapsed_ns=(lhs_result.elapsed_ns + rhs_result.elapsed_ns
-                            + HASH_BUILD_NS * len(lhs_rows)
-                            + HASH_PROBE_NS * len(rhs_rows)),
-                rows_scanned=(lhs_result.rows_scanned
-                              + rhs_result.rows_scanned),
-                rhs_rows=len(rhs_rows),
-                path=AccessPath.DIRECT_ROW,
-                state="-",
-            )
-        value: Any = [tuple(row[c] for c in node.columns)
-                      for row in scan.rows]
-        kept = scan.rows
-        for op in reversed(above):
-            if isinstance(op, Selection):
-                kept = ops.filter_rows(kept, op.predicate)
-                value = [tuple(row[c] for c in node.columns) for row in kept]
-            elif isinstance(op, Aggregate):
-                if op.group_by is not None:
-                    value = ops.group_aggregate(kept, op.group_by, op.func,
-                                                op.expr)
-                else:
-                    value = ops.aggregate(op.func,
-                                          [op.expr.eval(row) for row in kept])
-            elif isinstance(op, Projection):
-                value = ops.project(kept, op.projected)
-            # Transfers above a join are placement only.
-        selectivity = len(scan.rows) / scan.rhs_rows if scan.rhs_rows else 0.0
-        result = QueryResult(
-            query=name,
+        join, query = compiled.join, compiled.query
+        run = (self.executor.run_pim_join if join.engine == PIM
+               else self.executor.run_join)
+        (lhs_query, lhs), (rhs_query, rhs) = self._join_inputs(join, tables)
+        scan = run(join.on, lhs_query, lhs, rhs_query, rhs, flush)
+        kept = ops.filter_rows(scan.rows, query.predicate)
+        return QueryResult(
+            query=query.name,
             path=scan.path,
-            value=value,
+            value=QueryExecutor._finalize(query, kept),
             elapsed_ns=scan.elapsed_ns,
             rows_scanned=scan.rows_scanned,
-            selectivity=selectivity,
+            selectivity=len(scan.rows) / scan.rhs_rows if scan.rhs_rows else 0.0,
             state=scan.state,
             cache_stats=self.system.cache_stats(),
         )
-        self.last_report = ExecutionReport(planned=relation,
-                                           executed=executed, result=result)
-        return result
+
+    @staticmethod
+    def _join_inputs(
+        join: Join, tables: Dict[str, LoadedTable]
+    ) -> List[Tuple[Query, LoadedTable]]:
+        """Compile both join inputs and bind each to its loaded table.
+
+        A PIM join scans both inputs at the banks; any other join runs
+        as a CPU hash join over two row-store scans.
+        """
+        scans = (PIM,) if join.engine == PIM else (CPU, DEGRADED)
+        inputs = []
+        for side in (join.lhs, join.rhs):
+            compiled = _compile_side(side)
+            if compiled.scan_engine not in scans:
+                raise QueryError(
+                    f"a join on {join.engine.name} scans its inputs on "
+                    f"{scans[0].name}; got {compiled.scan_engine.name}"
+                )
+            name = compiled.leaf.name
+            if name not in tables:
+                raise QueryError(f"join executes with tables={{...}}; no "
+                                 f"binding for leaf {name!r}")
+            inputs.append((compiled.query, tables[name]))
+        return inputs
 
 
 def explain_placement(query: Query, engine: Engine = RME,

@@ -342,10 +342,10 @@ class Join(Relation):
     """⋈ — equi-join of two relations on a shared column name.
 
     Both sides must live on the same engine; insert a :class:`Transfer`
-    first when they do not. This node is the insertion point for future
-    engine-executed joins (semi-join pushdown, PIM bitmap joins); the
-    current :class:`~repro.query.processor.Processor` executes it as a
-    CPU hash join over both scanned sides.
+    first when they do not. The :class:`~repro.query.processor
+    .Processor` runs it on that engine: a join on the PIM engine is an
+    in-bank partitioned hash join, any other a CPU hash join over both
+    scanned sides.
 
     >>> lhs = LeafRelation("R", ("k", "x"))
     >>> rhs = LeafRelation("T", ("k", "y"))

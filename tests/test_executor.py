@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from repro import AccessPath, QueryExecutor, RelationalMemorySystem
+from repro import QueryExecutor, RelationalMemorySystem
 from repro.errors import QueryError
 from repro.query import q1, q2, q3, q4, q5, q6, q7
 from tests.conftest import build_relation
@@ -60,25 +60,6 @@ def test_rme_cold_then_hot_states(env):
     assert first.state == "cold"
     assert second.state == "hot"
     assert second.elapsed_ns < first.elapsed_ns
-
-
-def test_run_dispatch(env):
-    table, system, loaded, columnar, executor = env
-    var = system.register_var(loaded, ["A1", "A2", "A3"])
-    r = executor.run(q4(), loaded, AccessPath.RME, var=var)
-    assert r.path is AccessPath.RME
-    r = executor.run(q4(), loaded, AccessPath.DIRECT_ROW)
-    assert r.path is AccessPath.DIRECT_ROW
-    r = executor.run(q4(), loaded, AccessPath.COLUMNAR, columnar=columnar)
-    assert r.path is AccessPath.COLUMNAR
-
-
-def test_run_dispatch_requires_sources(env):
-    table, system, loaded, columnar, executor = env
-    with pytest.raises(QueryError):
-        executor.run(q4(), loaded, AccessPath.RME)
-    with pytest.raises(QueryError):
-        executor.run(q4(), loaded, AccessPath.COLUMNAR)
 
 
 def test_missing_columns_rejected(env):

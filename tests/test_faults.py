@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.workloads import make_join_tables
 from repro.config import ZCU102
+from repro.core.access_path import AccessPath
 from repro.core.relmem import RelationalMemorySystem
 from repro.errors import FaultError, MemoryMapError
 from repro.faults import (
@@ -23,7 +25,8 @@ from repro.faults import (
 from repro.memsys import DRAM, MemoryHierarchy, MemoryMap, PhysicalMemory
 from repro.memsys.hierarchy import DRAMBackend
 from repro.query.executor import QueryExecutor
-from repro.query.queries import q4
+from repro.query.expr import Col
+from repro.query.queries import Query, q4
 from repro.sim import Simulator
 
 from tests.conftest import build_relation
@@ -173,6 +176,70 @@ def test_axi_stall_is_timing_only(baseline):
     assert result.state == "cold"
     assert result.value == baseline.value
     assert result.elapsed_ns > baseline.elapsed_ns
+
+
+# -- the fallback bookkeeping every faulting path shares --------------------------
+
+
+def _rme_scan(system):
+    loaded = system.load_table(build_relation(n_rows=N_ROWS))
+    var = system.register_var(loaded, ["A1"])
+    return var, lambda: QueryExecutor(system).run_rme(q4(), var)
+
+
+def _pim_scan(system):
+    loaded = system.load_table(build_relation(n_rows=N_ROWS))
+    return None, lambda: QueryExecutor(system).run_pim(q4(), loaded)
+
+
+def _pim_join(system):
+    dim, fact = make_join_tables(N_ROWS)
+    lhs, rhs = system.load_table(dim), system.load_table(fact)
+    dim_q = Query(name="dim", sql="", select=("K", "D1"))
+    fact_q = Query(name="fact", sql="", select=("K", "A1"),
+                   predicate=Col("F1") > 0)
+    return None, lambda: QueryExecutor(system).run_pim_join(
+        "K", dim_q, lhs, fact_q, rhs)
+
+
+#: The paths that raise an unrecoverable FaultError and may recover:
+#: (setup, the per-engine fault counter, the FaultError subclass raised).
+FAULTING_PATHS = {
+    "rme-scan": (_rme_scan, "rme_faults", "UncorrectableMemoryError"),
+    "pim-scan": (_pim_scan, "pim_faults", "FaultError"),
+    "pim-join": (_pim_join, "pim_faults", "FaultError"),
+}
+
+
+@pytest.mark.parametrize("fallback", [True, False],
+                         ids=["cpu-fallback", "no-recovery"])
+@pytest.mark.parametrize("path", list(FAULTING_PATHS))
+def test_fault_fallback_books_each_counter_once(path, fallback):
+    """One unrecoverable fault books the engine's fault counter, the error
+    type and the wasted time once; the CPU fallback, when the policy
+    allows it, is counted once and bills more than the wasted time."""
+    setup, engine_counter, error_type = FAULTING_PATHS[path]
+    system = RelationalMemorySystem()
+    var, run = setup(system)
+    recovery = RecoveryPolicy(max_retries=0) if fallback else NO_RECOVERY
+    injector = system.enable_faults(
+        FaultPlan.single("dram_bitflip", 0.0, severity=2), recovery)
+    stats = injector.stats
+    if fallback:
+        result = run()
+        assert result.state == "degraded"
+        assert result.path is AccessPath.DIRECT_ROW
+        assert stats.total("wasted_ns") > 0
+        assert result.elapsed_ns > stats.total("wasted_ns")
+    else:
+        with pytest.raises(FaultError):
+            run()
+        if var is not None:
+            assert not system.is_active(var)
+    assert stats.count(engine_counter) == 1
+    assert stats.count(f"fault_{error_type}") == 1
+    assert stats.count("wasted_ns") == 1
+    assert stats.count("cpu_fallbacks") == (1 if fallback else 0)
 
 
 # -- determinism (satellite: same seed => bit-identical chaos) --------------------

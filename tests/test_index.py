@@ -213,16 +213,6 @@ def test_index_requires_indexable_predicate(indexed_env):
         executor.run_index(bad, loaded, index)  # predicate on A3, index on A1
 
 
-def test_run_dispatch_index(indexed_env):
-    table, system, loaded, index = indexed_env
-    executor = QueryExecutor(system)
-    result = executor.run(selective_query(-990), loaded, AccessPath.INDEX,
-                          index=index)
-    assert result.path is AccessPath.INDEX
-    with pytest.raises(QueryError):
-        executor.run(selective_query(-990), loaded, AccessPath.INDEX)
-
-
 def test_optimizer_alternates_with_selectivity(indexed_env):
     table, system, loaded, index = indexed_env
     selective = choose_access_path(selective_query(-990), loaded,

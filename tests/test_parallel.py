@@ -462,9 +462,6 @@ def test_unknown_mode_rejected():
     with pytest.raises(ConfigurationError, match="unknown parallel mode"):
         parallel_map(_square, [1, 2, 3, 4], jobs=2,
                      config=ParallelConfig(mode="bogus"))
-    with pytest.raises(ConfigurationError, match="process_below"):
-        parallel_map(_square, [1, 2, 3, 4], jobs=2,
-                     config=ParallelConfig(process_below=0))
 
 
 def test_thread_mode_propagates_exceptions():

@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from repro.bench.workloads import make_relation
+from repro.core.access_path import AccessPath
 from repro.core.relmem import RelationalMemorySystem
 from repro.errors import QueryError
 from repro.query.engines import (
@@ -17,8 +18,7 @@ from repro.query.engines import (
     INDEX,
     PIM,
     RME,
-    CpuEngine,
-    RmeEngine,
+    Engine,
 )
 from repro.query.expr import Col
 from repro.query.processor import (
@@ -27,7 +27,6 @@ from repro.query.processor import (
     join_relation,
     relation_from_query,
     reroot_degraded,
-    reroot_degraded_join,
     scan_engine,
     to_query,
 )
@@ -124,9 +123,9 @@ def test_join_requires_matching_engines():
 
 
 def test_engines_compare_by_type():
-    assert CPU == CpuEngine()
+    assert CPU == Engine("cpu", AccessPath.DIRECT_ROW)
     assert CPU != RME
-    assert RmeEngine() == RME
+    assert Engine("rme", AccessPath.RME) == RME
     assert len({e.name for e in ALL_ENGINES}) == len(ALL_ENGINES)
     assert DEGRADED.access_path == CPU.access_path
     assert DEGRADED != CPU
@@ -283,15 +282,34 @@ def test_processor_run_records_report():
     assert "@rme" in report.explain()
 
 
-def test_processor_missing_bindings_raise():
-    _, system, loaded = make_system()
-    processor = Processor(system)
-    rme_plan = processor.plan(q1(), loaded, engine=RME)
-    with pytest.raises(QueryError):
-        processor.execute(rme_plan.relation)  # no var
-    cpu_plan = processor.plan(q1(), loaded, engine=CPU)
-    with pytest.raises(QueryError):
-        processor.execute(cpu_plan.relation)  # no loaded table
+#: One case per engine: the engine the tree is placed on (``None`` for a
+#: join tree) and the binding execute() is called without.
+MISSING_BINDINGS = {
+    "rme-without-var": (RME, "var="),
+    "cpu-without-loaded": (CPU, "loaded="),
+    "pim-without-loaded": (PIM, "loaded="),
+    "columnar-without-columnar": (COLUMNAR, "columnar="),
+    "index-without-index": (INDEX, "index="),
+    "join-without-a-leaf": (None, "tables="),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING_BINDINGS))
+def test_processor_missing_bindings_raise(case):
+    """A tree executed without the storage its engine scans is refused
+    with a one-line QueryError naming the missing binding."""
+    engine, needed = MISSING_BINDINGS[case]
+    if engine is None:
+        _, _, tables, processor, join = make_rt_join()
+        tree, bindings = join.label("J1"), {"tables": {"r": tables["r"]}}
+    else:
+        _, system, loaded = make_system()
+        processor = Processor(system)
+        tree = processor.plan(q4(), loaded, engine=engine).relation
+        bindings = {} if needed == "loaded=" else {"loaded": loaded}
+    with pytest.raises(QueryError, match=needed) as info:
+        processor.execute(tree, **bindings)
+    assert "\n" not in str(info.value)
 
 
 def test_processor_degraded_reroot_on_fault():
@@ -321,7 +339,8 @@ def test_processor_degraded_reroot_on_fault():
     assert not processor.last_report.degraded
 
 
-def test_processor_join_execution():
+def make_rt_join():
+    """``R(k, x) ⋈ T(k, y)`` on one system: each T row matches one R row."""
     from repro.storage import Column, RowTable, Schema, int32
 
     r = RowTable("r", Schema([Column("k", int32()), Column("x", int32())]))
@@ -330,11 +349,15 @@ def test_processor_join_execution():
         r.append([i, 10 * i])
         t.append([i % 4, 100 + i])
     system = RelationalMemorySystem()
-    loaded = {"r": system.load_table(r), "t": system.load_table(t)}
-    processor = Processor(system)
+    tables = {"r": system.load_table(r), "t": system.load_table(t)}
     lhs = LeafRelation("r", ("k", "x")).project("k", "x")
     rhs = LeafRelation("t", ("k", "y")).project("k", "y")
-    tree = lhs.join(rhs, on="k").label("J1")
+    return r, t, tables, Processor(system), lhs.join(rhs, on="k")
+
+
+def test_processor_join_execution():
+    r, t, loaded, processor, join = make_rt_join()
+    tree = join.label("J1")
     assert tree.columns == ("k", "x", "y")
     result = processor.execute(tree, tables=loaded)
     expected = sorted(
@@ -346,6 +369,40 @@ def test_processor_join_execution():
     assert sorted(result.value) == expected
     assert result.elapsed_ns > 0
     assert processor.last_report.result is result
+
+
+#: Operator shapes stacked on a relation, with the reference answer over
+#: ``R ⋈ T``'s joined ``(k, x, y)`` rows.
+JOIN_SHAPES = {
+    "project-then-select": (
+        lambda rel: rel.project("k", "x").select(Col("x") > 10),
+        lambda rows: [(k, x) for k, x, _ in rows if x > 10],
+    ),
+    "aggregate-then-project": (
+        lambda rel: rel.aggregate("sum", Col("x")).project("sum(x)"),
+        lambda rows: sum(x for _, x, _ in rows),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(JOIN_SHAPES))
+def test_operators_above_a_join_run_like_single_table(shape):
+    """Operators above a Join follow the single-table rules: a shape the
+    single-table path refuses may be refused with QueryError, and any
+    answer must be the right one — never rows wider than the tree's
+    columns, never a bare KeyError."""
+    build, reference = JOIN_SHAPES[shape]
+    r, t, loaded, processor, join = make_rt_join()
+    rows = [(rv[0], rv[1], tv[1]) for tv in t.scan() for rv in r.scan()
+            if rv[0] == tv[0]]
+    tree = build(join).label("J")
+    try:
+        result = processor.execute(tree, tables=loaded)
+    except QueryError:
+        return
+    assert result.value == reference(rows)
+    if isinstance(result.value, list):
+        assert all(len(row) == len(tree.columns) for row in result.value)
 
 
 def test_explain_placement_mentions_engines():
@@ -377,7 +434,7 @@ def render_golden_plans():
                  predicate=Col("F1") > 0)
     plans["join-pim"] = print_tree(join_relation("K", dim, fact, engine=PIM))
     plans["join-pim-degraded"] = print_tree(
-        reroot_degraded_join(join_relation("K", dim, fact, engine=PIM)))
+        reroot_degraded(join_relation("K", dim, fact, engine=PIM)))
     plans["join-cpu"] = print_tree(join_relation("K", dim, fact, engine=CPU))
     return plans
 
