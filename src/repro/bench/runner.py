@@ -82,8 +82,10 @@ class FigureResult:
 
 #: Recorded CPU-baseline measurements, keyed by everything they depend
 #: on: the platform with ``fastpath`` stripped (the flag only changes the
-#: RME engine), the buffer capacity, the scan kind, the packed table
-#: bytes, the query text, and the fetch column list. The direct and
+#: RME engine), the buffer capacity, the scan kind, the table's schema
+#: and packed bytes (one seeded byte stream packs into 1024 128-byte rows
+#: or 2048 64-byte ones alike), the query text, and the fetch column
+#: list. The direct and
 #: columnar paths contain no RME epochs, so the fast-forward layer cannot
 #: collapse them from inside; instead they are *recorded* the first time
 #: they run (at cycle level — any run populates the memo) and *replayed*
@@ -109,6 +111,7 @@ def _baseline_key(
         buffer_capacity,
         kind,
         table.name,
+        table.schema.columns,
         table.raw_bytes(),
         query.name,
         query.sql,

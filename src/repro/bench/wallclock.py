@@ -2,7 +2,8 @@
 
 Everything else in :mod:`repro.bench` measures *simulated* nanoseconds;
 this module measures *host seconds*. Each scenario runs twice — once
-cycle-level, once with ``fastpath=True`` — under ``time.perf_counter``,
+cycle-level (``fastpath=False``), once fast-forwarded (``fastpath=True``,
+the library default) — under ``time.perf_counter``,
 and the two runs' simulated observables are compared bit-for-bit before
 any speedup is reported. A fast path that changes even one simulated
 cycle is a broken fast path, so :func:`run_wallclock` raises on the
@@ -22,9 +23,8 @@ Scenarios:
 * ``multirun`` — non-contiguous columns (a multi-run geometry).
 * ``pushdown`` — a hardware aggregation plus a single-lane selection.
 
-The caches that make repeated runs fast (the descriptor timing memo and
-the serving profile memo) are invalidated before each measurement, so
-the numbers describe a cold process, not a warm cache.
+The serving profile memo is invalidated before each measurement, so the
+numbers describe a cold process, not a warm cache.
 
 ``python -m repro perf`` and ``benchmarks/bench_wallclock.py`` are thin
 front-ends over :func:`run_wallclock`; both write ``BENCH_wallclock.json``.
@@ -42,11 +42,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..config import ZCU102, PlatformConfig
 from ..errors import SimulationError
 from ..parallel import WORKER_CACHE_TRAFFIC
-from ..sim.fastpath import FALLBACK_TALLY, TIMING_CACHE
+from ..sim.fastpath import FALLBACK_TALLY, FORWARDED_EPOCHS
 from .figures import fig01_projectivity, fig06_q1_designs
 
-#: The platform pair every scenario is timed under.
-CYCLE_LEVEL = ZCU102
+#: The platform pair every scenario is timed under, both pinned: the
+#: cycle-level side is the reference whatever the library default is.
+CYCLE_LEVEL = dataclasses.replace(ZCU102, fastpath=False)
 FAST_FORWARD = dataclasses.replace(ZCU102, fastpath=True)
 
 #: The acceptance floor for the fig06 sweep in full mode.
@@ -57,9 +58,9 @@ FIG06_MIN_SPEEDUP = 3.0
 class ScenarioTiming:
     """One scenario's paired measurement.
 
-    ``cache_hits``/``cache_misses`` count timing-memo traffic during the
-    fast run; ``fallbacks`` tallies the ``fastpath_fallback_<reason>``
-    bumps it caused (``repro perf --profile`` renders both).
+    ``fastpath_hits`` counts the epochs the fast run fast-forwarded;
+    ``fallbacks`` tallies the ``fastpath_fallback_<reason>`` bumps it
+    caused (``repro perf --profile`` renders them).
     """
 
     name: str
@@ -67,18 +68,11 @@ class ScenarioTiming:
     fast_s: float
     identical: bool
     fastpath_hits: int
-    cache_hits: int = 0
-    cache_misses: int = 0
     fallbacks: Dict[str, int] = dataclasses.field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
         return self.cycle_s / self.fast_s if self.fast_s else float("inf")
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -88,7 +82,6 @@ class ScenarioTiming:
             "speedup": round(self.speedup, 3),
             "identical": self.identical,
             "fastpath_hits": self.fastpath_hits,
-            "cache_hit_rate": round(self.cache_hit_rate, 3),
             "fallbacks": dict(sorted(self.fallbacks.items())),
         }
 
@@ -133,19 +126,12 @@ class WallclockReport:
         )
 
     def render_profile(self) -> str:
-        """The ``repro perf --profile`` view: per-scenario timing-memo
-        hit rates plus the process-wide fallback tally, most-frequent
-        reason first — the worklist for growing fastpath coverage."""
+        """The ``repro perf --profile`` view: the fallback tally of every
+        fast run, most-frequent reason first — the worklist for growing
+        fastpath coverage."""
         from .report import render_table
 
-        rows = [
-            [t.name, str(t.cache_hits), str(t.cache_misses),
-             f"{t.cache_hit_rate:.0%}"]
-            for t in self.scenarios
-        ]
-        lines = [render_table(
-            ["scenario", "memo hits", "memo misses", "hit rate"], rows,
-        )]
+        lines = []
         tally: Dict[str, int] = {}
         for t in self.scenarios:
             for reason, count in t.fallbacks.items():
@@ -175,10 +161,9 @@ class WallclockReport:
 
 
 def _fresh_caches() -> None:
-    """Start each measurement cold: no memoized timings or profiles."""
+    """Start each measurement cold: no memoized profiles."""
     from ..serve.profiles import PROFILE_CACHE
 
-    TIMING_CACHE.invalidate("wallclock benchmark")
     PROFILE_CACHE.invalidate("wallclock benchmark")
 
 
@@ -282,8 +267,8 @@ def _scenario_multirun(quick: bool, jobs: Optional[int]) -> Callable[[PlatformCo
 
 
 def _scenario_pushdown(quick: bool, jobs: Optional[int]) -> Callable[[PlatformConfig], object]:
-    """Hardware pushdown sinks: an aggregation (cacheable reduction
-    replay) plus a single-lane selection (content-dependent, uncached)."""
+    """Hardware pushdown sinks: an aggregation (reduction replay) plus a
+    single-lane selection (content-dependent row-filter replay)."""
     n_rows = 128 if quick else 1024
 
     def run(platform: PlatformConfig):
@@ -334,13 +319,11 @@ def _measure(run: Callable[[PlatformConfig], object],
     return time.perf_counter() - start, snapshot
 
 
-def _timing_lookups() -> int:
-    """Total timing-memo lookups observed so far, in this process *and*
-    inside any pool workers (whose traffic only reaches the parent as
-    merged deltas)."""
-    worker = (WORKER_CACHE_TRAFFIC.counter("timing_hits").count
-              + WORKER_CACHE_TRAFFIC.counter("timing_misses").count)
-    return TIMING_CACHE.hits + TIMING_CACHE.misses + int(worker)
+def _forwarded_epochs() -> int:
+    """Epochs fast-forwarded so far, in this process *and* inside any
+    pool workers (whose counts only reach the parent as merged deltas)."""
+    worker = WORKER_CACHE_TRAFFIC.total("fastpath_epochs")
+    return FORWARDED_EPOCHS.count + int(worker)
 
 
 def run_wallclock(
@@ -380,12 +363,10 @@ def run_wallclock(
         cycle_s, cycle_snap = _measure(run, CYCLE_LEVEL)
         if progress:
             progress(f"{name}: fast-forward run ...")
-        lookups_before = _timing_lookups()
-        cache_before = (TIMING_CACHE.hits, TIMING_CACHE.misses)
+        epochs_before = _forwarded_epochs()
         tally_before = dict(FALLBACK_TALLY)
         fast_s, fast_snap = _measure(run, FAST_FORWARD)
-        # One timing-memo lookup happens per fast-forwarded epoch.
-        hits = _timing_lookups() - lookups_before
+        epochs = _forwarded_epochs() - epochs_before
         fallbacks = {
             reason: count - tally_before.get(reason, 0)
             for reason, count in FALLBACK_TALLY.items()
@@ -400,9 +381,7 @@ def run_wallclock(
             )
         timings.append(ScenarioTiming(
             name=name, cycle_s=cycle_s, fast_s=fast_s,
-            identical=identical, fastpath_hits=hits,
-            cache_hits=TIMING_CACHE.hits - cache_before[0],
-            cache_misses=TIMING_CACHE.misses - cache_before[1],
+            identical=identical, fastpath_hits=epochs,
             fallbacks=fallbacks,
         ))
         if progress:

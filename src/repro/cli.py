@@ -377,8 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--smoke", action="store_true", dest="quick",
                       help="alias for --quick (CI smoke runs)")
     perf.add_argument("--profile", action="store_true",
-                      help="also print per-scenario timing-memo hit rates "
-                           "and the fastpath fallback tally by reason")
+                      help="also print the fastpath fallback tally by "
+                           "reason and the CPU-baseline memo replays")
     perf.add_argument("--scenario", action="append", dest="scenarios",
                       metavar="NAME",
                       help="run a subset (fig01, fig06, serving, windowed, "

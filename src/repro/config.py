@@ -185,14 +185,17 @@ class PlatformConfig:
     window_reinit_ns: float = 15_000.0
 
     # --- simulator acceleration -------------------------------------------
-    #: Opt-in to the fast-forward replay of homogeneous fetch epochs
-    #: (:mod:`repro.sim.fastpath`). Purely an accelerator: simulated
-    #: timestamps and statistics are bit-identical either way, and the
-    #: engine falls back to the cycle-level path whenever tracing, fault
-    #: plans, pushdown sinks or multi-run geometries are in play. Off by
-    #: default so existing experiments keep exercising the event-driven
-    #: pipeline.
-    fastpath: bool = False
+    #: Fast-forward replay of RME fetch epochs (:mod:`repro.sim.fastpath`):
+    #: each eligible epoch is computed arithmetically instead of event by
+    #: event. Purely an accelerator: simulated timestamps, answers and
+    #: statistics are bit-identical either way. The engine falls back to
+    #: the cycle-level path per epoch, counted by reason, whenever a
+    #: tracer or fault plan is attached, the system has more than one CPU
+    #: core, a parallel-lane row filter is configured, or an earlier epoch
+    #: was interrupted. ``False`` forces the cycle-level path everywhere:
+    #: it is the reference the golden fixtures, the replay property tests
+    #: and ``repro perf`` compare the fast path against.
+    fastpath: bool = True
 
     def validate(self) -> None:
         self.dram.validate()
@@ -288,9 +291,8 @@ class ParallelConfig:
     batch_size: "int | None" = None
     max_restarts: int = 2
     inline_below: int = 4
-    #: Ship the parent's warm TIMING_CACHE / PROFILE_CACHE entries to
-    #: every worker at pool start-up (a pure warm-up; results never
-    #: depend on it).
+    #: Ship the parent's warm PROFILE_CACHE entries to every worker at
+    #: pool start-up (a pure warm-up; results never depend on it).
     ship_caches: bool = True
     #: Shard executor: "auto" | "process" | "thread" | "inline".
     mode: str = "auto"

@@ -146,7 +146,8 @@ class RelationalMemorySystem:
                     core_id=core,
                 )
             )
-        self.rme = RMEngine(self.sim, platform, self.dram, design, buffer_capacity)
+        self.rme = RMEngine(self.sim, platform, self.dram, design,
+                            buffer_capacity, n_cores=n_cores)
         self._dram_backend = DRAMBackend(self.dram)
         self._tables: Dict[str, LoadedTable] = {}
         self._active_var: Optional[EphemeralVariable] = None
@@ -184,12 +185,6 @@ class RelationalMemorySystem:
         """Attach a :class:`~repro.sim.Tracer` so components emit events
         and spans; returns it. Call before the accesses you want to see.
         Tracing never changes simulated timing — only bookkeeping runs."""
-        from ..sim.fastpath import TIMING_CACHE
-
-        # A tracer forces the cycle-level path (spans must be emitted), so
-        # signatures learned without one describe runs that can no longer
-        # happen; drop them rather than let the cache grow stale entries.
-        TIMING_CACHE.invalidate("tracer attached")
         tracer = Tracer(capacity=capacity)
         tracer.attach(self.sim)
         return tracer
@@ -206,11 +201,7 @@ class RelationalMemorySystem:
         subsystem at all.
         """
         from ..faults import DEFAULT_RECOVERY, FaultInjector
-        from ..sim.fastpath import TIMING_CACHE
 
-        # Armed faults perturb timing arbitrarily; memoized fault-free
-        # signatures are meaningless from here on.
-        TIMING_CACHE.invalidate("fault plan armed")
         injector = FaultInjector(
             plan, recovery if recovery is not None else DEFAULT_RECOVERY
         )

@@ -14,21 +14,21 @@ folds the results back together:
   because results are placed by shard index, never by completion order.
 * **Batched dispatch** — tasks are pickled to workers in contiguous
   batches (amortizing serialization), and each batch ships its results
-  back together with the worker's cache-traffic delta.
+  back together with the worker's traffic delta (profile-memo hits and
+  misses, fast-forwarded epochs).
 * **Persistent pools** — worker pools are keyed by ``(jobs,
   ParallelConfig)`` and kept alive across :func:`parallel_map` calls, so
   fork cost and warm-cache shipping are paid once per process instead of
   once per sweep (the regression that made ``--jobs 2`` *lose* on small
   hosts). A pool broken by a worker crash is discarded and rebuilt;
   :func:`shutdown_pools` (registered via ``atexit``) reaps them at exit.
-* **Warm cache shipping** — the parent's :data:`repro.sim.fastpath
-  .TIMING_CACHE` and :data:`repro.serve.profiles.PROFILE_CACHE` entries
-  are exported once per pool and absorbed by every worker at start-up, so
-  workers skip the epoch-signature learning the parent already paid for.
-  Shipping is a pure warm-up: absorbed entries can only be *hits* for
-  keys the parent already resolved, never different values. (A
-  persistent pool ships at creation; workers keep learning their own
-  entries afterwards.)
+* **Warm cache shipping** — the parent's
+  :data:`repro.serve.profiles.PROFILE_CACHE` entries are exported once
+  per pool and absorbed by every worker at start-up, so workers skip the
+  profiling the parent already paid for. Shipping is a pure warm-up:
+  absorbed entries can only be *hits* for keys the parent already
+  resolved, never different values. (A persistent pool ships at
+  creation; workers keep learning their own entries afterwards.)
 * **Measured break-even** — ``mode="auto"`` no longer compares the item
   count against static thresholds. It times the first shard inline (the
   reference loop body, so the result is merged bit-identically at index
@@ -79,12 +79,12 @@ R = TypeVar("R")
 #: calls inside a worker always run inline instead of forking grandchildren.
 _IN_WORKER = False
 
-#: Cumulative cache traffic that happened inside worker processes. The
-#: parent's own ``TIMING_CACHE``/``PROFILE_CACHE`` counters never see
-#: that traffic, so accounting that used to read those counters (the
-#: wall-clock benchmark's per-epoch tally) reads deltas of this instead.
-#: Inline execution is deliberately excluded — it already shows up in the
-#: parent's counters.
+#: Cumulative traffic that happened inside worker processes. The
+#: parent's own ``PROFILE_CACHE`` and ``FORWARDED_EPOCHS`` counters never
+#: see it, so accounting over a whole dispatch (the wall-clock
+#: benchmark's fast-forwarded epoch tally) adds the ``total`` of these
+#: counters. Inline execution is deliberately excluded — it already
+#: shows up in the parent's counters.
 WORKER_CACHE_TRAFFIC = StatSet("parallel.worker_cache")
 
 
@@ -118,20 +118,25 @@ def derive_seed(base: int, *parts) -> int:
 def _export_caches() -> Dict[str, list]:
     """The parent's warm memo entries, ready to pickle to workers."""
     from .serve.profiles import PROFILE_CACHE
-    from .sim.fastpath import TIMING_CACHE
+
+    return {"profiles": PROFILE_CACHE.export_entries()}
+
+
+def _traffic_counts() -> Dict[str, int]:
+    """This process's cumulative traffic counters, by delta name."""
+    from .serve.profiles import PROFILE_CACHE
+    from .sim.fastpath import FORWARDED_EPOCHS
 
     return {
-        "timing": TIMING_CACHE.export_entries(),
-        "profiles": PROFILE_CACHE.export_entries(),
+        "profile_hits": PROFILE_CACHE.hits,
+        "profile_misses": PROFILE_CACHE.misses,
+        "fastpath_epochs": FORWARDED_EPOCHS.count,
     }
 
 
-def _cache_counts() -> Tuple[int, int, int, int]:
-    from .serve.profiles import PROFILE_CACHE
-    from .sim.fastpath import TIMING_CACHE
-
-    return (TIMING_CACHE.hits, TIMING_CACHE.misses,
-            PROFILE_CACHE.hits, PROFILE_CACHE.misses)
+def _traffic_delta(before: Dict[str, int]) -> Dict[str, int]:
+    after = _traffic_counts()
+    return {name: after[name] - before[name] for name in after}
 
 
 def _worker_init(shipment: Optional[Dict[str, list]]) -> None:
@@ -140,38 +145,28 @@ def _worker_init(shipment: Optional[Dict[str, list]]) -> None:
     _IN_WORKER = True
     if shipment:
         from .serve.profiles import PROFILE_CACHE
-        from .sim.fastpath import TIMING_CACHE
 
-        TIMING_CACHE.absorb(shipment.get("timing", []))
         PROFILE_CACHE.absorb(shipment.get("profiles", []))
 
 
 def _execute_batch(fn: Callable[[T], R], items: Sequence[T]) -> Tuple[List[R], Dict[str, int]]:
-    """Run one batch in order; returns results plus the cache-traffic delta.
+    """Run one batch in order; returns results plus the traffic delta.
 
     Runs identically inline (``jobs=1``) and in a worker — this shared
     body *is* the determinism argument: there is no parallel-only code
     path around the task function.
     """
-    before = _cache_counts()
+    before = _traffic_counts()
     results = [fn(item) for item in items]
-    after = _cache_counts()
-    delta = {
-        "timing_hits": after[0] - before[0],
-        "timing_misses": after[1] - before[1],
-        "profile_hits": after[2] - before[2],
-        "profile_misses": after[3] - before[3],
-    }
-    return results, delta
+    return results, _traffic_delta(before)
 
 
 def _record_delta(stats: StatSet, delta: Dict[str, int]) -> None:
+    """Fold a traffic delta in: each nonzero entry is one bump whose
+    ``total`` carries the amount."""
     for name, value in delta.items():
         if value:
             stats.bump(name, value)
-    lookups = delta["timing_hits"] + delta["timing_misses"]
-    if lookups:
-        stats.bump("timing_lookups", lookups)
 
 
 def _make_batches(
@@ -199,7 +194,7 @@ def _mp_context():
 def _run_batch_plain(fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
     """The thread-pool batch body: the reference loop, nothing else.
 
-    Per-batch cache deltas are meaningless across concurrent threads
+    Per-batch traffic deltas are meaningless across concurrent threads
     (their before/after windows overlap), so the thread path measures one
     whole-dispatch delta in the caller instead.
     """
@@ -398,8 +393,9 @@ def parallel_map(
 
     ``stats`` (optional) receives dispatch telemetry: task/batch counts,
     worker restarts, inline fallbacks, the chosen executor
-    (``mode_inline``/``mode_thread``/``mode_process``) and the workers'
-    cache-traffic deltas (``timing_hits``/``timing_lookups``/...).
+    (``mode_inline``/``mode_thread``/``mode_process``) and the batches'
+    traffic deltas (``profile_hits``/``profile_misses``/
+    ``fastpath_epochs``; each counter's ``total`` is the amount).
 
     ``mode`` (or ``config.mode``) picks the executor: ``"process"`` is
     the persistent fork pool, ``"thread"`` a thread pool over the same
@@ -456,7 +452,7 @@ def parallel_map(
         # Threads share the parent's caches (traffic lands in the
         # parent's own counters), so the delta is measured once around
         # the whole dispatch — per-batch windows would overlap.
-        before = _cache_counts()
+        before = _traffic_counts()
         results: List[Optional[R]] = [None] * len(items)
         with ThreadPoolExecutor(
             max_workers=min(n_jobs, len(batches))
@@ -470,13 +466,7 @@ def parallel_map(
                 for index, value in zip(span, future.result()):
                     results[index] = value
                 stats.bump("batches")
-        after = _cache_counts()
-        _record_delta(stats, {
-            "timing_hits": after[0] - before[0],
-            "timing_misses": after[1] - before[1],
-            "profile_hits": after[2] - before[2],
-            "profile_misses": after[3] - before[3],
-        })
+        _record_delta(stats, _traffic_delta(before))
         return prefix + results  # type: ignore[operator]
     results: List[Optional[R]] = [None] * len(items)
     pending: List[range] = list(batches)

@@ -67,6 +67,7 @@ class RMEngine:
         design: DesignParams = MLP,
         buffer_capacity: int = DEFAULT_DATA_CAPACITY,
         name: str = "rme",
+        n_cores: int = 1,
     ):
         platform.validate()
         self.sim = sim
@@ -74,6 +75,8 @@ class RMEngine:
         self.dram = dram
         self.design = design
         self.name = name
+        #: CPU cores sharing the DRAM; see :meth:`_fastpath_plan`.
+        self.n_cores = n_cores
         self.stats = StatSet(name)
         self.buffer = ReorganizationBuffer(
             buffer_capacity, platform.cache_line, f"{name}-buffer"
@@ -295,8 +298,10 @@ class RMEngine:
         ``mode`` (a :mod:`repro.sim.fastpath` MODE_* constant). Every
         remaining reason marks a way the epoch stops being a
         reconstructible descriptor stream: observers that must see
-        individual events (tracer), perturbed timing (faults), the
-        in-order commit stage of a *parallel-lane* row filter (its write
+        individual events (tracer), perturbed timing (faults), a second
+        CPU core that can reach DRAM while the epoch is in flight
+        (multicore — the replay assumes no cross traffic), the in-order
+        commit stage of a *parallel-lane* row filter (its write
         interleaving depends on content the replay cannot order), or
         state left behind by an interrupted fast-forward. Windowed,
         multirun and unaligned-row epochs are handled by the general
@@ -308,6 +313,8 @@ class RMEngine:
             return "tracer", None
         if self.faults is not None:
             return "faults", None
+        if self.n_cores > 1:
+            return "multicore", None
         mode = MODE_PROJECT
         if self._pushdown is not None:
             if self._pd_accumulator is not None:

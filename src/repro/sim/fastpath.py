@@ -35,22 +35,20 @@ Two ladders share the arithmetic:
 
 Pushdown epochs come in two flavours. **Reductions** (aggregation /
 group-by) are content-independent in *timing* — the accumulator sink
-adds one PL cycle per row and never touches the write port — so they
-memoize like projections; the accumulator itself is fed fresh bytes at
-commit time. **Row filters** have content-dependent timing (only
-matching rows occupy the write port), so they are recomputed per
-activation and never enter :data:`TIMING_CACHE`; they are covered only
-for single-lane designs, where the commit stage is trivially in order.
+adds one PL cycle per row and never touches the write port — and the
+accumulator itself is fed fresh bytes at commit time. **Row filters**
+have content-dependent timing (only matching rows occupy the write
+port); they are covered only for single-lane designs, where the commit
+stage is trivially in order.
 
-The timing of a cacheable epoch depends only on the platform, design,
-geometry, row window and the start state of the shared reservations —
-never on table *content*. :data:`TIMING_CACHE` memoizes
-:class:`EpochTiming` records under exactly that key; payload bytes are
-always re-read from memory at commit time.
+Every epoch is computed fresh from the live start state: a timing record
+is never reused, because timestamps that sit on the PS clock's
+2/3-ns grid do not translate exactly to another start instant. Payload
+bytes are read from memory at commit time.
 
-Bulk statistic replay routes through :mod:`repro.sim.vector` — numpy-
-vectorized bucket math when numpy is importable, batch Python loops
-otherwise, bit-identical either way.
+Bulk statistic replay routes through :mod:`repro.sim.vector`'s pure-
+Python helpers (exact run-sums, one bucket computation per distinct
+value), so the replay never imports numpy.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
+from .stats import Counter
 from .vector import bulk_add, bulk_add_repeated, bulk_observe
 
 #: Epoch replay modes (mirrors the engine's eligibility analysis).
@@ -80,8 +79,7 @@ class EpochTiming:
     """
 
     __slots__ = (
-        "t0",  #: epoch activation instant the absolute times below assume
-        "n", "mode", "cacheable",
+        "n", "mode",
         "burst", "col_width", "write_cost",
         "bursts", "widths", "write_costs",
         "credit_waits", "port_waits", "dram_waits", "dram_service",
@@ -99,10 +97,8 @@ class EpochTiming:
     )
 
     def __init__(self) -> None:
-        self.t0 = 0.0
         self.n = 0
         self.mode = MODE_PROJECT
-        self.cacheable = True
         self.burst = 0
         self.col_width = 0
         self.write_cost = 0.0
@@ -133,159 +129,15 @@ class EpochTiming:
         self.pipeline_end = 0.0
 
 
-class TimingCache:
-    """A bounded FIFO memo of :class:`EpochTiming` records.
-
-    Keys embed the complete start state (platform, design, geometry, row
-    window, activation time, DRAM/port reservations), so a stale hit is
-    impossible by construction; :meth:`invalidate` exists for the events
-    that change simulation *behaviour* wholesale — arming a fault
-    injector or attaching a tracer — after which previously learned
-    signatures describe a machine that no longer exists.
-    """
-
-    def __init__(self, max_entries: int = 256):
-        self.max_entries = max_entries
-        self._entries: Dict[tuple, EpochTiming] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def get(self, key: tuple) -> Optional[EpochTiming]:
-        timing = self._entries.get(key)
-        if timing is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return timing
-
-    def put(self, key: tuple, timing: EpochTiming) -> None:
-        if len(self._entries) >= self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = timing
-
-    def invalidate(self, reason: str = "") -> int:
-        """Drop every entry; returns how many were dropped."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        if dropped:
-            self.invalidations += 1
-        return dropped
-
-    def export_entries(self) -> list:
-        """Every ``(key, timing)`` pair, for shipping to worker processes.
-
-        Keys and :class:`EpochTiming` records are built from primitives,
-        so the export pickles; a worker that absorbs it starts with the
-        parent's learned epoch signatures instead of re-deriving them.
-        """
-        return list(self._entries.items())
-
-    def absorb(self, entries: list) -> int:
-        """Install exported entries (existing keys win); returns how many
-        were new. Hit/miss counters are untouched — absorbed entries are
-        warm-up, not traffic."""
-        added = 0
-        for key, timing in entries:
-            if key not in self._entries:
-                if len(self._entries) >= self.max_entries:
-                    self._entries.pop(next(iter(self._entries)))
-                self._entries[key] = timing
-                added += 1
-        return added
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-
-#: The process-wide signature memo shared by every system instance.
-TIMING_CACHE = TimingCache()
-
 #: Process-wide tally of fallback reasons (reason -> count) across every
 #: engine instance, fed by :meth:`RMEngine._start_current_window`;
 #: ``repro perf --profile`` diffs it per scenario to show coverage gaps.
 FALLBACK_TALLY: Dict[str, int] = {}
 
-
-def epoch_key(engine, rows=None, w_bias: int = 0,
-              mode: str = MODE_PROJECT) -> tuple:
-    """The complete timing-relevant start state of an epoch.
-
-    Device reservations enter the key *relative to now* and clamped at
-    zero: every consumer of a reservation takes ``max(arrival, free_at)``
-    with ``arrival >= now``, so any reservation at-or-before the
-    activation instant is timing-equivalent to "free now", and a future
-    one matters only by its distance. Keying on the clamped offsets (and
-    not on ``sim.now`` itself) makes the memo *relocatable*: the same
-    epoch re-activated at a different absolute time hits, and the cached
-    record is translated by :func:`rebase` on replay. The time grid is
-    dyadic (every latency parameter is a multiple of 2**-4 ns), so the
-    translation arithmetic is exact and replay stays bit-identical.
-    """
-    geometry = engine.geometry
-    dram = engine.dram
-    now = engine.sim.now
-    return (
-        engine.platform,
-        engine.design,
-        geometry.base_addr,
-        geometry.bus_bytes,
-        geometry.row_size,
-        geometry.row_count,
-        geometry.col_width,
-        getattr(geometry, "col_offset", None),
-        getattr(geometry.config, "runs", None),
-        engine.fetch_pool.read_limit,
-        tuple((bank.open_row, max(0.0, bank.ready_at - now))
-              for bank in dram._banks),
-        max(0.0, dram._bus_free_at - now),
-        max(0.0, engine.fetch_pool.issue_port_free_at - now),
-        max(0.0, engine.monitor._write_port_free_at - now),
-        None if rows is None else (rows.start, rows.stop),
-        w_bias,
-        mode,
-        engine._pushdown if mode == MODE_REDUCTION else None,
-    )
-
-
-def rebase(timing: EpochTiming, delta: float) -> EpochTiming:
-    """A copy of ``timing`` translated ``delta`` ns along the time axis.
-
-    Durations, counts, addresses and payload layouts are left alone;
-    every absolute instant (span completion, line visibility, device end
-    reservations, the pipeline-drain marker) is shifted. The original —
-    typically a live memo entry — is never mutated.
-    """
-    out = EpochTiming()
-    for slot in EpochTiming.__slots__:
-        setattr(out, slot, getattr(timing, slot))
-    out.t0 = timing.t0 + delta
-    out.spans = [
-        (w, r, rb, skip, end + delta, width)
-        for w, r, rb, skip, end, width in timing.spans
-    ]
-    out.line_schedule = {
-        line: end + delta for line, end in timing.line_schedule.items()
-    }
-    out.matches = [
-        (offset, row_bytes, end + delta)
-        for offset, row_bytes, end in timing.matches
-    ]
-    out.t_fin = timing.t_fin + delta
-    out.final_banks = [
-        (open_row, ready_at + delta)
-        for open_row, ready_at in timing.final_banks
-    ]
-    out.final_bus_free = timing.final_bus_free + delta
-    out.final_issue_free = timing.final_issue_free + delta
-    out.final_wp_free = timing.final_wp_free + delta
-    out.pipeline_end = timing.pipeline_end + delta
-    return out
+#: Process-wide count of fast-forwarded epochs across every engine
+#: instance, bumped by :func:`fast_forward`; ``repro perf`` diffs it per
+#: scenario (worker processes report theirs through :mod:`repro.parallel`).
+FORWARDED_EPOCHS = Counter("fastpath_epochs")
 
 
 def _uniform_eligible(engine, rows, w_bias: int, mode: str) -> bool:
@@ -307,11 +159,8 @@ def compute_epoch(engine, rows=None, w_bias: int = 0,
     table content (matching rows alone occupy the write port).
     """
     if _uniform_eligible(engine, rows, w_bias, mode):
-        timing = _compute_uniform(engine)
-    else:
-        timing = _compute_general(engine, rows, w_bias, mode, pushdown)
-    timing.t0 = engine.sim.now
-    return timing
+        return _compute_uniform(engine)
+    return _compute_general(engine, rows, w_bias, mode, pushdown)
 
 
 def _compute_uniform(engine) -> EpochTiming:
@@ -595,7 +444,6 @@ def _compute_general(engine, rows, w_bias: int, mode: str,
     timing = EpochTiming()
     timing.mode = mode
     timing.n = n
-    timing.cacheable = mode != MODE_ROWFILTER
     bursts = timing.bursts = []
     widths = timing.widths = []
     write_costs = timing.write_costs = [] if mode != MODE_REDUCTION else None
@@ -789,12 +637,6 @@ def _noop(_arg) -> None:
     """Placeholder for the cycle-level path's final drain event."""
 
 
-# Back-compat aliases for the PR-4 replay helpers (now in repro.sim.vector).
-_accumulate = bulk_add
-_accumulate_repeated = bulk_add_repeated
-_observe_all = bulk_observe
-
-
 def fast_forward(engine, rows=None, w_bias: int = 0,
                  mode: str = MODE_PROJECT) -> None:
     """Commit one fast-forwarded epoch onto the live system.
@@ -814,25 +656,8 @@ def fast_forward(engine, rows=None, w_bias: int = 0,
     buffer = engine.buffer
     stats = engine.stats
 
-    if mode == MODE_ROWFILTER:
-        # Content-dependent timing: computed fresh, never memoized.
-        timing = compute_epoch(engine, rows, w_bias, mode, engine._pushdown)
-        stats.bump("fastpath_uncacheable")
-    else:
-        key = epoch_key(engine, rows, w_bias, mode)
-        timing = TIMING_CACHE.get(key)
-        if timing is None:
-            timing = compute_epoch(engine, rows, w_bias, mode, engine._pushdown)
-            TIMING_CACHE.put(key, timing)
-            stats.bump("fastpath_cache_misses")
-        else:
-            if timing.t0 != sim.now:
-                # Relocatable hit: the signature matched at a different
-                # activation instant; translate the record to now.
-                timing = rebase(timing, sim.now - timing.t0)
-            stats.bump("fastpath_cache_hits")
-        stats.set_gauge("fastpath_cache_hit_rate", TIMING_CACHE.hit_rate)
-
+    timing = compute_epoch(engine, rows, w_bias, mode, engine._pushdown)
+    FORWARDED_EPOCHS.add()
     n = timing.n
     # Device end states: the reservations the last descriptor leaves behind.
     for bank, (open_row, ready_at) in zip(dram._banks, timing.final_banks):
@@ -906,9 +731,8 @@ def _commit_projection(engine, timing, memory, buffer, monitor,
                        monitor_stats) -> None:
     """Fill the reorganization buffer and install the visibility schedule.
 
-    Payload bytes are read fresh (content may differ between activations
-    with identical timing signatures), then pushed through the real
-    buffer accounting so write/line bookkeeping and capacity checks
+    Payload bytes are read from simulated memory, then pushed through the
+    real buffer accounting so write/line bookkeeping and capacity checks
     behave exactly as in the cycle-level path.
     """
     spans = timing.spans
@@ -949,7 +773,7 @@ def _commit_reduction(engine, timing, memory, buffer, monitor, stats) -> None:
     """Feed the PL accumulator and deposit the result register line(s).
 
     The timing record is content-independent; the accumulator is fed the
-    freshly read row bytes here, in the exact order the fetch lanes
+    row bytes read here, in the exact order the fetch lanes
     would have delivered them.
     """
     accumulator = engine._pd_accumulator

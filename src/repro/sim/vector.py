@@ -1,12 +1,13 @@
-"""Optional numpy acceleration for bulk statistics replay.
+"""Bulk statistics replay, plus the optional numpy gate for PIM sweeps.
 
 The fast-forward layer (:mod:`repro.sim.fastpath`) replays thousands of
 per-descriptor observations into counters and log-linear histograms. The
-bit-identity contract constrains what may be vectorized:
+bit-identity contract constrains what may be batched:
 
 * **Bucket indices, counts, extremes** — order-free integer/compare
-  operations; computed in bulk (numpy when importable, batch Python
-  otherwise) with results identical to element-by-element replay.
+  operations; computed once per distinct value with results identical
+  to element-by-element replay. This is plain Python on purpose: the
+  replay never imports numpy (whose import alone costs ~14 MB).
 * **Float totals** — float addition is not associative, so a total is in
   general accumulated by the same sequential loop the event-driven path
   runs. Two *exact* shortcuts are taken when provably lossless: adding
@@ -14,14 +15,16 @@ bit-identity contract constrains what may be vectorized:
   that are small multiples of ``1/_DYADIC_SCALE`` (the platform's timing
   grid) are summed in integer arithmetic, which is exact below 2**53.
 
-The numpy import is routed through one monkeypatchable gate
-(:func:`numpy_or_none`) shared by the fastpath and the PIM engine, so the
-equivalence tests can force the pure-Python path by patching ``_NUMPY``.
+The PIM engine's comparator and bitmap sweeps (:func:`comparator_bits`,
+:func:`bitmap_and`, :func:`bitmap_or`) import numpy through one
+monkeypatchable gate (:func:`numpy_or_none`), so the equivalence tests
+can force their pure-Python paths by patching ``_NUMPY``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Optional
 
 #: Sentinel: the numpy import has not been attempted yet.
@@ -44,9 +47,10 @@ def numpy_or_none():
     return _NUMPY
 
 
-#: Timing values in this simulator land on a coarse dyadic grid (PL cycles
+#: Most fetch-side timing values land on a coarse dyadic grid (PL cycles
 #: of 10 ns, DRAM timings in whole ns, AXI hops in halves); scaling by 16
-#: makes them integers, where addition is exact.
+#: makes them integers, where addition is exact. PS-clock values (2/3 ns
+#: cycles) do not, so every run is checked before the shortcut is taken.
 _DYADIC_SCALE = 16
 #: Integer magnitude below which float arithmetic on scaled values is exact.
 _EXACT_LIMIT = float(2**53)
@@ -131,46 +135,17 @@ def bulk_add_repeated(counter, n: int, value: float) -> None:
     counter.count += n
 
 
-def _bucket_counts_numpy(np, positive, subbuckets: int) -> dict:
-    """Per-bucket counts of the positive observations, numpy path.
-
-    The bucket expression mirrors :meth:`repro.sim.stats.Histogram.observe`
-    operation for operation (``frexp``, the left-associated float product,
-    truncation toward zero), so the keys are bit-identical to the scalar
-    path.
-    """
-    arr = np.asarray(positive, dtype=np.float64)
-    mantissa, exponent = np.frexp(arr)
-    sub = ((mantissa - 0.5) * 2 * subbuckets).astype(np.int64)
-    sub = np.minimum(sub, subbuckets - 1)
-    packed = exponent.astype(np.int64) * (2 * subbuckets) + sub
-    keys, counts = np.unique(packed, return_counts=True)
-    width = 2 * subbuckets
-    return {
-        (int(k) // width, int(k) % width): int(c)
-        for k, c in zip(keys, counts)
-    }
-
-
-def _bucket_counts_python(positive, subbuckets: int) -> dict:
-    counts: dict = {}
-    frexp = math.frexp
-    top = subbuckets - 1
-    for value in positive:
-        mantissa, exponent = frexp(value)
-        sub = int((mantissa - 0.5) * 2 * subbuckets)
-        key = (exponent, sub if sub < top else top)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def bulk_observe(histogram, values) -> None:
     """Replay ``histogram.observe(v) for v in values`` bit-identically.
 
     ``count``, ``min``/``max``, underflow and bucket tallies are order-free
     and computed in bulk; ``total`` goes through :func:`add_total`, which
     preserves the sequential float-accumulation order (with exact-run
-    shortcuts only).
+    shortcuts only). Replayed observations repeat heavily (a steady-state
+    epoch waits the same few durations over and over), so each distinct
+    value is bucketed once — with the expression of
+    :meth:`repro.sim.stats.Histogram.observe` — and credited its
+    multiplicity.
     """
     n = len(values)
     if not n:
@@ -186,19 +161,18 @@ def bulk_observe(histogram, values) -> None:
     if hi <= 0:
         histogram._underflow += n
         return
-    if lo <= 0:
-        positive = [value for value in values if value > 0]
-        histogram._underflow += n - len(positive)
-    else:
-        positive = values
-    np = numpy_or_none()
-    if np is not None and len(positive) >= 32:
-        fresh = _bucket_counts_numpy(np, positive, histogram.subbuckets)
-    else:
-        fresh = _bucket_counts_python(positive, histogram.subbuckets)
     buckets = histogram._buckets
-    for key, count in fresh.items():
-        buckets[key] = buckets.get(key, 0) + count
+    frexp = math.frexp
+    subbuckets = histogram.subbuckets
+    top = subbuckets - 1
+    for value, seen in Counter(values).items():
+        if value <= 0:
+            histogram._underflow += seen
+            continue
+        mantissa, exponent = frexp(value)
+        sub = int((mantissa - 0.5) * 2 * subbuckets)
+        key = (exponent, sub if sub < top else top)
+        buckets[key] = buckets.get(key, 0) + seen
 
 
 #: Minimum row count before the numpy comparator path pays for its

@@ -112,7 +112,7 @@ class Column:
 
 
 class _RowCodec:
-    """A precompiled decoder for one schema's packed-row layout.
+    """A precompiled codec for one schema's packed-row layout.
 
     Decoding through :meth:`ColumnType.unpack` pays a method call, a
     length check and a format dispatch per column per row; scans decode
@@ -122,9 +122,14 @@ class _RowCodec:
     a precomputed (offset, size, unpacker) step list is walked — only the
     arbitrary-width ``RAW_INT_FMT`` columns need the ``int.from_bytes``
     path.
+
+    Encoding folds the same way, but only when every column is numeric:
+    ``struct``'s ``ns`` silently truncates an oversized CHAR(n) value
+    where :meth:`ColumnType.pack` raises, so ``packer`` is ``None`` for
+    any schema with a CHAR(n) or ``RAW_INT_FMT`` column.
     """
 
-    __slots__ = ("row_size", "_whole", "_steps")
+    __slots__ = ("row_size", "_whole", "_steps", "packer")
 
     #: Step markers for the non-foldable path.
     _RAW_INT = None  # int.from_bytes
@@ -143,8 +148,11 @@ class _RowCodec:
         if foldable:
             self._whole = struct.Struct("<" + "".join(parts))
             self._steps = None
+            numeric = all(col.ctype.fmt for col in columns)
+            self.packer = self._whole if numeric else None
         else:
             self._whole = None
+            self.packer = None
             steps = []
             offset = 0
             for col in columns:
@@ -318,13 +326,16 @@ class Schema:
             raise SchemaError(
                 f"row has {len(values)} values for {len(self.columns)} columns"
             )
+        packer = self.codec.packer
+        if packer is not None:
+            return packer.pack(*values)
         return b"".join(
             col.ctype.pack(value) for col, value in zip(self.columns, values)
         )
 
     @property
     def codec(self) -> _RowCodec:
-        """The compiled row decoder (built on first use)."""
+        """The compiled row codec (built on first use)."""
         codec = self._codec
         if codec is None:
             codec = self._codec = _RowCodec(self.columns, self.row_size)

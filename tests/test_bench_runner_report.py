@@ -49,7 +49,9 @@ def test_baseline_memo_replays_only_under_fastpath(small_table):
     runner_mod._BASELINE_MEMO.clear()
     before = dict(runner_mod.BASELINE_MEMO_TALLY)
 
-    cycle = ExperimentRunner(platform=ZCU102, designs=(MLP,))
+    cycle = ExperimentRunner(
+        platform=dataclasses.replace(ZCU102, fastpath=False), designs=(MLP,)
+    )
     first = cycle.time_direct(small_table, q1())
     second = cycle.time_direct(small_table, q1())
     # Cycle-level runs never replay (no tally movement), but both record.
@@ -73,6 +75,31 @@ def test_baseline_memo_replays_only_under_fastpath(small_table):
     replayed.cache_stats.setdefault("L1", {})["poisoned"] = 1.0
     clean = fast.time_direct(small_table, q1())
     assert "poisoned" not in clean.cache_stats.get("L1", {})
+
+
+def test_baseline_memo_keys_on_the_schema():
+    """One seeded byte stream packs into 256 128-byte rows or 512 64-byte
+    rows alike; a replay must not hand one relation's baseline to the
+    other."""
+    import dataclasses
+
+    from repro.bench import runner as runner_mod
+    from repro.config import ZCU102
+
+    wide = make_relation(256, n_cols=32, col_width=4)
+    narrow = make_relation(512, n_cols=16, col_width=4)
+    assert wide.raw_bytes() == narrow.raw_bytes()
+    runner_mod._BASELINE_MEMO.clear()
+    fast = ExperimentRunner(
+        platform=dataclasses.replace(ZCU102, fastpath=True), designs=(MLP,)
+    )
+    fast.time_direct(wide, q1())
+    replayed = fast.time_direct(narrow, q1())
+    reference = ExperimentRunner(
+        platform=dataclasses.replace(ZCU102, fastpath=False), designs=(MLP,)
+    ).time_direct(narrow, q1())
+    assert replayed.elapsed_ns == reference.elapsed_ns
+    assert replayed.cache_stats == reference.cache_stats
 
 
 def test_figure_result_normalization():

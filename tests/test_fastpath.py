@@ -1,28 +1,41 @@
-"""Fast-forward replay tests: bit-identity, fallback triggers, memo cache.
+"""Fast-forward replay tests: bit-identity and fallback triggers.
 
 The fast path (``repro.sim.fastpath``) must be *invisible* in every
 simulated observable — elapsed nanoseconds, query answers, statistics —
 and must refuse to engage whenever the epoch is not the homogeneous,
 isolated descriptor stream it transcribes. These tests pin both halves:
-cycle-level and fast-forwarded runs are compared bit-for-bit, and every
-fallback trigger is exercised and asserted via the engine's
-``fastpath_fallback_<reason>`` counters.
+cycle-level (``fastpath=False``) and fast-forwarded runs are compared
+bit-for-bit, and every fallback trigger is exercised and asserted via
+the engine's ``fastpath_fallback_<reason>`` counters.
 """
 
 import dataclasses
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro import QueryExecutor, RelationalMemorySystem
+from repro import (
+    Processor,
+    QueryExecutor,
+    RelationalMemorySystem,
+    RowTable,
+    uniform_schema,
+)
 from repro.bench.runner import ExperimentRunner
 from repro.config import ZCU102
 from repro.faults import FaultPlan
-from repro.query.queries import q1, q2, q4
+from repro.query.queries import Query, q1, q2, q4, q7
 from repro.rme.designs import BSL, MLP, PCK
-from repro.sim.fastpath import TIMING_CACHE
+from repro.sim.fastpath import FALLBACK_TALLY, FORWARDED_EPOCHS
 from tests.conftest import build_relation
 
 FASTPATH = dataclasses.replace(ZCU102, fastpath=True)
+#: The reference every fast run is compared against, pinned explicitly.
+CYCLE_LEVEL = dataclasses.replace(ZCU102, fastpath=False)
 
 
 def _run(platform, query=None, n_rows=512, design=MLP, hot=False,
@@ -47,7 +60,7 @@ def _run(platform, query=None, n_rows=512, design=MLP, hot=False,
 @pytest.mark.parametrize("design", [BSL, PCK, MLP])
 @pytest.mark.parametrize("hot", [False, True])
 def test_fastpath_bit_identical_timing_and_answer(design, hot):
-    slow, _ = _run(ZCU102, design=design, hot=hot)
+    slow, _ = _run(CYCLE_LEVEL, design=design, hot=hot)
     fast, system = _run(FASTPATH, design=design, hot=hot)
     assert system.rme.stats.count("fastpath_hits") >= 1
     assert fast.elapsed_ns == slow.elapsed_ns
@@ -57,14 +70,14 @@ def test_fastpath_bit_identical_timing_and_answer(design, hot):
 
 @pytest.mark.parametrize("query", [q2("A1", "A2"), q4("A1")])
 def test_fastpath_bit_identical_other_queries(query):
-    slow, _ = _run(ZCU102, query=query)
+    slow, _ = _run(CYCLE_LEVEL, query=query)
     fast, _ = _run(FASTPATH, query=query)
     assert fast.elapsed_ns == slow.elapsed_ns
     assert fast.value == slow.value
 
 
 def test_fastpath_replicates_statistics_exactly():
-    _, slow_sys = _run(ZCU102)
+    _, slow_sys = _run(CYCLE_LEVEL)
     _, fast_sys = _run(FASTPATH)
     for attr in ("dram", "rme"):
         slow_stats = getattr(slow_sys, attr).stats
@@ -82,10 +95,41 @@ def test_fastpath_replicates_statistics_exactly():
         slow_hist.count, slow_hist.total, slow_hist.min, slow_hist.max)
 
 
-def test_fastpath_off_by_default():
+def test_fastpath_on_by_default():
+    assert ZCU102.fastpath
+    before = FORWARDED_EPOCHS.count
     _, system = _run(ZCU102)
-    assert system.rme.stats.count("fastpath_hits") == 0
+    assert system.rme.stats.count("fastpath_hits") >= 1
     assert system.rme.stats.count("fastpath_fallbacks") == 0
+    assert FORWARDED_EPOCHS.count - before == system.rme.stats.count(
+        "fastpath_hits")
+
+
+def test_replay_never_imports_numpy():
+    # The bulk statistic replay is pure Python: a default system's cold
+    # and hot RME scans must not pay numpy's import (about 14 MB of RSS).
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from repro import QueryExecutor, RelationalMemorySystem\n"
+        "from repro.query.queries import q1\n"
+        "from tests.conftest import build_relation\n"
+        "system = RelationalMemorySystem()\n"
+        "var = system.register_var(\n"
+        "    system.load_table(build_relation(n_rows=256)), ['A1'])\n"
+        "executor = QueryExecutor(system)\n"
+        "states = [executor.run_rme(q1('A1'), var).state for _ in range(2)]\n"
+        "assert states == ['cold', 'hot'], states\n"
+        "assert system.rme.stats.count('fastpath_hits') == 1\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)] + [env.get("PYTHONPATH", "")]
+    )
+    out = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- fallback triggers -------------------------------------------------------------
@@ -106,7 +150,7 @@ def test_tracer_forces_cycle_level():
     var = system.register_var(loaded, ["A1"])
     result = QueryExecutor(system).run_rme(q1("A1"), var)
     _assert_fell_back(system, "tracer")
-    slow, _ = _run(ZCU102, n_rows=256)
+    slow, _ = _run(CYCLE_LEVEL, n_rows=256)
     assert result.elapsed_ns == slow.elapsed_ns
 
 
@@ -127,7 +171,7 @@ def test_windowed_mode_fast_forwards_each_window():
     assert system.rme.n_windows > 1
     assert system.rme.stats.count("fastpath_hits") >= system.rme.n_windows
     assert system.rme.stats.count("fastpath_fallbacks") == 0
-    slow, slow_sys = _run(ZCU102, **kwargs)
+    slow, slow_sys = _run(CYCLE_LEVEL, **kwargs)
     assert result.elapsed_ns == slow.elapsed_ns
     assert result.value == slow.value
     assert (system.rme.stats.count("window_switches")
@@ -141,7 +185,7 @@ def test_multirun_geometry_fast_forwards():
     result, system = _run(FASTPATH, query=query, **kwargs)
     assert system.rme.stats.count("fastpath_hits") >= 1
     assert system.rme.stats.count("fastpath_fallbacks") == 0
-    slow, _ = _run(ZCU102, query=query, **kwargs)
+    slow, _ = _run(CYCLE_LEVEL, query=query, **kwargs)
     assert result.elapsed_ns == slow.elapsed_ns
     assert result.value == slow.value
 
@@ -160,7 +204,7 @@ def test_unaligned_rows_fast_forward(design):
     fast, system = run(FASTPATH)
     assert system.rme.stats.count("fastpath_hits") >= 1
     assert system.rme.stats.count("fastpath_fallbacks") == 0
-    slow, _ = run(ZCU102)
+    slow, _ = run(CYCLE_LEVEL)
     assert fast.elapsed_ns == slow.elapsed_ns
     assert fast.value == slow.value
 
@@ -191,8 +235,7 @@ def test_serial_rowfilter_pushdown_fast_forwards(design):
     fast, system = run(FASTPATH)
     assert system.rme.stats.count("fastpath_hits") >= 1
     assert system.rme.stats.count("fastpath_fallbacks") == 0
-    assert system.rme.stats.count("fastpath_uncacheable") >= 1
-    slow, slow_sys = run(ZCU102)
+    slow, slow_sys = run(CYCLE_LEVEL)
     assert fast.elapsed_ns == slow.elapsed_ns
     assert fast.value == slow.value
     assert system.rme.match_count == slow_sys.rme.match_count
@@ -211,9 +254,31 @@ def test_aggregation_pushdown_fast_forwards(design):
     fast_sys = run(FASTPATH)
     assert fast_sys.rme.stats.count("fastpath_hits") >= 1
     assert fast_sys.rme.stats.count("fastpath_fallbacks") == 0
-    slow_sys = run(ZCU102)
+    slow_sys = run(CYCLE_LEVEL)
     assert fast_sys.rme.aggregate_result() == slow_sys.rme.aggregate_result()
     assert fast_sys.sim.now == slow_sys.sim.now
+
+
+def test_multicore_system_falls_back():
+    # A second core can reach DRAM while an epoch is in flight, which the
+    # replay's no-cross-traffic premise (enforced by the DRAM guard)
+    # forbids; such systems run every epoch cycle-level.
+    before = FALLBACK_TALLY.get("multicore", 0)
+    result, system = _run(FASTPATH, n_rows=256, n_cores=2)
+    _assert_fell_back(system, "multicore")
+    assert FALLBACK_TALLY.get("multicore", 0) - before == system.rme.stats.count(
+        "fastpath_fallback_multicore")
+    slow, _ = _run(CYCLE_LEVEL, n_rows=256, n_cores=2)
+    assert repr(result) == repr(slow)
+
+
+def test_ext_isolation_identical_on_both_clocks():
+    from repro.bench.extensions import ext_isolation
+
+    fast = ext_isolation(n_rows=512, platform=FASTPATH)
+    slow = ext_isolation(n_rows=512, platform=CYCLE_LEVEL)
+    assert fast.xs == slow.xs
+    assert fast.series == slow.series
 
 
 def test_midscan_reconfiguration_falls_back_once():
@@ -243,38 +308,71 @@ def test_midscan_reconfiguration_falls_back_once():
     assert _stats.count("fastpath_hits") == 2
 
 
-# -- the timing memo cache ----------------------------------------------------------
+# -- a long-lived system ------------------------------------------------------------
 
 
-def test_timing_cache_hits_across_identical_systems():
-    TIMING_CACHE.invalidate("test setup")
-    first, sys1 = _run(FASTPATH)
-    second, sys2 = _run(FASTPATH)
-    assert sys1.rme.stats.count("fastpath_cache_misses") >= 1
-    assert sys2.rme.stats.count("fastpath_cache_hits") >= 1
-    assert second.elapsed_ns == first.elapsed_ns
-    assert second.value == first.value
-    gauge = sys2.rme.stats.gauge("fastpath_cache_hit_rate")
-    assert gauge.value > 0.0
+def _scan_sessions(seed):
+    """Two seeded int32 tables and eight sessions over them: one- and
+    four-column groups at a seeded offset, two per table and width, in
+    shuffled order."""
+    rng = random.Random(seed)
+    tables = {}
+    for name, n_cols in (("S64", 16), ("S256", 64)):
+        table = RowTable(name, uniform_schema(n_cols, 4))
+        for _ in range(256):
+            table.append([rng.randrange(-(1 << 20), 1 << 20)
+                          for _ in range(n_cols)])
+        tables[name] = table
+    sessions = []
+    for name, n_cols in (("S64", 16), ("S256", 64)):
+        for width in (1, 4):
+            for _ in range(2):
+                offset = rng.randrange(n_cols - width + 1)
+                sessions.append(
+                    (name, [f"A{i + 1}" for i in range(offset, offset + width)])
+                )
+    rng.shuffle(sessions)
+    return tables, sessions
 
 
-def test_cache_invalidated_by_tracer_and_faults():
-    TIMING_CACHE.invalidate("test setup")
-    _run(FASTPATH)
-    assert len(TIMING_CACHE) > 0
-    system = RelationalMemorySystem(FASTPATH, MLP)
-    system.enable_tracing()
-    assert len(TIMING_CACHE) == 0
-    _run(FASTPATH)
-    assert len(TIMING_CACHE) > 0
-    system = RelationalMemorySystem(FASTPATH, MLP)
-    system.enable_faults(FaultPlan())
-    assert len(TIMING_CACHE) == 0
+def _platform_with(platform, tables):
+    system = RelationalMemorySystem(platform)
+    loaded = {name: system.load_table(table) for name, table in tables.items()}
+    return system, loaded, Processor(system)
 
 
-def test_cache_bounded():
-    cache = type(TIMING_CACHE)(max_entries=4)
-    from repro.sim.fastpath import EpochTiming
-    for i in range(10):
-        cache.put(("key", i), EpochTiming())
-    assert len(cache) == 4
+def _run_session(system, loaded, processor, name, columns):
+    """Register the group, then project it, Q7 its first column and Q1
+    its last, each planned for the variable's current temperature."""
+    table = loaded[name]
+    var = system.register_var(table, columns)
+    queries = (
+        Query(name="P", sql=f"SELECT {', '.join(columns)} FROM S",
+              select=tuple(columns)),
+        q7(columns[0]),
+        q1(columns[-1]),
+    )
+    results = []
+    for query in queries:
+        plan = processor.plan(query, table, hot=var.is_hot)
+        results.append(
+            repr(processor.execute(plan.relation, loaded=table, var=var))
+        )
+    return results
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_long_lived_fast_system_matches_cycle_level(seed):
+    # Sessions run back to back on one fast system leave its devices at
+    # ever later instants; every epoch must still replay exactly, both on
+    # that system and when each session is replayed on a fresh one.
+    tables, sessions = _scan_sessions(seed)
+    fast_system = _platform_with(FASTPATH, tables)
+    slow_system = _platform_with(CYCLE_LEVEL, tables)
+    for sid, (name, columns) in enumerate(sessions):
+        assert (_run_session(*fast_system, name, columns)
+                == _run_session(*slow_system, name, columns)), (sid, columns)
+    for sid, (name, columns) in enumerate(sessions):
+        fast = _run_session(*_platform_with(FASTPATH, tables), name, columns)
+        slow = _run_session(*_platform_with(CYCLE_LEVEL, tables), name, columns)
+        assert fast == slow, (sid, columns)

@@ -79,7 +79,7 @@ def test_content_changes_miss():
     assert PROFILE_CACHE.misses == misses + 2
 
     # Platform, design and buffer capacity are all part of the key.
-    profile_workload(tenants, platform=dataclasses.replace(ZCU102, fastpath=True))
+    profile_workload(tenants, platform=dataclasses.replace(ZCU102, fastpath=False))
     profile_workload(tenants, design=BSL)
     profile_workload(tenants, buffer_capacity=4096)
     assert PROFILE_CACHE.misses == misses + 5

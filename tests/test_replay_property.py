@@ -10,10 +10,10 @@ deterministic component.
 
 Each mix additionally runs with the numpy gate forced shut
 (``repro.sim.vector._NUMPY = None``), pinning the contract that the
-vectorized and pure-Python bulk-replay paths are interchangeable: all
-three executions must agree on every compared bit. The relocatable
-timing memo is exercised too — hot epochs replay rebased cache entries
-(see ``repro.sim.fastpath.rebase``) and must stay indistinguishable.
+replay does not depend on numpy being importable: all three executions
+must agree on every compared bit. Every epoch is computed fresh from
+its start state, so hot epochs (which start later, on a machine the
+cold epoch left behind) must stay indistinguishable too.
 """
 
 import dataclasses
@@ -29,6 +29,7 @@ from repro.sim import vector
 from tests.conftest import build_relation
 
 FASTPATH = dataclasses.replace(ZCU102, fastpath=True)
+CYCLE_LEVEL = dataclasses.replace(ZCU102, fastpath=False)
 
 
 def _registry_snapshot(system) -> dict:
@@ -99,7 +100,7 @@ def _execute(platform, *, kind, design, n_rows, hot):
 )
 def test_batched_replay_bit_identical(kind, design, n_rows, hot):
     case = dict(kind=kind, design=design, n_rows=n_rows, hot=hot)
-    reference = _execute(ZCU102, **case)
+    reference = _execute(CYCLE_LEVEL, **case)
 
     saved = vector._NUMPY
     try:

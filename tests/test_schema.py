@@ -1,5 +1,7 @@
 """Tests for column types, schemas and the row codec."""
 
+import struct
+
 import pytest
 
 from repro.errors import SchemaError
@@ -130,6 +132,76 @@ def test_pack_row_arity_checked():
         schema.pack_row([1, 2, 3])
     with pytest.raises(SchemaError):
         schema.unpack_row(b"\x00" * 3)
+
+
+def _per_field(schema, values):
+    """The reference encoding: one ``ColumnType.pack`` per column, joined."""
+    return b"".join(
+        col.ctype.pack(value) for col, value in zip(schema.columns, values)
+    )
+
+
+#: Boundary values per numeric type the one-struct packer handles.
+_BOUNDARIES = [
+    (intn(1), (-128, -1, 0, 1, 127)),
+    (intn(2), (-32768, -1, 0, 32767)),
+    (int32(), (-(2 ** 31), -1, 0, 2 ** 31 - 1)),
+    (uint32(), (0, 1, 2 ** 32 - 1)),
+    (int64(), (-(2 ** 63), -1, 0, 2 ** 63 - 1)),
+    (float64(), (-0.0, 5e-324, -1.5, 1.7976931348623157e308, float("inf"))),
+]
+
+
+@pytest.mark.parametrize("ctype,values", _BOUNDARIES,
+                         ids=[ctype.name for ctype, _ in _BOUNDARIES])
+def test_pack_row_one_struct_matches_per_field(ctype, values):
+    schema = Schema([Column(f"c{i}", ctype) for i in range(len(values))])
+    assert schema.codec.packer is not None
+    packed = schema.pack_row(values)
+    assert packed == _per_field(schema, values)
+    assert schema.unpack_row(packed) == tuple(values)
+
+
+def test_pack_row_mixed_numeric_row_matches_per_field():
+    schema = Schema([Column(f"c{i}", ctype)
+                     for i, (ctype, _) in enumerate(_BOUNDARIES)])
+    for pick in (0, -1):
+        row = [values[pick] for _, values in _BOUNDARIES]
+        assert schema.pack_row(row) == _per_field(schema, row)
+
+
+@pytest.mark.parametrize("ctype,bad", [
+    (intn(1), 128), (intn(2), -32769), (int32(), 2 ** 31),
+    (uint32(), -1), (int64(), 2 ** 63), (int32(), 1.5),
+])
+def test_pack_row_out_of_range_raises_struct_error(ctype, bad):
+    schema = Schema([Column("a", ctype), Column("b", ctype)])
+    with pytest.raises(struct.error):
+        schema.pack_row([0, bad])
+    with pytest.raises(struct.error):
+        _per_field(schema, [0, bad])
+
+
+def test_pack_row_char_and_raw_int_schemas_pack_per_field():
+    # struct's "ns" would silently truncate an oversized CHAR(n) value,
+    # so any schema with a CHAR(n) or arbitrary-width column keeps the
+    # per-field path and its SchemaError.
+    schema = Schema([Column("k", int64()), Column("t", char(4))])
+    assert schema.codec.packer is None
+    assert schema.pack_row([1, b"ab"]) == _per_field(schema, [1, b"ab"])
+    with pytest.raises(SchemaError):
+        schema.pack_row([1, b"too long"])
+    wide = Schema([Column("a", intn(3)), Column("b", int32())])
+    assert wide.codec.packer is None
+    assert wide.pack_row([-5, 7]) == _per_field(wide, [-5, 7])
+
+
+def test_pack_row_arity_checked_on_the_one_struct_path():
+    schema = uniform_schema(4, 4)
+    assert schema.codec.packer is not None
+    for values in ([1, 2, 3], [1, 2, 3, 4, 5]):
+        with pytest.raises(SchemaError):
+            schema.pack_row(values)
 
 
 def test_uniform_schema_shape():
