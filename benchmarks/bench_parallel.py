@@ -34,8 +34,8 @@ MIN_CORES_FOR_FLOOR = 4
 
 def _sweep_kwargs():
     if QUICK:
-        # Four points: stays above ParallelConfig.inline_below so the
-        # quick mode still exercises the pool it is benchmarking.
+        # Four points: at repro.parallel.INLINE_BELOW, so the quick mode
+        # still reaches the break-even probe instead of running inline.
         return dict(n_rows=512, widths=(1, 4, 8, 16))
     return dict(n_rows=2048)
 

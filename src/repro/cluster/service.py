@@ -47,14 +47,19 @@ from ..errors import ConfigurationError
 from ..faults import (
     DEFAULT_RECOVERY,
     NODE_FAULT_KINDS,
-    CircuitBreaker,
     FaultPlan,
     RecoveryPolicy,
 )
 from ..rme.designs import MLP, DesignParams
 from ..sim import Event, MetricsRegistry, Simulator
-from ..serve.profiles import WorkloadProfile, profile_workload
-from ..serve.scheduler import POLICIES, Port, make_scheduler
+from ..serve.profiles import WorkloadProfile
+from ..serve.scheduler import Port, make_scheduler
+from ..serve.service import (
+    check_policy,
+    check_profiled,
+    resolve_n_ports,
+    resolve_profile,
+)
 from ..serve.workload import OpenLoopWorkload, Request, TenantSpec
 from .node import ClusterNode
 from .placement import Placement, make_placement, routing_names
@@ -204,11 +209,7 @@ class ClusterSystem:
         sync_interval_ns: float = 50_000.0,
         hedge_min_samples: int = 16,
     ):
-        if policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown scheduler policy {policy!r} "
-                f"(choose from {', '.join(POLICIES)})"
-            )
+        check_policy(policy)
         if n_nodes < 1:
             raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
         if deadline_factor <= 0:
@@ -221,19 +222,8 @@ class ClusterSystem:
             raise ConfigurationError("health_fail_threshold must be >= 1")
         if hedge_min_samples < 1:
             raise ConfigurationError("hedge_min_samples must be >= 1")
-        if isinstance(workload_profile, WorkloadProfile):
-            self.profile = workload_profile
-        else:
-            self.profile = profile_workload(
-                workload_profile, platform=platform, design=design
-            )
-        if n_ports is None:
-            n_ports = 2 if policy == "multi-port" else 1
-        if policy != "multi-port" and n_ports != 1:
-            raise ConfigurationError(
-                f"policy {policy!r} models the single configuration port; "
-                "use multi-port for n_ports > 1"
-            )
+        self.profile = resolve_profile(workload_profile, platform, design)
+        n_ports = resolve_n_ports(policy, n_ports)
         if fault_plan is not None:
             for event in fault_plan.events:
                 if event.kind not in NODE_FAULT_KINDS:
@@ -277,9 +267,7 @@ class ClusterSystem:
             raise ConfigurationError(
                 "the cluster tier serves open-loop workloads"
             )
-        for spec in workload.mix.tenants:
-            for template, _query in spec.templates:
-                self.profile.profile(spec.name, template)  # raises if absent
+        check_profiled(self.profile, workload)
         sim = self.sim = Simulator()
         metrics = self.metrics = MetricsRegistry("cluster")
         self._router_stats = metrics.scope("router")
@@ -287,12 +275,8 @@ class ClusterSystem:
         self._fault_stats = metrics.scope("faults")
         self.nodes: List[ClusterNode] = []
         for index in range(self.n_nodes):
-            breaker = CircuitBreaker(
-                self.recovery.breaker_threshold,
-                self.recovery.breaker_cooldown_ns,
-            ) if self.recovery.enabled else None
             node = ClusterNode(
-                index, MetricsRegistry(f"node{index}"), breaker
+                index, MetricsRegistry(f"node{index}"), self.recovery.breaker()
             )
             node.ports = [Port(index=i) for i in range(self.n_ports)]
             node.scheduler = make_scheduler(
@@ -445,11 +429,12 @@ class ClusterSystem:
             failures += 1
             if self.failover:
                 tried.add(chosen)
-            if not self.recovery.enabled or failures > self.recovery.max_retries:
+            delay = self.recovery.retry_delay_ns(failures)
+            if delay is None:
                 break
             request.retries += 1
             self._router_stats.bump("retries")
-            yield self.sim.timeout(self.recovery.retry_backoff_ns * failures)
+            yield self.sim.timeout(delay)
         if shed_everywhere:
             request.shed = True
             self._router_stats.bump("shed")
@@ -465,7 +450,14 @@ class ClusterSystem:
         self._complete(request)
 
     def _race(self, request: Request, chosen: int, hedge: Optional[int]):
-        """Dispatch (possibly hedged) and race the deadline; one winner."""
+        """Dispatch (possibly hedged) and race the deadline; one winner.
+
+        Picking a node took its half-open probe slot, if it had one. A
+        pick that concludes nothing — shed by a full queue, a hedge never
+        sent, an attempt abandoned to the winner — gives the slot back,
+        or the breaker would wait forever for the probe's verdict. The
+        node the driver blames gets ``record_failure`` there instead.
+        """
         winner = self.sim.event()
         attempts = []
         attempt = self._dispatch(request, chosen, winner)
@@ -477,6 +469,10 @@ class ClusterSystem:
                 attempts.append(hedged)
                 self._router_stats.bump("hedges")
                 self._log("hedge", request.index, chosen, hedge)
+        dispatched = [a.node_index for a in attempts]
+        for index in (chosen, hedge):
+            if index is not None and index not in dispatched:
+                self._release_probe(index)
         if not attempts:
             return ("shed", None)
         self.sim.process(self._deadline_timer(winner),
@@ -484,15 +480,14 @@ class ClusterSystem:
         outcome = yield winner
         for attempt in attempts:
             attempt.abandoned = True
-            # A dispatch that concludes nothing must release any
-            # half-open probe slot it was admitted through, or the
-            # breaker would wait forever for the probe's verdict. The
-            # node the driver blames gets record_failure there instead.
             if attempt.node_index != outcome[1]:
-                breaker = self.nodes[attempt.node_index].breaker
-                if breaker is not None:
-                    breaker.release_probe()
+                self._release_probe(attempt.node_index)
         return outcome
+
+    def _release_probe(self, index: int) -> None:
+        breaker = self.nodes[index].breaker
+        if breaker is not None:
+            breaker.release_probe()
 
     def _dispatch(self, request: Request, index: int,
                   winner: Event) -> Optional[_Attempt]:
@@ -538,14 +533,9 @@ class ClusterSystem:
             )
             start = sim.now
             epoch = node.crash_epoch
-            if port.descriptor != profile.descriptor:
-                port.descriptor = profile.descriptor
-                port.switches += 1
-                node.sched_stats.bump("context_switches")
+            reconfig = 0.0
+            if port.reconfigure(profile.descriptor, node.sched_stats):
                 reconfig = profile.program_ns + profile.fill_ns
-            else:
-                node.sched_stats.bump("hot_hits")
-                reconfig = 0.0
             scale = node.service_scale(sim.now)
             if scale > 1.0:
                 node.node_stats.bump("slowed_serves")

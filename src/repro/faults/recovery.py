@@ -1,9 +1,14 @@
 """Recovery policies and the serving-layer circuit breaker.
 
-The detection/recovery machinery is spread across the stack (ECC in the
-DRAM model, descriptor CRC and line parity in the engine, the fetch-
-session watchdog, the executor's CPU fallback, the serving loop's
-breakers); this module holds the knobs that tie them together.
+The detection machinery is spread across the stack (ECC in the DRAM
+model, descriptor CRC and line parity in the engine, the fetch-session
+watchdog, the executor's CPU fallback, the serving loop's breakers).
+The *decisions* are not: every retry loop — the CPU's ECC re-read, the
+fetch unit's poisoned re-read, the watchdog's session restart, the
+serving and cluster retries and the worker-pool rebuilds of
+:mod:`repro.parallel` — asks :meth:`RecoveryPolicy.retry_delay_ns`
+whether retry number ``n`` is allowed and how long to back off first,
+and every breaker comes from :meth:`RecoveryPolicy.breaker`.
 
 State machine of :class:`CircuitBreaker` (per serving tenant)::
 
@@ -31,6 +36,7 @@ caller unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..errors import ConfigurationError
 
@@ -64,6 +70,25 @@ class RecoveryPolicy:
             raise ConfigurationError("breaker_threshold must be >= 1")
         if self.breaker_cooldown_ns <= 0:
             raise ConfigurationError("breaker_cooldown_ns must be positive")
+
+    def retry_delay_ns(self, attempt: int) -> Optional[float]:
+        """The backoff before retry number ``attempt`` (1-based).
+
+        ``None`` when the budget forbids that retry: recovery is off, or
+        ``attempt`` exceeds ``max_retries``. The backoff is linear,
+        ``retry_backoff_ns * attempt``.
+        """
+        if not self.enabled or attempt > self.max_retries:
+            return None
+        return self.retry_backoff_ns * attempt
+
+    def breaker(self) -> Optional["CircuitBreaker"]:
+        """A fresh :class:`CircuitBreaker` under this policy's threshold
+        and cooldown; ``None`` without recovery, so a no-recovery
+        baseline takes every fault instead of failing fast."""
+        if not self.enabled:
+            return None
+        return CircuitBreaker(self.breaker_threshold, self.breaker_cooldown_ns)
 
 
 #: Full self-healing: retries, watchdog, CRC/parity, CPU fallback, breakers.
@@ -123,9 +148,10 @@ class CircuitBreaker:
         """Give back an admitted probe slot without a verdict.
 
         The cluster tier abandons in-flight attempts when a hedge or a
-        deadline wins the race; an abandoned HALF_OPEN probe concluded
-        nothing, so the slot reopens for the next request instead of
-        wedging the breaker in a forever-probing state.
+        deadline wins the race, and drops picks that a full queue
+        sheds; such a HALF_OPEN probe concluded nothing, so the slot
+        reopens for the next request instead of wedging the breaker in
+        a forever-probing state.
         """
         self._probing = False
 

@@ -71,16 +71,17 @@ class DRAMBackend(LineBackend):
             data = yield from self.dram.access(line_base, 64, source=source)
             if data is not POISONED:
                 return data
-            if not policy.enabled or attempt >= policy.max_retries:
+            attempt += 1
+            delay = policy.retry_delay_ns(attempt)
+            if delay is None:
                 self.dram.faults.stats.bump("dram_unrecoverable")
                 raise UncorrectableMemoryError(
                     f"uncorrectable DRAM error at {line_base:#x} after "
-                    f"{attempt} retries",
+                    f"{attempt - 1} retries",
                     addr=line_base,
                 )
-            attempt += 1
             self.dram.faults.stats.bump("dram_read_retries")
-            yield self.dram.sim.timeout(policy.retry_backoff_ns * attempt)
+            yield self.dram.sim.timeout(delay)
 
 
 class MemoryHierarchy:

@@ -16,11 +16,12 @@ folds the results back together:
   batches (amortizing serialization), and each batch ships its results
   back together with the worker's traffic delta (profile-memo hits and
   misses, fast-forwarded epochs).
-* **Persistent pools** — worker pools are keyed by ``(jobs,
-  ParallelConfig)`` and kept alive across :func:`parallel_map` calls, so
-  fork cost and warm-cache shipping are paid once per process instead of
-  once per sweep (the regression that made ``--jobs 2`` *lose* on small
-  hosts). A pool broken by a worker crash is discarded and rebuilt;
+* **Persistent pools** — worker pools are keyed by their worker count
+  and kept alive across :func:`parallel_map` calls, so fork cost and
+  warm-cache shipping are paid once per process instead of once per
+  sweep (the regression that made ``--jobs 2`` *lose* on small hosts).
+  Workers fork where the platform can, and spawn where it cannot. A
+  pool broken by a worker crash is discarded and rebuilt;
   :func:`shutdown_pools` (registered via ``atexit``) reaps them at exit.
 * **Warm cache shipping** — the parent's
   :data:`repro.serve.profiles.PROFILE_CACHE` entries are exported once
@@ -29,23 +30,24 @@ folds the results back together:
   absorbed entries can only be *hits* for keys the parent already
   resolved, never different values. (A persistent pool ships at
   creation; workers keep learning their own entries afterwards.)
-* **Measured break-even** — ``mode="auto"`` no longer compares the item
-  count against static thresholds. It times the first shard inline (the
-  reference loop body, so the result is merged bit-identically at index
-  0), estimates the remaining work, and compares the parallel *savings*
-  — ``work x (1 - 1/min(jobs, usable cores))`` — against the measured
-  dispatch overheads: pool spin-up (measured at first creation, zero
-  once a persistent pool exists) plus the pool's measured batch
-  round-trip. Hosts where ``min(jobs, cores) <= 1`` can never win, so
-  the dispatch stays inline — which is what makes ``--jobs 2`` on a
-  1-core runner cost the same as ``--jobs 1``.
+* **Measured break-even** — the executor is decided, never requested.
+  A sweep of fewer than :data:`INLINE_BELOW` items runs inline. A larger
+  one times its first shard inline (the reference loop body, so the
+  result is merged bit-identically at index 0), estimates the remaining
+  work, and compares the parallel *savings* — ``work x (1 - 1/min(jobs,
+  usable cores))`` — against the measured dispatch overheads: pool
+  spin-up (measured at first creation, zero once a persistent pool
+  exists) plus the pool's measured batch round-trip. Hosts where
+  ``min(jobs, cores) <= 1`` can never win, so the dispatch stays
+  inline — which is what makes ``--jobs 2`` on a 1-core runner cost the
+  same as ``--jobs 1``.
 * **Budgeted worker-restart** — a crashed worker (OOM-killed, signalled)
   surfaces as ``BrokenProcessPool``; the pool is rebuilt and the lost
-  batches resubmitted under the same budgeted-restart stance as
-  :class:`repro.faults.RecoveryPolicy` (``max_retries`` = pool rebuilds),
-  falling back to inline execution when the budget is spent. Ordinary
-  task exceptions propagate immediately — they are deterministic and
-  retrying cannot help.
+  batches resubmitted while the :class:`repro.faults.RecoveryPolicy`
+  allows rebuild number ``n`` (:meth:`~repro.faults.RecoveryPolicy
+  .retry_delay_ns` is not ``None``), falling back to inline execution
+  when the budget is spent. Ordinary task exceptions propagate
+  immediately — they are deterministic and retrying cannot help.
 
 Merging of telemetry rides on the instrument algebra added for this
 layer: ``Counter``/``Gauge``/``Histogram``/``StatSet`` ``merge()`` and
@@ -59,16 +61,10 @@ import atexit
 import multiprocessing
 import time
 import zlib
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from .config import DEFAULT_PARALLEL, PARALLEL_MODES, ParallelConfig
 from .faults import DEFAULT_RECOVERY, RecoveryPolicy
 from .sim.stats import StatSet
 
@@ -115,13 +111,6 @@ def derive_seed(base: int, *parts) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _export_caches() -> Dict[str, list]:
-    """The parent's warm memo entries, ready to pickle to workers."""
-    from .serve.profiles import PROFILE_CACHE
-
-    return {"profiles": PROFILE_CACHE.export_entries()}
-
-
 def _traffic_counts() -> Dict[str, int]:
     """This process's cumulative traffic counters, by delta name."""
     from .serve.profiles import PROFILE_CACHE
@@ -139,14 +128,14 @@ def _traffic_delta(before: Dict[str, int]) -> Dict[str, int]:
     return {name: after[name] - before[name] for name in after}
 
 
-def _worker_init(shipment: Optional[Dict[str, list]]) -> None:
-    """Pool initializer: mark the process as a worker and warm its caches."""
+def _worker_init(profiles: list) -> None:
+    """Pool initializer: mark the process as a worker and absorb the
+    parent's warm profile-memo entries."""
     global _IN_WORKER
     _IN_WORKER = True
-    if shipment:
-        from .serve.profiles import PROFILE_CACHE
+    from .serve.profiles import PROFILE_CACHE
 
-        PROFILE_CACHE.absorb(shipment.get("profiles", []))
+    PROFILE_CACHE.absorb(profiles)
 
 
 def _execute_batch(fn: Callable[[T], R], items: Sequence[T]) -> Tuple[List[R], Dict[str, int]]:
@@ -169,13 +158,10 @@ def _record_delta(stats: StatSet, delta: Dict[str, int]) -> None:
             stats.bump(name, value)
 
 
-def _make_batches(
-    n_items: int, jobs: int, batch_size: Optional[int]
-) -> List[range]:
+def _make_batches(n_items: int, jobs: int) -> List[range]:
     """Contiguous index batches. Small batches (about four per worker)
     keep heterogeneous shards load-balanced without pickling per-task."""
-    if batch_size is None:
-        batch_size = max(1, -(-n_items // (jobs * 4)))
+    batch_size = max(1, -(-n_items // (jobs * 4)))
     return [range(lo, min(lo + batch_size, n_items))
             for lo in range(0, n_items, batch_size)]
 
@@ -191,27 +177,23 @@ def _mp_context():
     )
 
 
-def _run_batch_plain(fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-    """The thread-pool batch body: the reference loop, nothing else.
-
-    Per-batch traffic deltas are meaningless across concurrent threads
-    (their before/after windows overlap), so the thread path measures one
-    whole-dispatch delta in the caller instead.
-    """
-    return [fn(item) for item in items]
-
-
 # ---------------------------------------------------------------------------
 # persistent pools + the measured break-even probe
 # ---------------------------------------------------------------------------
 
-#: Live worker pools, keyed by ``(n_jobs, ParallelConfig)``. A pool
-#: outlives the parallel_map call that created it, so fork cost and cache
-#: shipping amortize across a whole benchmark run.
-_POOLS: Dict[tuple, ProcessPoolExecutor] = {}
+#: Live worker pools, keyed by worker count. A pool outlives the
+#: parallel_map call that created it, so fork cost and cache shipping
+#: amortize across a whole benchmark run.
+_POOLS: Dict[int, ProcessPoolExecutor] = {}
 #: Measured per-pool costs: ``spinup_s`` (creation + first round-trip)
 #: and ``roundtrip_s`` (one no-op batch through a warm pool).
-_POOL_META: Dict[tuple, Dict[str, float]] = {}
+_POOL_META: Dict[int, Dict[str, float]] = {}
+
+#: Below this many items a multi-job dispatch runs inline without even
+#: probing: pool spin-up dominates tiny sweeps (the wall-clock benchmark
+#: measured 0.97x at two items), and the probe's own timing sample is not
+#: worth taking. Recorded as the ``parallel_inline_fallback`` counter.
+INLINE_BELOW = 4
 
 #: Break-even priors, used only until a real measurement replaces them:
 #: forking a pool of an already-large parent typically costs a few
@@ -223,10 +205,6 @@ _ROUNDTRIP_PRIOR_S = 0.01
 #: timing is a single noisy sample).
 _PROBE_MARGIN = 2.0
 
-#: Memoized thread-dispatch overhead (one no-op ThreadPoolExecutor
-#: round-trip), measured on first use.
-_THREAD_OVERHEAD_S: Optional[float] = None
-
 
 def _probe_echo(x):
     """The no-op task used to measure pool round-trip latency."""
@@ -237,25 +215,16 @@ def _usable_cores() -> int:
     return multiprocessing.cpu_count() or 1
 
 
-def _thread_overhead_s() -> float:
-    global _THREAD_OVERHEAD_S
-    if _THREAD_OVERHEAD_S is None:
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(_probe_echo, None).result()
-        _THREAD_OVERHEAD_S = time.perf_counter() - start
-    return _THREAD_OVERHEAD_S
-
-
-def _process_overhead_s(key: tuple) -> Tuple[float, float]:
-    """``(spin-up still to pay, per-batch round-trip)`` for ``key``'s pool.
+def _process_overhead_s(n_jobs: int) -> Tuple[float, float]:
+    """``(spin-up still to pay, per-batch round-trip)`` for the pool of
+    ``n_jobs`` workers.
 
     Zero spin-up once the persistent pool exists; before the first pool
     of this process is forked, the spin-up estimate is the prior (every
     later estimate is the worst measured spin-up, which tracks parent
     size growth).
     """
-    meta = _POOL_META.get(key)
+    meta = _POOL_META.get(n_jobs)
     if meta is not None:
         return 0.0, meta["roundtrip_s"]
     spinups = [m["spinup_s"] for m in _POOL_META.values()]
@@ -266,12 +235,15 @@ def _process_overhead_s(key: tuple) -> Tuple[float, float]:
     )
 
 
-def _get_pool(key: tuple, n_jobs: int, cfg: ParallelConfig) -> ProcessPoolExecutor:
-    """The persistent pool for ``key``, created (and measured) on demand."""
-    pool = _POOLS.get(key)
+def _get_pool(n_jobs: int) -> ProcessPoolExecutor:
+    """The persistent ``n_jobs``-worker pool, created (and measured) on
+    demand."""
+    from .serve.profiles import PROFILE_CACHE
+
+    pool = _POOLS.get(n_jobs)
     if pool is not None:
         return pool
-    shipment = _export_caches() if cfg.ship_caches else None
+    shipment = PROFILE_CACHE.export_entries()
     start = time.perf_counter()
     pool = ProcessPoolExecutor(
         max_workers=n_jobs,
@@ -284,17 +256,17 @@ def _get_pool(key: tuple, n_jobs: int, cfg: ParallelConfig) -> ProcessPoolExecut
     mid = time.perf_counter()
     pool.submit(_probe_echo, None).result()
     end = time.perf_counter()
-    _POOLS[key] = pool
-    _POOL_META[key] = {
+    _POOLS[n_jobs] = pool
+    _POOL_META[n_jobs] = {
         "spinup_s": end - start,
         "roundtrip_s": max(end - mid, 1e-6),
     }
     return pool
 
 
-def _discard_pool(key: tuple) -> None:
-    pool = _POOLS.pop(key, None)
-    _POOL_META.pop(key, None)
+def _discard_pool(n_jobs: int) -> None:
+    pool = _POOLS.pop(n_jobs, None)
+    _POOL_META.pop(n_jobs, None)
     if pool is not None:
         try:
             pool.shutdown(wait=False, cancel_futures=True)
@@ -313,27 +285,9 @@ def shutdown_pools() -> int:
 atexit.register(shutdown_pools)
 
 
-def _static_gate(requested: str, n_items: int, n_jobs: int,
-                 cfg: ParallelConfig, stats: StatSet) -> str:
-    """Dispatch decisions that need no measurement.
-
-    Returns an executor name, or ``"auto"`` when the measured break-even
-    probe should decide.
-    """
-    if _IN_WORKER or n_jobs <= 1 or n_items <= 1:
-        return "inline"
-    if requested != "auto":
-        return requested
-    if n_items < cfg.inline_below:
-        # Too small for the probe itself to be worth a timing sample.
-        stats.bump("parallel_inline_fallback")
-        return "inline"
-    return "auto"
-
-
-def _probe_mode(rest_work_s: float, n_jobs: int, key: tuple,
-                stats: StatSet) -> str:
-    """Resolve ``auto`` from measured overheads and the sampled work.
+def _probe_mode(rest_work_s: float, n_jobs: int, stats: StatSet) -> str:
+    """``"process"`` or ``"inline"``, from measured overheads and the
+    sampled work.
 
     ``rest_work_s`` is the estimated inline cost of the still-unexecuted
     shards (first-shard time x count). The parallel *savings* bound is
@@ -343,18 +297,11 @@ def _probe_mode(rest_work_s: float, n_jobs: int, key: tuple,
     ``effective <= 1`` cannot win no matter the overheads.
     """
     effective = min(n_jobs, _usable_cores())
-    if effective <= 1:
-        stats.bump("probe_inline")
-        return "inline"
-    savings = rest_work_s * (1.0 - 1.0 / effective)
-    if _fork_available():
-        spinup, roundtrip = _process_overhead_s(key)
+    if effective > 1:
+        savings = rest_work_s * (1.0 - 1.0 / effective)
+        spinup, roundtrip = _process_overhead_s(n_jobs)
         if savings > (spinup + roundtrip) * _PROBE_MARGIN:
             return "process"
-    elif savings > _thread_overhead_s() * _PROBE_MARGIN:
-        # No fork on this platform: threads at least overlap any
-        # releases of the GIL, and avoid the spawn re-import storm.
-        return "thread"
     stats.bump("probe_inline")
     return "inline"
 
@@ -368,11 +315,8 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
     jobs: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    config: Optional[ParallelConfig] = None,
     recovery: Optional[RecoveryPolicy] = None,
     stats: Optional[StatSet] = None,
-    mode: Optional[str] = None,
 ) -> List[R]:
     """``[fn(x) for x in items]``, sharded across ``jobs`` processes.
 
@@ -384,51 +328,41 @@ def parallel_map(
 
     ``fn`` must be picklable (a module-level function or a
     ``functools.partial`` of one) and so must the items and results.
-    Worker crashes are retried by discarding and rebuilding the
-    persistent pool at most ``recovery.max_retries`` times (default: the
-    :data:`~repro.faults.DEFAULT_RECOVERY` budget, capped by
-    ``config.max_restarts``); when the budget is spent the surviving
+
+    The executor is decided, not requested: fewer than
+    :data:`INLINE_BELOW` items run inline; otherwise the first shard runs
+    inline and is timed, and the rest go to the persistent process pool
+    only when their projected parallel savings beat the measured pool
+    spin-up and round-trip (see :func:`_probe_mode`).
+
+    Worker crashes are retried by discarding and rebuilding the pool
+    while ``recovery.retry_delay_ns(n)`` allows rebuild number ``n``
+    (default: the :data:`~repro.faults.DEFAULT_RECOVERY` budget; a
+    rebuild waits no backoff). When the budget is spent the surviving
     batches run inline rather than failing the sweep. Task exceptions
     propagate unchanged on first occurrence.
 
     ``stats`` (optional) receives dispatch telemetry: task/batch counts,
     worker restarts, inline fallbacks, the chosen executor
-    (``mode_inline``/``mode_thread``/``mode_process``) and the batches'
-    traffic deltas (``profile_hits``/``profile_misses``/
-    ``fastpath_epochs``; each counter's ``total`` is the amount).
-
-    ``mode`` (or ``config.mode``) picks the executor: ``"process"`` is
-    the persistent fork pool, ``"thread"`` a thread pool over the same
-    batch body (bit-identical results, no fork, no cache shipment — the
-    fork-hostile-platform path), ``"inline"`` the reference loop, and
-    ``"auto"`` decides by the measured break-even: it times the first
-    shard inline, then compares the projected parallel savings of the
-    rest against the measured pool spin-up and round-trip overheads
-    (see :func:`_probe_mode`).
+    (``mode_inline``/``mode_process``) and the batches' traffic deltas
+    (``profile_hits``/``profile_misses``/``fastpath_epochs``; each
+    counter's ``total`` is the amount).
     """
-    cfg = config or DEFAULT_PARALLEL
-    cfg.validate()
     policy = recovery or DEFAULT_RECOVERY
     if stats is None:
         stats = StatSet("parallel")  # recorded, then discarded
-    requested = mode if mode is not None else cfg.mode
-    if requested not in PARALLEL_MODES:
-        from .errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"unknown parallel mode {requested!r} "
-            f"(choose from {', '.join(PARALLEL_MODES)})"
-        )
     items = list(items)
-    n_jobs = resolve_jobs(jobs if jobs is not None else cfg.jobs)
-    pool_key = (n_jobs, cfg)
+    n_jobs = resolve_jobs(jobs)
     stats.set_gauge("jobs", n_jobs)
     if items:
         stats.bump("tasks", len(items))
 
-    chosen = _static_gate(requested, len(items), n_jobs, cfg, stats)
+    chosen = "inline"
     prefix: List[R] = []
-    if chosen == "auto":
+    parallel = not _IN_WORKER and n_jobs > 1 and len(items) > 1
+    if parallel and len(items) < INLINE_BELOW:
+        stats.bump("parallel_inline_fallback")
+    elif parallel:
         # The probe: run the first shard inline and time it. This is the
         # reference loop body, so the result merges bit-identically at
         # index 0 whatever executor handles the rest.
@@ -437,8 +371,7 @@ def parallel_map(
         item_s = time.perf_counter() - start
         _record_delta(stats, delta)
         stats.bump("batches")
-        chosen = _probe_mode(item_s * (len(items) - 1), n_jobs, pool_key,
-                             stats)
+        chosen = _probe_mode(item_s * (len(items) - 1), n_jobs, stats)
         items = items[1:]
     stats.bump("mode_" + chosen)
     if chosen == "inline":
@@ -447,35 +380,12 @@ def parallel_map(
         stats.bump("batches")
         return prefix + results
 
-    batches = _make_batches(len(items), n_jobs, batch_size or cfg.batch_size)
-    if chosen == "thread":
-        # Threads share the parent's caches (traffic lands in the
-        # parent's own counters), so the delta is measured once around
-        # the whole dispatch — per-batch windows would overlap.
-        before = _traffic_counts()
-        results: List[Optional[R]] = [None] * len(items)
-        with ThreadPoolExecutor(
-            max_workers=min(n_jobs, len(batches))
-        ) as pool:
-            futures = [
-                (span, pool.submit(_run_batch_plain, fn,
-                                   [items[i] for i in span]))
-                for span in batches
-            ]
-            for span, future in futures:
-                for index, value in zip(span, future.result()):
-                    results[index] = value
-                stats.bump("batches")
-        _record_delta(stats, _traffic_delta(before))
-        return prefix + results  # type: ignore[operator]
     results: List[Optional[R]] = [None] * len(items)
-    pending: List[range] = list(batches)
-    restarts_left = min(cfg.max_restarts, policy.max_retries) \
-        if policy.enabled else 0
-
+    pending: List[range] = _make_batches(len(items), n_jobs)
+    rebuilds = 0
     while pending:
         try:
-            pool = _get_pool(pool_key, n_jobs, cfg)
+            pool = _get_pool(n_jobs)
             futures = {
                 pool.submit(_execute_batch, fn, [items[i] for i in span]):
                 span
@@ -497,11 +407,10 @@ def parallel_map(
         except BrokenProcessPool:
             # A worker died mid-batch (OOM kill, stray signal). Discard
             # the broken pool, rebuild, and resubmit whatever is still
-            # pending, on the same budgeted-restart stance as the
-            # fault-recovery layer.
-            _discard_pool(pool_key)
-            if restarts_left > 0:
-                restarts_left -= 1
+            # pending, within the recovery policy's retry budget.
+            _discard_pool(n_jobs)
+            rebuilds += 1
+            if policy.retry_delay_ns(rebuilds) is not None:
                 stats.bump("worker_restarts")
                 continue
             # Budget spent: degrade to inline execution instead of
@@ -520,7 +429,7 @@ def parallel_map(
 
 
 __all__ = [
-    "ParallelConfig",
+    "INLINE_BELOW",
     "derive_seed",
     "parallel_map",
     "resolve_jobs",

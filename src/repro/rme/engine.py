@@ -456,24 +456,26 @@ class RMEngine:
                 continue
             self.stats.bump("watchdog_fires")
             emit(self.sim, "rme", "watchdog_fire", window=self._current_window)
-            if self._session_restarts >= policy.max_retries:
+            delay = policy.retry_delay_ns(self._session_restarts + 1)
+            if delay is None:
                 self._fail(FetchTimeoutError(
                     "fetch pipeline made no progress through "
                     f"{self._session_restarts} restarts"
                 ))
                 return None
             self._session_restarts += 1
-            yield from self._restart_session(policy)
+            yield from self._restart_session(delay)
             return None  # the new session brings its own watchdog
 
-    def _restart_session(self, policy):
-        """A process: tear the wedged session down and refetch the window."""
+    def _restart_session(self, delay_ns: float):
+        """A process: tear the wedged session down, back off ``delay_ns``
+        and refetch the window."""
         from .pushdown import HWAggregation, HWGroupBy
 
         restart_start = self.sim.now
         self.stats.bump("fetch_restarts")
         self._cancel_session()
-        yield self.sim.timeout(policy.retry_backoff_ns * self._session_restarts)
+        yield self.sim.timeout(delay_ns)
         if isinstance(self._pushdown, (HWAggregation, HWGroupBy)):
             self.buffer.reset(self._pushdown.result_buffer_bytes)
         else:

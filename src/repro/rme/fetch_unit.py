@@ -251,11 +251,12 @@ class FetchUnitPool:
             )
             if payload is not POISONED:
                 return payload
-            if not policy.enabled or attempt >= policy.max_retries:
-                return None
             attempt += 1
+            delay = policy.retry_delay_ns(attempt)
+            if delay is None:
+                return None
             self.stats.bump("poisoned_retries")
-            yield self.sim.timeout(policy.retry_backoff_ns * attempt)
+            yield self.sim.timeout(delay)
 
     # -- introspection -------------------------------------------------------------------
     @property

@@ -61,6 +61,20 @@ class Port:
     served: int = 0
     switches: int = 0
 
+    def reconfigure(self, descriptor: object, stats: StatSet) -> bool:
+        """Point the port at ``descriptor``; True when that took a switch.
+
+        A switch re-programs the port and counts a ``context_switches``;
+        a port already holding the descriptor serves hot (``hot_hits``).
+        """
+        if self.descriptor != descriptor:
+            self.descriptor = descriptor
+            self.switches += 1
+            stats.bump("context_switches")
+            return True
+        stats.bump("hot_hits")
+        return False
+
 
 class SchedulerPolicy:
     """Shared bookkeeping: bounded admission, backlog gauge, shed counts."""

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import PlatformConfig, ZCU102
 from ..errors import ConfigurationError
-from ..faults import DEFAULT_RECOVERY, CircuitBreaker, RecoveryPolicy
+from ..faults import DEFAULT_RECOVERY, RecoveryPolicy
 from ..rme.designs import MLP, DesignParams
 from ..sim import Event, MetricsRegistry, Simulator
 from .profiles import PROFILE_CACHE, WorkloadProfile, profile_workload
@@ -176,6 +176,52 @@ class ServingReport:
         )
 
 
+# -- construction checks shared with the cluster tier ----------------------
+def check_policy(policy: str) -> None:
+    """Reject a scheduler policy name outside :data:`POLICIES`."""
+    if policy not in POLICIES:
+        raise ConfigurationError(
+            f"unknown scheduler policy {policy!r} "
+            f"(choose from {', '.join(POLICIES)})"
+        )
+
+
+def resolve_n_ports(policy: str, n_ports: Optional[int]) -> int:
+    """The configuration-port count: two for multi-port, else one.
+
+    Only multi-port models more than one port, and no policy runs on
+    zero.
+    """
+    if n_ports is None:
+        n_ports = 2 if policy == "multi-port" else 1
+    if n_ports < 1:
+        raise ConfigurationError(f"n_ports must be >= 1, got {n_ports}")
+    if policy != "multi-port" and n_ports != 1:
+        raise ConfigurationError(
+            f"policy {policy!r} models the single configuration port; "
+            "use multi-port for n_ports > 1"
+        )
+    return n_ports
+
+
+def resolve_profile(
+    workload_profile: Union[WorkloadProfile, Sequence[TenantSpec]],
+    platform: PlatformConfig,
+    design: DesignParams,
+) -> WorkloadProfile:
+    """A ready profile as is; tenant specs are profiled first."""
+    if isinstance(workload_profile, WorkloadProfile):
+        return workload_profile
+    return profile_workload(workload_profile, platform=platform, design=design)
+
+
+def check_profiled(profile: WorkloadProfile, workload) -> None:
+    """Every (tenant, template) the workload can draw must be profiled."""
+    for spec in workload.mix.tenants:
+        for template, _query in spec.templates:
+            profile.profile(spec.name, template)  # raises if absent
+
+
 class ServingSystem:
     """Serves a workload through the profiled engine under one policy."""
 
@@ -205,28 +251,10 @@ class ServingSystem:
             raise ConfigurationError(
                 f"fault_rate must be in [0, 1), got {fault_rate}"
             )
-        if policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown scheduler policy {policy!r} "
-                f"(choose from {', '.join(POLICIES)})"
-            )
-        if isinstance(workload_profile, WorkloadProfile):
-            self.profile = workload_profile
-        else:
-            self.profile = profile_workload(
-                workload_profile, platform=platform, design=design
-            )
-        if n_ports is None:
-            n_ports = 2 if policy == "multi-port" else 1
-        if n_ports < 1:
-            raise ConfigurationError(f"n_ports must be >= 1, got {n_ports}")
-        if policy != "multi-port" and n_ports != 1:
-            raise ConfigurationError(
-                f"policy {policy!r} models the single configuration port; "
-                "use multi-port for n_ports > 1"
-            )
+        check_policy(policy)
+        self.profile = resolve_profile(workload_profile, platform, design)
         self.policy = policy
-        self.n_ports = n_ports
+        self.n_ports = resolve_n_ports(policy, n_ports)
         self.queue_depth = queue_depth
         self.quantum = quantum
         #: Request-level fault model: probability any one RME execution
@@ -240,7 +268,7 @@ class ServingSystem:
     # -- the run -----------------------------------------------------------------
     def run(self, workload: Workload) -> ServingReport:
         """Serve the whole workload; returns the SLO report."""
-        self._validate_workload(workload)
+        check_profiled(self.profile, workload)
         sim = self.sim = Simulator()
         metrics = self.metrics = MetricsRegistry("serve")
         self._sched_stats = metrics.scope("scheduler")
@@ -275,15 +303,10 @@ class ServingSystem:
                 self.fault_seed
             )
             self._fault_stats = metrics.scope("faults")
-            # Breakers are recovery machinery: a no-recovery baseline
-            # takes every fault on the chin instead of failing fast.
             self._breakers = {
-                spec.name: CircuitBreaker(
-                    self.recovery.breaker_threshold,
-                    self.recovery.breaker_cooldown_ns,
-                )
+                spec.name: self.recovery.breaker()
                 for spec in self.profile.tenants
-            } if self.recovery.enabled else {}
+            }
         else:
             self._fault_rng = None
             self._fault_stats = None
@@ -301,11 +324,6 @@ class ServingSystem:
             sim.process(self._port_loop(port), name=f"port{port.index}")
         sim.run()
         return self._build_report(arrival_kind)
-
-    def _validate_workload(self, workload: Workload) -> None:
-        for spec in workload.mix.tenants:
-            for template, _query in spec.templates:
-                self.profile.profile(spec.name, template)  # raises if absent
 
     def _descriptor_of(self, request: Request) -> object:
         return self.profile.profile(request.tenant, request.template).descriptor
@@ -397,103 +415,71 @@ class ServingSystem:
             yield from self._execute(port, request)
 
     def _execute(self, port: Port, request: Request):
+        """Serve one request on ``port``.
+
+        Under the request-level fault model (``fault_rate > 0``) each RME
+        execution attempt is struck with probability ``fault_rate``; a
+        struck attempt's time is wasted and a retry pays the policy's
+        backoff plus a refill. A tenant whose circuit breaker is open
+        skips the engine entirely and goes straight to the CPU row-scan
+        — answers stay byte-identical (the profiler asserted the direct
+        answer equals the RME answer), only the price changes.
+        """
         sim = self.sim
         profile = self.profile.profile(request.tenant, request.template)
         request.port = port.index
         request.start_ns = sim.now
         request.queue_ns = sim.now - request.arrival_ns
-        if self._fault_rng is not None:
-            yield from self._execute_faulty(port, request, profile)
-            return
-        if port.descriptor != profile.descriptor:
-            port.descriptor = profile.descriptor
-            port.switches += 1
-            self._sched_stats.bump("context_switches")
-            request.state = "cold"
-            request.reconfig_ns = profile.program_ns + profile.fill_ns
-        else:
-            self._sched_stats.bump("hot_hits")
-            request.state = "hot"
-            request.reconfig_ns = 0.0
-        request.exec_ns = profile.hot_ns
-        if request.reconfig_ns > 0:
-            yield sim.timeout(request.reconfig_ns)
-        yield sim.timeout(request.exec_ns)
-        request.finish_ns = sim.now
-        request.value = profile.value
-        port.served += 1
-        self._observe(request)
-        self._complete(request)
-        self._kick()
-
-    def _execute_faulty(self, port: Port, request: Request, profile):
-        """Service under the request-level fault model.
-
-        Each RME execution attempt is struck with probability
-        ``fault_rate``; a struck attempt's time is wasted and recovery
-        retries pay a refill plus backoff. A tenant whose circuit breaker
-        is open skips the engine entirely and goes straight to the CPU
-        row-scan — answers stay byte-identical (the profiler asserted the
-        direct answer equals the RME answer), only the price changes.
-        """
-        sim = self.sim
-        policy = self.recovery
         breaker = self._breakers.get(request.tenant)
         if breaker is not None and not breaker.allow(sim.now):
             self._fault_stats.bump("breaker_rejects")
-            if policy.cpu_fallback:
-                yield from self._serve_direct(port, request, profile)
-            else:
-                self._fail_request(request)
+            yield from self._give_up(port, request, profile)
             return
-        if port.descriptor != profile.descriptor:
-            port.descriptor = profile.descriptor
-            port.switches += 1
-            self._sched_stats.bump("context_switches")
+        if port.reconfigure(profile.descriptor, self._sched_stats):
             request.state = "cold"
             request.reconfig_ns = profile.program_ns + profile.fill_ns
         else:
-            self._sched_stats.bump("hot_hits")
             request.state = "hot"
             request.reconfig_ns = 0.0
         if request.reconfig_ns > 0:
             yield sim.timeout(request.reconfig_ns)
+        # Assigned, not added: a fault-free run allocates no float here.
+        request.exec_ns = profile.hot_ns
         attempt = 0
         while True:
             yield sim.timeout(profile.hot_ns)
-            request.exec_ns += profile.hot_ns
-            if self._fault_rng.random() >= self.fault_rate:
+            if (self._fault_rng is None
+                    or self._fault_rng.random() >= self.fault_rate):
                 if breaker is not None:
                     breaker.record_success(sim.now)
-                request.finish_ns = sim.now
-                request.value = profile.value
-                port.served += 1
-                self._observe(request)
-                self._complete(request)
-                self._kick()
+                self._answer(port, request, profile)
                 return
             # A fault struck this attempt mid-scan: the time is wasted.
             self._fault_stats.bump("fault_events")
             if breaker is not None:
                 breaker.record_failure(sim.now)
-            if policy.enabled and attempt < policy.max_retries:
-                attempt += 1
-                request.retries += 1
-                self._fault_stats.bump("retries")
-                # Back off, then regenerate the projection before rerunning.
-                yield sim.timeout(
-                    policy.retry_backoff_ns * attempt + profile.fill_ns
-                )
-                request.reconfig_ns += profile.fill_ns
-                continue
-            # Retry budget exhausted: the engine state is suspect, so the
-            # next request on this port re-programs from scratch.
-            port.descriptor = None
-            if policy.cpu_fallback:
-                yield from self._serve_direct(port, request, profile)
-            else:
-                self._fail_request(request)
-            return
+            attempt += 1
+            delay = self.recovery.retry_delay_ns(attempt)
+            if delay is None:
+                # Retry budget exhausted: the engine state is suspect, so
+                # the next request on this port re-programs from scratch.
+                port.descriptor = None
+                yield from self._give_up(port, request, profile)
+                return
+            request.retries += 1
+            self._fault_stats.bump("retries")
+            # Back off, then regenerate the projection before rerunning.
+            yield sim.timeout(delay + profile.fill_ns)
+            request.reconfig_ns += profile.fill_ns
+            request.exec_ns += profile.hot_ns
+
+    def _give_up(self, port: Port, request: Request, profile):
+        """The engine path is closed: degrade to the CPU row-scan when
+        the policy allows it, otherwise fail the request."""
+        if self.recovery.cpu_fallback:
+            yield from self._serve_direct(port, request, profile)
+        else:
+            self._fail_request(request)
 
     def _serve_direct(self, port: Port, request: Request, profile):
         """Degraded mode: answer from the base table with a CPU row-scan."""
@@ -502,10 +488,13 @@ class ServingSystem:
         self._fault_stats.bump("fallbacks")
         yield self.sim.timeout(profile.direct_ns)
         request.exec_ns += profile.direct_ns
+        self._tenant_stats[request.tenant].bump("degraded")
+        self._answer(port, request, profile)
+
+    def _answer(self, port: Port, request: Request, profile) -> None:
         request.finish_ns = self.sim.now
         request.value = profile.value
         port.served += 1
-        self._tenant_stats[request.tenant].bump("degraded")
         self._observe(request)
         self._complete(request)
         self._kick()
@@ -603,7 +592,9 @@ class ServingSystem:
             ),
             degraded=sum(t.degraded for t in tenants),
             failed=sum(t.failed for t in tenants),
-            breaker_opens=sum(b.opens for b in self._breakers.values()),
+            breaker_opens=sum(
+                b.opens for b in self._breakers.values() if b is not None
+            ),
             retries_total=(
                 self._fault_stats.count("retries")
                 if self._fault_stats is not None else 0

@@ -132,6 +132,8 @@ def test_cluster_validates_inputs(profile):
         ClusterSystem(prof, routing="bogus")
     with pytest.raises(ConfigurationError, match="n_nodes"):
         ClusterSystem(prof, n_nodes=0)
+    with pytest.raises(ConfigurationError, match="n_ports must be >= 1"):
+        ClusterSystem(prof, policy="multi-port", n_ports=0)
     with pytest.raises(ConfigurationError, match="node-level kinds"):
         ClusterSystem(prof, fault_plan=FaultPlan(
             events=(FaultEvent(kind="dram_bitflip", at_ns=0.0),)
@@ -247,6 +249,32 @@ def test_breaker_gates_hedge_targets(profile):
         rate_factor=0.5, hedge_min_samples=4,
     )
     assert report.breaker_opens > 0
+
+
+def test_shed_picks_release_half_open_probes(profile):
+    """A node picked through its half-open probe slot, then shed by a
+    full queue (or a hedge never sent), gives the slot back. Otherwise
+    the breaker waits for a verdict no attempt will deliver, and the
+    node refuses every request for the rest of the run."""
+    tenants, prof = profile
+    n_requests = 400
+    rate = 2 * 2 * prof.saturation_rate_qps()  # twice two-node saturation
+    span_ns = 1e9 * n_requests / rate
+    plan = FaultPlan(events=(
+        FaultEvent(kind="node_crash", at_ns=0.10 * span_ns, target=0,
+                   duration_ns=50_000.0),
+        FaultEvent(kind="node_crash", at_ns=0.15 * span_ns, target=1,
+                   duration_ns=50_000.0),
+    ))
+    system = ClusterSystem(
+        prof, n_nodes=2, replication=2, queue_depth=2, fault_plan=plan,
+        recovery=RecoveryPolicy(breaker_threshold=1,
+                                breaker_cooldown_ns=10_000.0),
+    )
+    system.run(OpenLoopWorkload(tenants, rate_qps=rate,
+                                n_requests=n_requests, seed=38))
+    for node in system.nodes:
+        assert node.breaker.allow(float("inf")), node.name
 
 
 # -- reports ----------------------------------------------------------------------

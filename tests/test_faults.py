@@ -384,6 +384,20 @@ def test_breaker_release_probe_reopens_the_slot():
     assert breaker.state == HALF_OPEN
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("attempt", [1, 2, 3, 4])
+def test_retry_delay_ns(enabled, attempt):
+    """Linear backoff for retries 1..max_retries; past the budget, or
+    with recovery off, the answer is None."""
+    policy = RecoveryPolicy(enabled=enabled, max_retries=3,
+                            retry_backoff_ns=200.0)
+    delay = policy.retry_delay_ns(attempt)
+    if enabled and attempt <= policy.max_retries:
+        assert delay == 200.0 * attempt
+    else:
+        assert delay is None
+
+
 # -- node-level fault plans -------------------------------------------------------
 
 

@@ -85,12 +85,158 @@ def _multirun_epoch(platform):
     }
 
 
+def _fault_counters(system, injector) -> list:
+    """Every injector counter plus the engine's recovery counters."""
+    counters = sorted((name, c.count) for name, c in injector.stats)
+    for name in ("watchdog_fires", "fetch_restarts", "session_failures"):
+        counters.append((name, system.rme.stats.count(name)))
+    counters.append(("poisoned_retries",
+                     system.rme.fetch_pool.stats.count("poisoned_retries")))
+    return counters
+
+
+def _rme_fingerprints(platform, series):
+    """q4 through the RME (and the CPU load path) under retry budgets."""
+    from repro import QueryExecutor, RelationalMemorySystem
+    from repro.errors import FaultError
+    from repro.faults import NO_RECOVERY, FaultEvent, FaultPlan, RecoveryPolicy
+    from repro.query.queries import q4
+    from tests.conftest import build_relation
+
+    plans = {
+        "dram_bitflip": lambda: FaultPlan.single(
+            "dram_bitflip", 0.0, severity=2),
+        "fetch_hang": lambda: FaultPlan.single(
+            "fetch_hang", 0.0, duration_ns=500_000.0),
+        "dram_bitflip_x3": lambda: FaultPlan(events=tuple(
+            FaultEvent("dram_bitflip", 0.0, severity=2) for _ in range(3))),
+    }
+    policies = {f"retries{n}": RecoveryPolicy(max_retries=n)
+                for n in (0, 1, 3)}
+    policies["none"] = NO_RECOVERY
+    table = build_relation(n_rows=192)
+    for plan_name, plan in plans.items():
+        for policy_name, policy in policies.items():
+            for path in ("rme", "direct"):
+                system = RelationalMemorySystem(platform)
+                loaded = system.load_table(table)
+                var = system.register_var(loaded, ["A1"])
+                injector = system.enable_faults(plan(), policy)
+                executor = QueryExecutor(system)
+                try:
+                    if path == "rme":
+                        result = executor.run_rme(q4(), var)
+                    else:
+                        result = executor.run_direct(q4(), loaded)
+                    outcome = (result.value, result.elapsed_ns, result.state)
+                except FaultError as error:
+                    outcome = (type(error).__name__, system.sim.now)
+                series[f"rme/{path}/{plan_name}/{policy_name}"] = repr(
+                    (outcome, _fault_counters(system, injector))
+                )
+
+
+def _recovery_fingerprints(platform):
+    """``repr``-exact report fingerprints of serving, cluster and RME runs
+    under injected faults and several retry budgets: a refactor of the
+    retry, breaker or fallback paths must not move a single backoff."""
+    from repro.cluster import ClusterSystem
+    from repro.faults import (
+        DEFAULT_RECOVERY,
+        NO_RECOVERY,
+        FaultEvent,
+        FaultPlan,
+        RecoveryPolicy,
+    )
+    from repro.serve import (
+        ClosedLoopWorkload,
+        OpenLoopWorkload,
+        ServingSystem,
+        default_tenants,
+        profile_workload,
+    )
+    from repro.serve.scheduler import POLICIES
+
+    series = {}
+    tenants = default_tenants(n_tenants=2, n_rows=128, seed=7)
+    profile = profile_workload(tenants, platform=platform)
+    saturation = profile.saturation_rate_qps()
+    tight = RecoveryPolicy(max_retries=1, breaker_threshold=2,
+                           breaker_cooldown_ns=50_000.0)
+    serve_settings = {
+        "clean": (0.0, DEFAULT_RECOVERY),
+        "default": (0.25, DEFAULT_RECOVERY),
+        "none": (0.25, NO_RECOVERY),
+        "tight": (0.25, tight),
+    }
+    for policy in POLICIES:
+        for name, (fault_rate, recovery) in serve_settings.items():
+            workload = OpenLoopWorkload(
+                tenants, rate_qps=1.1 * saturation, n_requests=120, seed=11,
+            )
+            report = ServingSystem(
+                profile, policy=policy, queue_depth=16,
+                fault_rate=fault_rate, recovery=recovery,
+            ).run(workload)
+            series[f"serve/{policy}/{name}"] = repr(report.fingerprint())
+    for name in ("clean", "default"):
+        fault_rate, recovery = serve_settings[name]
+        workload = ClosedLoopWorkload(tenants, n_clients=3, n_requests=60,
+                                      think_ns=20_000.0, seed=5)
+        report = ServingSystem(
+            profile, policy="ctx-switch", fault_rate=fault_rate,
+            recovery=recovery,
+        ).run(workload)
+        series[f"serve/closed/{name}"] = repr(report.fingerprint())
+
+    n_requests = 100
+    rate = 0.6 * 2 * saturation
+    span_ns = 1e9 * n_requests / rate
+    plans = {
+        "crash": FaultPlan.node_poisson(
+            duration_ns=span_ns, n_nodes=2,
+            rates_per_ms={"node_crash": 3.0}, seed=7,
+        ),
+        "slow": FaultPlan(events=(
+            FaultEvent(kind="node_slow", at_ns=5_000.0, target=0,
+                       severity=7, duration_ns=3_000_000.0),
+        )),
+        "lag": FaultPlan(events=(
+            FaultEvent(kind="replica_lag", at_ns=10_000.0, target=1,
+                       duration_ns=400_000.0),
+        )),
+    }
+    cluster_settings = {
+        f"{plan}/{'failover' if failover else 'pinned'}":
+            (plan, {"failover": failover})
+        for plan in plans for failover in (True, False)
+    }
+    cluster_settings.update({
+        "crash/failover/none": ("crash", {"recovery": NO_RECOVERY}),
+        "crash/failover/range": ("crash", {"routing": "range"}),
+        # A breaker that never opens keeps the slow node a hedge target.
+        "slow/failover/hedged": (
+            "slow", {"recovery": RecoveryPolicy(breaker_threshold=100)}),
+    })
+    for label, (plan, kwargs) in cluster_settings.items():
+        report = ClusterSystem(
+            profile, n_nodes=2, fault_plan=plans[plan], hedge_min_samples=4,
+            **kwargs,
+        ).run(OpenLoopWorkload(tenants, rate_qps=rate,
+                               n_requests=n_requests, seed=7))
+        series[f"cluster/{label}"] = repr(report.fingerprint())
+
+    _rme_fingerprints(platform, series)
+    return {"xs": ["repr(fingerprint)"], "series": series}
+
+
 #: Each scenario is (fixture file, callable taking ``platform``) that
 #: yields an xs/series snapshot. Scales are chosen small enough for the
 #: test suite but large enough to exercise credit back-pressure, bank
 #: conflicts and packed-line completion (fig06), analytical curves
 #: (fig01), burst-length-2 straddling descriptors (fig08), window
-#: switching, and multirun descriptor streams.
+#: switching, multirun descriptor streams, and every retry, breaker and
+#: fallback path under injected faults (recovery fingerprints).
 SCENARIOS = {
     "fig01_projectivity.json": lambda platform: fig01_projectivity(
         n_points=12, n_rows=8192, platform=platform
@@ -103,6 +249,7 @@ SCENARIOS = {
     ),
     "windowed_epoch.json": _windowed_epoch,
     "multirun_epoch.json": _multirun_epoch,
+    "recovery_fingerprints.json": _recovery_fingerprints,
 }
 
 

@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ParallelConfig
 from repro.errors import ConfigurationError
 from repro.faults import RecoveryPolicy
 from repro.parallel import derive_seed, parallel_map, resolve_jobs
@@ -245,6 +244,19 @@ def _crash_once(item):
     return x * 10
 
 
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Send every multi-item dispatch past the probe to the process pool.
+
+    On a host with few cores the break-even probe keeps trivial shards
+    inline, so a test that must reach a worker forces the pool.
+    """
+    import repro.parallel as pp
+
+    monkeypatch.setattr(pp, "_probe_mode", lambda *args: "process")
+    monkeypatch.setattr(pp, "INLINE_BELOW", 1)
+
+
 def test_resolve_jobs():
     assert resolve_jobs(3) == 3
     assert resolve_jobs(None) >= 1
@@ -263,7 +275,6 @@ def test_parallel_map_matches_inline():
     expected = [_square(x) for x in items]
     assert parallel_map(_square, items, jobs=1) == expected
     assert parallel_map(_square, items, jobs=2) == expected
-    assert parallel_map(_square, items, jobs=2, batch_size=1) == expected
     assert parallel_map(_square, [], jobs=2) == []
     assert parallel_map(_square, [5], jobs=4) == [25]
 
@@ -276,13 +287,17 @@ def test_parallel_map_records_dispatch_stats():
     assert stats.gauge("jobs").value == 2.0
 
 
-def test_parallel_map_propagates_task_exceptions():
+def test_parallel_map_propagates_task_exceptions(monkeypatch):
+    import repro.parallel as pp
+
+    monkeypatch.setattr(pp, "INLINE_BELOW", 1)
     with pytest.raises(ValueError, match="bad item"):
-        parallel_map(_boom, [1, 2, 3], jobs=2,
-                     config=ParallelConfig(inline_below=1))
+        parallel_map(_boom, [1, 2, 3], jobs=2)
 
 
-def test_small_sweeps_fall_back_inline():
+def test_small_sweeps_fall_back_inline(monkeypatch):
+    import repro.parallel as pp
+
     items = [1, 2, 3]  # below the default break-even floor of 4
     stats = StatSet("dispatch")
     results = parallel_map(_square, items, jobs=2, stats=stats)
@@ -295,45 +310,40 @@ def test_small_sweeps_fall_back_inline():
     parallel_map(_square, list(range(4)), jobs=2, stats=stats)
     assert stats.counter("parallel_inline_fallback").count == 0
 
-    # inline_below=1 disables the fallback.
+    # A floor of 1 disables the fallback.
+    monkeypatch.setattr(pp, "INLINE_BELOW", 1)
     stats = StatSet("dispatch")
-    parallel_map(_square, [1, 2], jobs=2, stats=stats,
-                 config=ParallelConfig(inline_below=1))
+    parallel_map(_square, [1, 2], jobs=2, stats=stats)
     assert stats.counter("parallel_inline_fallback").count == 0
 
 
-def test_crashed_workers_fall_back_inline():
+def test_crashed_workers_fall_back_inline(force_pool):
     stats = StatSet("dispatch")
-    # Worker-crash recovery is a process-pool concern; pin the mode so
-    # auto-selection can't route this small sweep through threads.
-    config = ParallelConfig(max_restarts=1, mode="process")
     results = parallel_map(
-        _crash_in_worker, list(range(6)), jobs=2, config=config, stats=stats,
+        _crash_in_worker, list(range(6)), jobs=2,
+        recovery=RecoveryPolicy(max_retries=1), stats=stats,
     )
     assert results == [x + 100 for x in range(6)]
     assert stats.counter("worker_restarts").count == 1
     assert stats.counter("inline_fallbacks").count == 1
 
 
-def test_crashed_worker_retry_succeeds_within_budget():
+def test_crashed_worker_retry_succeeds_within_budget(force_pool):
     with tempfile.TemporaryDirectory() as marker_dir:
         items = [(x, marker_dir) for x in range(2)]
         stats = StatSet("dispatch")
-        results = parallel_map(
-            _crash_once, items, jobs=2, batch_size=1, stats=stats,
-            config=ParallelConfig(inline_below=1, mode="process"),
-        )
+        results = parallel_map(_crash_once, items, jobs=2, stats=stats)
         assert results == [0, 10]
         assert stats.counter("worker_restarts").count >= 1
         assert stats.counter("inline_fallbacks").count == 0
 
 
-def test_disabled_recovery_means_no_restarts():
+def test_disabled_recovery_means_no_restarts(force_pool):
     policy = RecoveryPolicy(enabled=False)
     stats = StatSet("dispatch")
     results = parallel_map(
         _crash_in_worker, list(range(4)), jobs=2, recovery=policy,
-        stats=stats, mode="process",
+        stats=stats,
     )
     # No restart budget: the first broken pool degrades straight to inline.
     assert results == [x + 100 for x in range(4)]
@@ -342,24 +352,8 @@ def test_disabled_recovery_means_no_restarts():
 
 
 # ---------------------------------------------------------------------------
-# shard modes: thread pools and break-even auto-selection
+# break-even selection and persistent pools
 # ---------------------------------------------------------------------------
-
-
-def test_thread_mode_matches_inline_and_process():
-    items = list(range(17))
-    expected = [_square(x) for x in items]
-    assert parallel_map(_square, items, jobs=2, mode="thread") == expected
-    assert parallel_map(_square, items, jobs=2, mode="inline") == expected
-    assert parallel_map(_square, items, jobs=2, mode="process") == expected
-
-
-def test_thread_mode_records_dispatch_stats():
-    stats = StatSet("dispatch")
-    parallel_map(_square, list(range(12)), jobs=3, mode="thread", stats=stats)
-    assert stats.counter("mode_thread").count == 1
-    assert stats.counter("tasks").total == 12
-    assert stats.counter("batches").count >= 1
 
 
 def test_probe_mode_inline_when_effectively_single_core(monkeypatch):
@@ -369,7 +363,7 @@ def test_probe_mode_inline_when_effectively_single_core(monkeypatch):
 
     monkeypatch.setattr(pp, "_usable_cores", lambda: 1)
     stats = StatSet("dispatch")
-    assert pp._probe_mode(100.0, 2, (2, ParallelConfig()), stats) == "inline"
+    assert pp._probe_mode(100.0, 2, stats) == "inline"
     assert stats.counter("probe_inline").count == 1
 
 
@@ -377,26 +371,14 @@ def test_probe_mode_picks_process_when_savings_beat_overhead(monkeypatch):
     import repro.parallel as pp
 
     monkeypatch.setattr(pp, "_usable_cores", lambda: 4)
-    monkeypatch.setattr(pp, "_fork_available", lambda: True)
     monkeypatch.setattr(pp, "_process_overhead_s",
                         lambda key: (0.05, 0.002))
     stats = StatSet("dispatch")
     # 10 s of remaining work at 4-way: savings 7.5 s >> 0.104 s overhead.
-    assert pp._probe_mode(10.0, 4, (4, ParallelConfig()), stats) == "process"
+    assert pp._probe_mode(10.0, 4, stats) == "process"
     # 0.01 s of remaining work: savings 0.0075 s < margin x overhead.
-    assert pp._probe_mode(0.01, 4, (4, ParallelConfig()), stats) == "inline"
+    assert pp._probe_mode(0.01, 4, stats) == "inline"
     assert stats.counter("probe_inline").count == 1
-
-
-def test_probe_mode_uses_threads_only_without_fork(monkeypatch):
-    import repro.parallel as pp
-
-    monkeypatch.setattr(pp, "_usable_cores", lambda: 4)
-    monkeypatch.setattr(pp, "_fork_available", lambda: False)
-    monkeypatch.setattr(pp, "_thread_overhead_s", lambda: 0.001)
-    stats = StatSet("dispatch")
-    assert pp._probe_mode(10.0, 4, (4, ParallelConfig()), stats) == "thread"
-    assert pp._probe_mode(0.0, 4, (4, ParallelConfig()), stats) == "inline"
 
 
 def test_auto_mode_selects_by_measured_break_even(monkeypatch):
@@ -407,67 +389,42 @@ def test_auto_mode_selects_by_measured_break_even(monkeypatch):
     monkeypatch.setattr(pp, "_usable_cores", lambda: 2)
     monkeypatch.setattr(pp, "_process_overhead_s", lambda key: (0.0, 0.0))
     stats = StatSet("dispatch")
-    results = parallel_map(_slow_square, list(range(8)), jobs=2, stats=stats,
-                           config=ParallelConfig(mode="auto"))
+    results = parallel_map(_slow_square, list(range(8)), jobs=2, stats=stats)
     assert results == [x * x for x in range(8)]
     assert stats.counter("mode_process").count == 1
 
     # Same sweep on a 1-core host: the probe keeps everything inline.
     monkeypatch.setattr(pp, "_usable_cores", lambda: 1)
     stats = StatSet("dispatch")
-    results = parallel_map(_slow_square, list(range(8)), jobs=2, stats=stats,
-                           config=ParallelConfig(mode="auto"))
+    results = parallel_map(_slow_square, list(range(8)), jobs=2, stats=stats)
     assert results == [x * x for x in range(8)]
     assert stats.counter("mode_inline").count == 1
     assert stats.counter("probe_inline").count == 1
 
-    # Below inline_below the dispatch never even probes.
+    # Below INLINE_BELOW the dispatch never even probes.
     stats = StatSet("dispatch")
-    parallel_map(_square, [1, 2], jobs=2, stats=stats,
-                 config=ParallelConfig(mode="auto"))
+    parallel_map(_square, [1, 2], jobs=2, stats=stats)
     assert stats.counter("mode_inline").count == 1
     assert stats.counter("parallel_inline_fallback").count == 1
 
 
-def test_persistent_pool_reused_across_calls():
+def test_persistent_pool_reused_across_calls(force_pool):
     import repro.parallel as pp
 
     pp.shutdown_pools()
-    cfg = ParallelConfig(mode="process")
-    parallel_map(_square, list(range(8)), jobs=2, config=cfg)
+    parallel_map(_square, list(range(8)), jobs=2)
     assert len(pp._POOLS) == 1
     key = next(iter(pp._POOLS))
     pool_before = pp._POOLS[key]
     meta = pp._POOL_META[key]
     assert meta["spinup_s"] > 0.0 and meta["roundtrip_s"] > 0.0
-    parallel_map(_square, list(range(8)), jobs=2, config=cfg)
+    parallel_map(_square, list(range(8)), jobs=2)
     # Second dispatch reuses the same executor object (no re-fork) and
     # _process_overhead_s reports the spin-up as already paid.
     assert pp._POOLS[key] is pool_before
     assert pp._process_overhead_s(key) == (0.0, meta["roundtrip_s"])
     assert pp.shutdown_pools() >= 1
     assert key not in pp._POOLS and key not in pp._POOL_META
-
-
-def test_mode_kwarg_overrides_config():
-    stats = StatSet("dispatch")
-    parallel_map(_square, list(range(20)), jobs=2, mode="thread", stats=stats,
-                 config=ParallelConfig(mode="process"))
-    assert stats.counter("mode_thread").count == 1
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ConfigurationError, match="unknown parallel mode"):
-        parallel_map(_square, [1, 2, 3, 4], jobs=2, mode="bogus")
-    with pytest.raises(ConfigurationError, match="unknown parallel mode"):
-        parallel_map(_square, [1, 2, 3, 4], jobs=2,
-                     config=ParallelConfig(mode="bogus"))
-
-
-def test_thread_mode_propagates_exceptions():
-    with pytest.raises(ValueError, match="bad item"):
-        parallel_map(_boom, [1, 2, 3], jobs=2, mode="thread",
-                     config=ParallelConfig(inline_below=1))
 
 
 # ---------------------------------------------------------------------------
