@@ -296,6 +296,12 @@ class RMEConfig:
             )
 
     @property
+    def runs(self):
+        """The group as ``(offset, width)`` runs: the single run of Table 1
+        (the multi-run extension's surface)."""
+        return ((self.col_offset, self.col_width),)
+
+    @property
     def projected_bytes(self) -> int:
         """Total size of the packed column-group the RME will produce."""
         return self.col_width * self.row_count

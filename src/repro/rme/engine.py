@@ -304,8 +304,8 @@ class RMEngine:
         commit stage of a *parallel-lane* row filter (its write
         interleaving depends on content the replay cannot order), or
         state left behind by an interrupted fast-forward. Windowed,
-        multirun and unaligned-row epochs are handled by the general
-        replay ladder and no longer fall back.
+        multirun and unaligned-row epochs go through the same replay loop
+        as every other epoch and never fall back.
         """
         from ..sim.fastpath import MODE_PROJECT, MODE_REDUCTION, MODE_ROWFILTER
 
@@ -327,30 +327,6 @@ class RMEngine:
             return "interrupted", None
         return None, mode
 
-    def _start_fastforward(self, rows, w_bias: int, mode: str) -> None:
-        """Launch the current epoch through the analytical fast path.
-
-        Mirrors :meth:`_start_current_window`'s observable effects — the
-        session object, a fresh Requestor (for its statistics surface),
-        ``pipeline_starts`` — but commits the whole epoch's timing in one
-        call instead of starting any processes.
-        """
-        from ..sim import fastpath
-
-        session = _FetchSession(w_bias=w_bias)
-        self._session = session
-        dispatch = Store(self.sim, f"{self.name}-dispatch")
-        workers = self.design.outstanding_txns
-        self.requestor = Requestor(
-            self.sim, self.platform, dispatch, workers, f"{self.name}-requestor"
-        )
-        self.fetch_pool.result_sink = None
-        fastpath.fast_forward(self, rows, w_bias, mode)
-        self.stats.bump("pipeline_starts")
-        self.stats.bump("fastpath_hits")
-        emit(self.sim, "rme", "pipeline_start",
-             window=self._current_window, workers=workers)
-
     def _window_rows_range(self, window: int):
         """The row range of ``window`` (None = all rows, unwindowed)."""
         if not self._windowed:
@@ -361,25 +337,19 @@ class RMEngine:
 
     def _start_current_window(self) -> None:
         """Activation hook: launch the fetch pipeline for the current
-        window (the whole projection when not windowed)."""
+        window (the whole projection when not windowed).
+
+        Both paths share one session, dispatch store and Requestor. The
+        fast path commits the whole epoch in one call and keeps the
+        Requestor for its statistics surface; the cycle-level path starts
+        the Requestor, worker and supervisor processes.
+        """
+        from ..sim import fastpath
+
         if self.geometry is None:
             raise ConfigurationError("RME accessed before configuration")
-        if self.platform.fastpath:
-            reason, mode = self._fastpath_plan()
-            if reason is None:
-                window = self._current_window
-                w_bias = window * self._window_bytes if self._windowed else 0
-                self._start_fastforward(
-                    self._window_rows_range(window), w_bias, mode
-                )
-                return
-            from ..sim.fastpath import FALLBACK_TALLY
-
-            self._ff_interrupted = False  # one-shot: consumed by this start
-            self.stats.bump("fastpath_fallbacks")
-            self.stats.bump("fastpath_fallback_" + reason)
-            FALLBACK_TALLY[reason] = FALLBACK_TALLY.get(reason, 0) + 1
         window = self._current_window
+        rows = self._window_rows_range(window)
         session = _FetchSession(
             w_bias=window * self._window_bytes if self._windowed else 0
         )
@@ -389,12 +359,21 @@ class RMEngine:
         self.requestor = Requestor(
             self.sim, self.platform, dispatch, workers, f"{self.name}-requestor"
         )
-        if self._windowed:
-            first = window * self._window_rows
-            rows = range(first, min(self.geometry.row_count,
-                                    first + self._window_rows))
-        else:
-            rows = None
+        if self.platform.fastpath:
+            reason, mode = self._fastpath_plan()
+            if reason is None:
+                self.fetch_pool.result_sink = None
+                fastpath.fast_forward(self, rows, session.w_bias, mode)
+                self.stats.bump("pipeline_starts")
+                self.stats.bump("fastpath_hits")
+                emit(self.sim, "rme", "pipeline_start",
+                     window=window, workers=workers)
+                return
+            self._ff_interrupted = False  # one-shot: consumed by this start
+            self.stats.bump("fastpath_fallbacks")
+            self.stats.bump("fastpath_fallback_" + reason)
+            tally = fastpath.FALLBACK_TALLY
+            tally[reason] = tally.get(reason, 0) + 1
         self.sim.process(
             self.requestor.run(
                 self.geometry, rows, should_stop=lambda: session.cancelled

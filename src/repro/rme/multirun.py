@@ -102,7 +102,7 @@ class MultiRMEConfig:
         return cls(
             row_size=config.row_size,
             row_count=config.row_count,
-            runs=((config.col_offset, config.col_width),),
+            runs=config.runs,
         )
 
 

@@ -10,10 +10,11 @@ bit-identity contract constrains what may be batched:
   replay never imports numpy (whose import alone costs ~14 MB).
 * **Float totals** — float addition is not associative, so a total is in
   general accumulated by the same sequential loop the event-driven path
-  runs. Two *exact* shortcuts are taken when provably lossless: adding
-  ``0.0`` to a non-negative total is the identity, and runs of values
-  that are small multiples of ``1/_DYADIC_SCALE`` (the platform's timing
-  grid) are summed in integer arithmetic, which is exact below 2**53.
+  runs. Two *exact* shortcuts are taken for a constant list when
+  provably lossless: adding ``0.0`` to a non-negative total is the
+  identity, and small multiples of ``1/_DYADIC_SCALE`` (the platform's
+  timing grid) are summed in integer arithmetic, which is exact below
+  2**53.
 
 The PIM engine's comparator and bitmap sweeps (:func:`comparator_bits`,
 :func:`bitmap_and`, :func:`bitmap_or`) import numpy through one
@@ -50,7 +51,7 @@ def numpy_or_none():
 #: Most fetch-side timing values land on a coarse dyadic grid (PL cycles
 #: of 10 ns, DRAM timings in whole ns, AXI hops in halves); scaling by 16
 #: makes them integers, where addition is exact. PS-clock values (2/3 ns
-#: cycles) do not, so every run is checked before the shortcut is taken.
+#: cycles) do not, so every list is checked before the shortcut is taken.
 _DYADIC_SCALE = 16
 #: Integer magnitude below which float arithmetic on scaled values is exact.
 _EXACT_LIMIT = float(2**53)
@@ -90,25 +91,19 @@ def _sum_run_exact(total: float, value: float, n: int) -> Optional[float]:
 def add_total(start: float, values) -> float:
     """``start`` after sequentially adding every value, bit-identically.
 
-    Runs of equal values are collapsed through :func:`_sum_run_exact`
-    where exact; everything else falls back to the element loop.
+    A constant list (one C-speed ``count``) collapses through
+    :func:`_sum_run_exact` where exact; anything else runs the element
+    loop, which is the reference itself — and, for a mixed list, faster
+    than scanning it for runs in Python.
     """
-    total = start
-    i = 0
     n = len(values)
-    while i < n:
-        value = values[i]
-        j = i + 1
-        while j < n and values[j] == value:
-            j += 1
-        run = j - i
-        shortcut = _sum_run_exact(total, value, run)
-        if shortcut is None:
-            for _ in range(run):
-                total += value
-        else:
-            total = shortcut
-        i = j
+    if n and values.count(values[0]) == n:
+        shortcut = _sum_run_exact(start, values[0], n)
+        if shortcut is not None:
+            return shortcut
+    total = start
+    for value in values:
+        total += value
     return total
 
 
@@ -140,8 +135,8 @@ def bulk_observe(histogram, values) -> None:
 
     ``count``, ``min``/``max``, underflow and bucket tallies are order-free
     and computed in bulk; ``total`` goes through :func:`add_total`, which
-    preserves the sequential float-accumulation order (with exact-run
-    shortcuts only). Replayed observations repeat heavily (a steady-state
+    preserves the sequential float-accumulation order (with the exact
+    constant-list shortcut only). Replayed observations repeat heavily (a steady-state
     epoch waits the same few durations over and over), so each distinct
     value is bucketed once — with the expression of
     :meth:`repro.sim.stats.Histogram.observe` — and credited its

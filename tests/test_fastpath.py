@@ -2,8 +2,8 @@
 
 The fast path (``repro.sim.fastpath``) must be *invisible* in every
 simulated observable — elapsed nanoseconds, query answers, statistics —
-and must refuse to engage whenever the epoch is not the homogeneous,
-isolated descriptor stream it transcribes. These tests pin both halves:
+and must refuse to engage whenever the epoch is not an isolated,
+reconstructible descriptor stream. These tests pin both halves:
 cycle-level (``fastpath=False``) and fast-forwarded runs are compared
 bit-for-bit, and every fallback trigger is exercised and asserted via
 the engine's ``fastpath_fallback_<reason>`` counters.
@@ -32,6 +32,7 @@ from repro.query.queries import Query, q1, q2, q4, q7
 from repro.rme.designs import BSL, MLP, PCK
 from repro.sim.fastpath import FALLBACK_TALLY, FORWARDED_EPOCHS
 from tests.conftest import build_relation
+from tests.test_replay_property import _registry_snapshot
 
 FASTPATH = dataclasses.replace(ZCU102, fastpath=True)
 #: The reference every fast run is compared against, pinned explicitly.
@@ -178,22 +179,35 @@ def test_windowed_mode_fast_forwards_each_window():
             == slow_sys.rme.stats.count("window_switches"))
 
 
-def test_multirun_geometry_fast_forwards():
-    query = q2("A1", "A3")  # non-contiguous columns -> multi-run geometry
-    kwargs = dict(columns=["A1", "A3"],
+#: A 40-byte run followed by a 4-byte one: the narrow descriptor's
+#: one-beat burst leaves the extractor before the wide one's three-beat
+#: burst, so on MLP every row's two writes reach the port out of emission
+#: order, and the replay must serve them in extractor-completion order.
+WIDE_THEN_NARROW = [f"A{i}" for i in range(1, 11)] + ["A12"]
+
+
+@pytest.mark.parametrize(
+    "columns", [["A1", "A3"], WIDE_THEN_NARROW],
+    ids=["two-runs", "wide-then-narrow"],
+)
+def test_multirun_geometry_fast_forwards(columns):
+    # Non-contiguous columns -> multi-run geometry.
+    query = q2(columns[0], columns[-1])
+    kwargs = dict(columns=columns,
                   var_kwargs={"allow_noncontiguous": True})
     result, system = _run(FASTPATH, query=query, **kwargs)
     assert system.rme.stats.count("fastpath_hits") >= 1
     assert system.rme.stats.count("fastpath_fallbacks") == 0
-    slow, _ = _run(CYCLE_LEVEL, query=query, **kwargs)
-    assert result.elapsed_ns == slow.elapsed_ns
-    assert result.value == slow.value
+    slow, slow_sys = _run(CYCLE_LEVEL, query=query, **kwargs)
+    assert (result.elapsed_ns, result.value, system.sim.now) == (
+        slow.elapsed_ns, slow.value, slow_sys.sim.now)
+    assert _registry_snapshot(system) == _registry_snapshot(slow_sys)
 
 
 @pytest.mark.parametrize("design", [BSL, PCK, MLP])
 def test_unaligned_rows_fast_forward(design):
     # 3 cols x 4 B = 12-byte rows: not a multiple of the 16-byte bus beat,
-    # so burst lengths drift between descriptors (general replay ladder).
+    # so lead skips and burst lengths drift between descriptors.
     def run(platform):
         table = build_relation(n_rows=256, n_cols=3)
         system = RelationalMemorySystem(platform, design)
@@ -207,6 +221,29 @@ def test_unaligned_rows_fast_forward(design):
     slow, _ = run(CYCLE_LEVEL)
     assert fast.elapsed_ns == slow.elapsed_ns
     assert fast.value == slow.value
+
+
+@pytest.mark.parametrize("design", [BSL, PCK, MLP])
+def test_group_wider_than_a_line_fast_forwards(design):
+    # A 148-byte group out of 256-byte rows: most writes span three packed
+    # lines, and the middle one completes with that write alone.
+    columns = [f"A{i}" for i in range(3, 40)]
+
+    def run(platform):
+        table = build_relation(n_rows=256, n_cols=64)
+        system = RelationalMemorySystem(platform, design)
+        loaded = system.load_table(table)
+        var = system.register_var(loaded, columns)
+        query = q2(columns[0], columns[-1])
+        return QueryExecutor(system).run_rme(query, var), system
+
+    fast, system = run(FASTPATH)
+    assert system.rme.stats.count("fastpath_hits") >= 1
+    assert system.rme.stats.count("fastpath_fallbacks") == 0
+    slow, slow_sys = run(CYCLE_LEVEL)
+    assert (fast.elapsed_ns, fast.value, system.sim.now) == (
+        slow.elapsed_ns, slow.value, slow_sys.sim.now)
+    assert _registry_snapshot(system) == _registry_snapshot(slow_sys)
 
 
 def test_parallel_rowfilter_pushdown_forces_cycle_level():

@@ -41,7 +41,7 @@ def _jsonable(value):
 def _windowed_epoch(platform):
     """A window-switching projection: the buffer holds a quarter of the
     projected column, so the scan crosses several reorganization windows
-    (the general replay ladder with a nonzero write bias)."""
+    (the replay with a nonzero write bias)."""
     from repro import QueryExecutor, RelationalMemorySystem
     from repro.query.queries import q1
     from repro.rme.designs import MLP

@@ -1,7 +1,8 @@
 """Property test: batched replay is bit-identical to per-event simulation.
 
 Hypothesis drives randomized epoch mixes — projection / windowed /
-multirun / pushdown-aggregation epochs across designs, cold and hot —
+multirun (including a group whose writes reach the port out of emission
+order) / pushdown-aggregation epochs across designs, cold and hot —
 and asserts that the fast-forward replay produces *exactly* the
 simulated observables of the cycle-level run: elapsed nanoseconds,
 query answers, final simulation time, and the full instrument contents
@@ -18,7 +19,7 @@ cold epoch left behind) must stay indistinguishable too.
 
 import dataclasses
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import QueryExecutor, RelationalMemorySystem
@@ -30,6 +31,13 @@ from tests.conftest import build_relation
 
 FASTPATH = dataclasses.replace(ZCU102, fastpath=True)
 CYCLE_LEVEL = dataclasses.replace(ZCU102, fastpath=False)
+
+#: Multi-run column groups: two narrow runs, and a wide run followed by a
+#: narrow one (its writes reach the port out of emission order on MLP).
+MULTIRUN_GROUPS = (
+    ("A1", "A3"),
+    tuple(f"A{i}" for i in range(1, 11)) + ("A12",),
+)
 
 
 def _registry_snapshot(system) -> dict:
@@ -56,7 +64,7 @@ def _registry_snapshot(system) -> dict:
     return snap
 
 
-def _execute(platform, *, kind, design, n_rows, hot):
+def _execute(platform, *, kind, design, n_rows, hot, group):
     """One full run; returns (answer tuple, final sim time, snapshot)."""
     table = build_relation(n_rows=n_rows)
     if kind == "aggregate":
@@ -74,9 +82,9 @@ def _execute(platform, *, kind, design, n_rows, hot):
         var_kwargs = {}
         query = q1("A1")
         if kind == "multirun":
-            columns = ["A1", "A3"]
+            columns = list(group)
             var_kwargs = {"allow_noncontiguous": True}
-            query = q2("A1", "A3")
+            query = q2(group[0], group[-1])
         elif kind == "windowed":
             kwargs["buffer_capacity"] = 256
             var_kwargs = {"windowed": True}
@@ -97,9 +105,13 @@ def _execute(platform, *, kind, design, n_rows, hot):
     design=st.sampled_from([BSL, PCK, MLP]),
     n_rows=st.sampled_from([128, 192, 256]),
     hot=st.booleans(),
+    group=st.sampled_from(MULTIRUN_GROUPS),
 )
-def test_batched_replay_bit_identical(kind, design, n_rows, hot):
-    case = dict(kind=kind, design=design, n_rows=n_rows, hot=hot)
+@example(kind="multirun", design=MLP, n_rows=128, hot=False,
+         group=MULTIRUN_GROUPS[1])
+def test_batched_replay_bit_identical(kind, design, n_rows, hot, group):
+    case = dict(kind=kind, design=design, n_rows=n_rows, hot=hot,
+                group=group)
     reference = _execute(CYCLE_LEVEL, **case)
 
     saved = vector._NUMPY

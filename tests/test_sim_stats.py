@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.sim import Counter, Gauge, Histogram, StatSet
+from repro.sim.vector import add_total, bulk_add, bulk_add_repeated, bulk_observe
 
 
 def test_counter_counts_and_totals():
@@ -177,3 +178,63 @@ def test_statset_reset_round_trip_all_instruments():
     stats.observe("h", 5.0)
     assert stats.percentile("h", 50) == 5.0
     assert stats.percentile("never_observed", 50) == 0.0
+
+
+# -- bulk replay helpers -----------------------------------------------------------
+
+#: One PS cycle (1000 / 1500 MHz): not on the dyadic grid, so runs of it
+#: take the sequential path.
+PS_CYCLE = 1000.0 / 1500.0
+
+BULK_INPUTS = {
+    "ps-grid": [PS_CYCLE] * 40,
+    "ps-grid-multiple": [7 * PS_CYCLE] * 25,
+    "dyadic": [10.0] * 64,
+    "dyadic-half": [0.5] * 33,
+    "ints": [64] * 20,
+    "float-zeros": [0.0] * 12,
+    "int-zeros": [0] * 5,
+    "signed-zeros": [-0.0, 0.0, -0.0],
+    "mixed-runs": ([2.5] * 3 + [PS_CYCLE] * 4 + [0.0] * 2 + [7] * 5
+                   + [-1.5, 3.25, 3.25]),
+}
+
+
+def _counter_state(counter):
+    return counter.count, repr(counter.total)
+
+
+def _histogram_state(histogram):
+    return (histogram.count, repr(histogram.total), histogram.min,
+            histogram.max, histogram._underflow,
+            sorted(histogram._buckets.items()))
+
+
+@pytest.mark.parametrize("start", [0.0, -0.0, 1.0 / 3.0],
+                         ids=["zero", "negative-zero", "third"])
+@pytest.mark.parametrize("values", list(BULK_INPUTS.values()),
+                         ids=list(BULK_INPUTS))
+def test_bulk_helpers_match_element_loop(values, start):
+    loop = Counter("x")
+    loop.total = start
+    for value in values:
+        loop.add(value)
+    assert repr(add_total(start, values)) == repr(loop.total)
+    bulk = Counter("x")
+    bulk.total = start
+    bulk_add(bulk, values)
+    assert _counter_state(bulk) == _counter_state(loop)
+    if len({repr(value) for value in values}) == 1:
+        repeated = Counter("x")
+        repeated.total = start
+        bulk_add_repeated(repeated, len(values), values[0])
+        assert _counter_state(repeated) == _counter_state(loop)
+
+    loop_histogram = Histogram("h")
+    loop_histogram.total = start
+    for value in values:
+        loop_histogram.observe(value)
+    bulk_histogram = Histogram("h")
+    bulk_histogram.total = start
+    bulk_observe(bulk_histogram, values)
+    assert _histogram_state(bulk_histogram) == _histogram_state(loop_histogram)
