@@ -20,7 +20,7 @@ Scenarios:
   compared via the report's determinism fingerprint.
 * ``windowed`` — a projection larger than the reorganization buffer
   (one fast-forwarded epoch per window).
-* ``multirun`` — non-contiguous columns (a multi-run geometry).
+* ``multirun`` — non-contiguous columns (a two-run configuration).
 * ``pushdown`` — a hardware aggregation plus a single-lane selection.
 
 The serving profile memo is invalidated before each measurement, so the
@@ -246,7 +246,7 @@ def _scenario_windowed(quick: bool, jobs: Optional[int]) -> Callable[[PlatformCo
 
 
 def _scenario_multirun(quick: bool, jobs: Optional[int]) -> Callable[[PlatformConfig], object]:
-    """Non-contiguous columns (a MultiRMEConfig with several runs)."""
+    """Non-contiguous columns (an RMEConfig with several runs)."""
     n_rows = 512 if quick else 2048
 
     def run(platform: PlatformConfig):

@@ -9,8 +9,10 @@ Two configuration surfaces are defined here:
   (DRAM timings, bus widths, clock-domain-crossing penalties).
 
 * :class:`RMEConfig` — the runtime configuration port of the Relational
-  Memory Engine, i.e. the four registers of the paper's Table 1: row size
-  ``R``, row count ``N``, column width ``C_An`` and row offset ``O_An``.
+  Memory Engine: row size ``R``, row count ``N`` and one width/offset
+  pair ``(C_j, O_j)`` per contiguous run of the requested columns. One
+  run is the paper's Table 1 (``C_An``, ``O_An``); several runs are its
+  non-contiguous future-work extension.
 
 All times are expressed in nanoseconds and all sizes in bytes.
 """
@@ -18,6 +20,7 @@ All times are expressed in nanoseconds and all sizes in bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import List, Tuple
 
 from .errors import ConfigurationError
 
@@ -251,55 +254,71 @@ ZCU102 = PlatformConfig()
 
 @dataclass(frozen=True)
 class RMEConfig:
-    """The RME configuration port — the four registers of the paper's Table 1.
+    """The RME configuration port: the registers of the paper's Table 1.
 
-    ======  =========  ==========================================
-    field   register   description
-    ======  =========  ==========================================
-    ``R``   base+0x00  database tuple width (bytes)
-    ``N``   base+0x04  database tuple count
-    ``C``   base+0x08  width of the requested column group (bytes)
-    ``O``   base+0x0c  offset of the first requested column (bytes)
-    ======  =========  ==========================================
+    ========  ==============  ==============================================
+    field     register        description
+    ========  ==============  ==============================================
+    ``R``     base+0x00       database tuple width (bytes)
+    ``N``     base+0x04       database tuple count
+    ``C_j``   base+0x08 + 8j  width of run ``j`` of the column group (bytes)
+    ``O_j``   base+0x0c + 8j  offset of run ``j`` in the row (bytes)
+    ========  ==============  ==============================================
+
+    ``runs`` holds the requested columns as ``(offset, width)`` pairs in
+    row order. Table 1's contiguous group (``C_An``, ``O_An``) is the
+    one-run case. Several runs program a non-contiguous group, the
+    paper's future work (Section 8): the Requestor emits one descriptor
+    per run per row, and a row's runs pack back to back in the
+    reorganization buffer, like Listing 2's num_fld1, num_fld3 and
+    num_fld4. Gaps cost only throughput: one descriptor per run instead
+    of one per row.
+
+    Table 1's four writes for one column group, then Listing 2's six for
+    two runs of a 96-byte row:
+
+    >>> table1 = RMEConfig(row_size=64, row_count=100, runs=((8, 4),))
+    >>> [(f"{addr:#04x}", value) for addr, value in table1.register_writes()]
+    [('0x00', 64), ('0x04', 100), ('0x08', 4), ('0x0c', 8)]
+    >>> listing2 = RMEConfig(row_size=96, row_count=32, runs=((64, 8), (80, 16)))
+    >>> [(f"{addr:#04x}", value) for addr, value in listing2.register_writes()]
+    [('0x00', 96), ('0x04', 32), ('0x08', 8), ('0x0c', 64), ('0x10', 16), ('0x14', 80)]
     """
 
     row_size: int
     row_count: int
-    col_width: int
-    col_offset: int
-
-    #: Register offsets, as documented in Table 1.
-    REGISTER_MAP = {
-        "row_size": 0x00,
-        "row_count": 0x04,
-        "col_width": 0x08,
-        "col_offset": 0x0C,
-    }
+    runs: Tuple[Tuple[int, int], ...]  #: (offset, width) pairs, row order
 
     def validate(self) -> None:
         if self.row_size <= 0:
             raise ConfigurationError("row size R must be positive")
         if self.row_count <= 0:
             raise ConfigurationError("row count N must be positive")
-        if not 0 < self.col_width <= self.row_size:
-            raise ConfigurationError(
-                f"column width {self.col_width} must be in (0, R={self.row_size}]"
-            )
-        if not 0 <= self.col_offset < self.row_size:
-            raise ConfigurationError(
-                f"column offset {self.col_offset} must be in [0, R={self.row_size})"
-            )
-        if self.col_offset + self.col_width > self.row_size:
-            raise ConfigurationError(
-                "requested column group extends past the end of the row: "
-                f"O={self.col_offset} + C={self.col_width} > R={self.row_size}"
-            )
+        if not self.runs:
+            raise ConfigurationError("a column group needs at least one run")
+        previous_end = 0
+        for offset, width in self.runs:
+            if width <= 0:
+                raise ConfigurationError(f"run width {width} must be positive")
+            if offset < 0 or offset + width > self.row_size:
+                raise ConfigurationError(
+                    f"run [{offset}, +{width}) outside the {self.row_size}-byte row"
+                )
+            if offset < previous_end:
+                raise ConfigurationError(
+                    "runs must be sorted by offset and non-overlapping"
+                )
+            previous_end = offset + width
 
     @property
-    def runs(self):
-        """The group as ``(offset, width)`` runs: the single run of Table 1
-        (the multi-run extension's surface)."""
-        return ((self.col_offset, self.col_width),)
+    def col_width(self) -> int:
+        """Packed element width ``C``: the sum of the run widths."""
+        return sum(width for _offset, width in self.runs)
+
+    @property
+    def col_offset(self) -> int:
+        """Offset ``O`` of the first run."""
+        return self.runs[0][0]
 
     @property
     def projected_bytes(self) -> int:
@@ -316,11 +335,10 @@ class RMEConfig:
         """Fraction of each row that the query actually needs."""
         return self.col_width / self.row_size
 
-    def register_writes(self, base: int = 0) -> list:
+    def register_writes(self, base: int = 0) -> List[Tuple[int, int]]:
         """The (address, value) register writes a driver would issue."""
-        return [
-            (base + self.REGISTER_MAP["row_size"], self.row_size),
-            (base + self.REGISTER_MAP["row_count"], self.row_count),
-            (base + self.REGISTER_MAP["col_width"], self.col_width),
-            (base + self.REGISTER_MAP["col_offset"], self.col_offset),
-        ]
+        writes = [(base + 0x00, self.row_size), (base + 0x04, self.row_count)]
+        for index, (offset, width) in enumerate(self.runs):
+            writes.append((base + 0x08 + 8 * index, width))
+            writes.append((base + 0x0C + 8 * index, offset))
+        return writes

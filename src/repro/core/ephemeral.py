@@ -1,10 +1,11 @@
 """Ephemeral variables — the paper's software/hardware interface.
 
 An ephemeral variable (Listings 2 and 4) is a pointer-like object over a
-*contiguous column group* of a loaded row table. It has an address range
-(the PL alias region) that never corresponds to main-memory data: CPU
-accesses to it are trapped by the RME, which projects the group out of
-the row-store on the fly.
+*column group* of a loaded row table: one contiguous run of columns, as
+in the paper's prototype, or several runs packed back to back. It has an
+address range (the PL alias region) that never corresponds to
+main-memory data: CPU accesses to it are trapped by the RME, which
+projects the group out of the row-store on the fly.
 
 The object carries both faces of the co-design:
 
@@ -163,15 +164,9 @@ class FilteredEphemeralVariable(EphemeralVariable):
 
     def values(self) -> List[Tuple[Any, ...]]:
         """Only the rows the hardware predicate keeps (after MVCC)."""
-        rows = super().values()
-        return [row for row in rows if self._row_matches(row)]
-
-    def _row_matches(self, row: Tuple[Any, ...]) -> bool:
-        packed = b"".join(
-            col.ctype.pack(value)
-            for col, value in zip(self.group_schema.columns, row)
-        )
-        return self.pushdown.matches(packed)
+        pack = self.group_schema.pack_row
+        matches = self.pushdown.matches
+        return [row for row in super().values() if matches(pack(row))]
 
     @property
     def matched_length(self) -> int:
@@ -205,33 +200,11 @@ class HWAggregateVariable(EphemeralVariable):
 
     def expected_result(self) -> int:
         """The functional answer, computed from the stored values."""
-        matching = super().values()
-        agg = self.pushdown
-        kept = [
-            row for row in matching
-            if agg.predicate is None or self._row_passes(row, agg.predicate)
-        ]
-        if agg.func == "count":
-            return len(kept)
-        samples = [self._field_of(row, agg) for row in kept]
-        if not samples:
-            raise QueryError(f"PL {agg.func} aggregate saw no matching rows")
-        return {"sum": sum, "min": min, "max": max}[agg.func](samples)
-
-    def _row_passes(self, row, predicate) -> bool:
-        packed = self._pack_row(row)
-        return predicate.matches(packed)
-
-    def _field_of(self, row, agg) -> int:
-        packed = self._pack_row(row)
-        raw = packed[agg.field_offset : agg.field_offset + agg.field_width]
-        return int.from_bytes(raw, "little", signed=True)
-
-    def _pack_row(self, row) -> bytes:
-        return b"".join(
-            col.ctype.pack(value)
-            for col, value in zip(self.group_schema.columns, row)
-        )
+        accumulator = _accumulate(self)
+        func = self.pushdown.func
+        if func != "count" and not accumulator.count:
+            raise QueryError(f"PL {func} aggregate saw no matching rows")
+        return accumulator.result()
 
     def scan_segment(self, compute_ns: float = 0.0, passes: int = 1) -> List[ScanSegment]:
         """One 8-byte register read per pass."""
@@ -260,17 +233,7 @@ class HWGroupByVariable(EphemeralVariable):
 
     def expected_result(self) -> dict:
         """The functional {key: aggregate} answer from the stored values."""
-        cfg = self.pushdown
-        accumulator = cfg.make_accumulator()
-        for row in super().values():
-            accumulator.feed(self._pack_row(row))
-        return accumulator.result()
-
-    def _pack_row(self, row) -> bytes:
-        return b"".join(
-            col.ctype.pack(value)
-            for col, value in zip(self.group_schema.columns, row)
-        )
+        return _accumulate(self).result()
 
     @property
     def n_groups(self) -> int:
@@ -287,3 +250,12 @@ class HWGroupByVariable(EphemeralVariable):
             name=f"read:{self.name}:groups",
         )
         return [segment] * passes
+
+
+def _accumulate(var: EphemeralVariable):
+    """The variable's PL accumulator, fed every stored row of its group."""
+    accumulator = var.pushdown.make_accumulator()
+    pack = var.group_schema.pack_row
+    for row in var.values():
+        accumulator.feed(pack(row))
+    return accumulator

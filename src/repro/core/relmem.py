@@ -5,8 +5,9 @@ against. It owns one simulated platform instance and provides:
 
 * ``load_table`` — place a row-store in simulated DRAM;
 * ``load_column_group`` — materialise a columnar copy (baseline only);
-* ``register_var`` — create an ephemeral variable over a contiguous
-  column group (the paper's ``register_var`` of Listing 4);
+* ``register_var`` — create an ephemeral variable over a column group
+  (the paper's ``register_var`` of Listing 4), contiguous unless the
+  caller allows several runs;
 * ``activate`` — program the RME configuration port for a variable
   (cold); re-activating the already-active variable keeps the buffer hot;
 * ``measure`` — price an access pattern (a list of scan segments) in
@@ -43,6 +44,28 @@ from .ephemeral import EphemeralVariable
 #: Padding appended to every table region so bus-aligned RME bursts at the
 #: last row never cross out of the mapped region.
 _REGION_PAD = 64
+
+
+def _hw_selection(group: Schema, predicate_column, op, constant):
+    """The PL comparator ``predicate_column OP constant`` over the packed
+    group, or None when none of the three is given."""
+    from ..rme.pushdown import HWSelection
+
+    given = {"predicate_column": predicate_column, "op": op, "constant": constant}
+    missing = [name for name, value in given.items() if value is None]
+    if len(missing) == len(given):
+        return None
+    if missing:
+        raise ConfigurationError(
+            "a pushdown predicate needs predicate_column, op and constant; "
+            f"missing {', '.join(missing)}"
+        )
+    return HWSelection(
+        field_offset=group.offset_of(predicate_column),
+        field_width=group.column(predicate_column).size,
+        op=op,
+        constant=constant,
+    )
 
 
 @dataclass
@@ -327,48 +350,15 @@ class RelationalMemorySystem:
         (call :meth:`activate` before accessing it).
 
         By default the columns must be contiguous (the paper's prototype
-        constraint). ``allow_noncontiguous=True`` enables the extended
-        multi-run engine configuration — the paper's future-work item —
-        which packs each row's runs back to back (Listing 2's layout).
+        constraint). ``allow_noncontiguous=True`` programs one ``(O, C)``
+        pair per contiguous run of the columns — the paper's future-work
+        item — and the engine packs each row's runs back to back
+        (Listing 2's layout).
         """
-        from ..rme.multirun import MultiRMEConfig
-
-        n_rows = loaded.table.n_rows
-        if loaded.loaded_rows != n_rows:
-            raise ConfigurationError(
-                f"table {loaded.name!r} has unsynced appends; call sync_table()"
-            )
-        runs = loaded.schema.column_runs(columns)
-        if len(runs) == 1:
-            offset, width = runs[0]
-            config = RMEConfig(
-                row_size=loaded.schema.row_size,
-                row_count=n_rows,
-                col_width=width,
-                col_offset=offset,
-            )
-        elif allow_noncontiguous:
-            config = MultiRMEConfig(
-                row_size=loaded.schema.row_size,
-                row_count=n_rows,
-                runs=tuple(runs),
-            )
-        else:
-            # Raises SchemaError with the prototype-constraint explanation.
-            loaded.schema.column_group(columns)
-            raise AssertionError("unreachable")  # pragma: no cover
-        # The alias region is sized exactly: no padding, so neither demand
-        # accesses nor prefetches can reach past the projection.
-        line = self.platform.cache_line
-        region_size = -(-config.projected_bytes // line) * line
-        region = self.memmap.map(f"eph:{next(self._names)}:{loaded.name}", region_size, kind="pl")
-        self.hierarchy.add_backend(region, self.rme)
-        var = EphemeralVariable(
-            self, loaded, columns, config, region, snapshot_ts, windowed=windowed
+        return self._register(
+            loaded, columns, snapshot_ts, activate,
+            allow_noncontiguous=allow_noncontiguous, windowed=windowed,
         )
-        if activate:
-            self.activate(var)
-        return var
 
     def register_filtered_var(
         self,
@@ -387,7 +377,6 @@ class RelationalMemorySystem:
         the CPU never sees the rest. ``predicate_column`` must belong to
         the (contiguous) column group.
         """
-        from ..rme.pushdown import HWSelection
         from .ephemeral import FilteredEphemeralVariable
 
         offset, width = loaded.schema.column_group(columns)
@@ -397,15 +386,10 @@ class RelationalMemorySystem:
                 f"predicate column {predicate_column!r} must be inside the "
                 f"projected group {list(columns)}"
             )
-        selection = HWSelection(
-            field_offset=group.offset_of(predicate_column),
-            field_width=group.column(predicate_column).size,
-            op=op,
-            constant=constant,
-        )
         return self._register(
             loaded, columns, snapshot_ts, activate,
-            cls=FilteredEphemeralVariable, pushdown=selection,
+            cls=FilteredEphemeralVariable,
+            pushdown=_hw_selection(group, predicate_column, op, constant),
         )
 
     def register_hw_aggregate(
@@ -425,7 +409,7 @@ class RelationalMemorySystem:
         the rows (``predicate_column OP constant``); the predicate column
         is included in the projected group automatically.
         """
-        from ..rme.pushdown import HWAggregation, HWSelection
+        from ..rme.pushdown import HWAggregation
         from .ephemeral import HWAggregateVariable
 
         columns = [column]
@@ -434,23 +418,11 @@ class RelationalMemorySystem:
                 sorted({column, predicate_column}, key=loaded.schema.index_of)
             )
         group = loaded.schema.group_schema(columns)
-        predicate = None
-        if predicate_column is not None:
-            if op is None or constant is None:
-                raise ConfigurationError(
-                    "a pushdown predicate needs both op and constant"
-                )
-            predicate = HWSelection(
-                field_offset=group.offset_of(predicate_column),
-                field_width=group.column(predicate_column).size,
-                op=op,
-                constant=constant,
-            )
         aggregation = HWAggregation(
             func=func,
             field_offset=group.offset_of(column),
             field_width=group.column(column).size,
-            predicate=predicate,
+            predicate=_hw_selection(group, predicate_column, op, constant),
         )
         return self._register(
             loaded, columns, None, activate,
@@ -510,7 +482,7 @@ class RelationalMemorySystem:
         the Section 4 encodings); the CPU receives one 16-byte entry per
         group instead of the whole column.
         """
-        from ..rme.pushdown import HWGroupBy, HWSelection
+        from ..rme.pushdown import HWGroupBy
         from .ephemeral import HWGroupByVariable
 
         wanted = {agg_column, group_column}
@@ -520,25 +492,13 @@ class RelationalMemorySystem:
             sorted(wanted, key=loaded.schema.index_of)
         )
         group = loaded.schema.group_schema(columns)
-        predicate = None
-        if predicate_column is not None:
-            if op is None or constant is None:
-                raise ConfigurationError(
-                    "a pushdown predicate needs both op and constant"
-                )
-            predicate = HWSelection(
-                field_offset=group.offset_of(predicate_column),
-                field_width=group.column(predicate_column).size,
-                op=op,
-                constant=constant,
-            )
         group_by = HWGroupBy(
             group_offset=group.offset_of(group_column),
             group_width=group.column(group_column).size,
             func=func,
             agg_offset=group.offset_of(agg_column),
             agg_width=group.column(agg_column).size,
-            predicate=predicate,
+            predicate=_hw_selection(group, predicate_column, op, constant),
             max_groups=max_groups,
         )
         return self._register(
@@ -553,12 +513,20 @@ class RelationalMemorySystem:
         columns: Sequence[str],
         snapshot_ts,
         activate: bool,
-        cls,
-        pushdown,
+        allow_noncontiguous: bool = False,
+        windowed: bool = False,
+        cls=EphemeralVariable,
+        pushdown=None,
         region_bytes: Optional[int] = None,
     ) -> EphemeralVariable:
-        """Shared plumbing for the pushdown variable flavours."""
-        if loaded.versioned is not None:
+        """Build the variable's configuration, map and route its alias
+        region, and activate it: every ``register_*`` method ends here.
+
+        ``region_bytes`` sizes a reduction's result region. Otherwise the
+        alias region is sized exactly: no padding, so neither demand
+        accesses nor prefetches can reach past the projection.
+        """
+        if pushdown is not None and loaded.versioned is not None:
             # The PL comparator would see every physical version, including
             # superseded ones, and silently disagree with snapshot reads.
             # Supporting this needs timestamp awareness in the engine
@@ -568,29 +536,27 @@ class RelationalMemorySystem:
                 "operator pushdown over MVCC-versioned tables is not "
                 "supported; use a plain ephemeral variable"
             )
-        offset, width = loaded.schema.column_group(columns)
         n_rows = loaded.table.n_rows
         if loaded.loaded_rows != n_rows:
             raise ConfigurationError(
                 f"table {loaded.name!r} has unsynced appends; call sync_table()"
             )
+        runs = loaded.schema.column_runs(columns)
+        if len(runs) > 1 and not allow_noncontiguous:
+            # Raises SchemaError with the prototype-constraint explanation.
+            loaded.schema.column_group(columns)
         config = RMEConfig(
-            row_size=loaded.schema.row_size,
-            row_count=n_rows,
-            col_width=width,
-            col_offset=offset,
+            row_size=loaded.schema.row_size, row_count=n_rows, runs=tuple(runs)
         )
         line = self.platform.cache_line
         size = region_bytes if region_bytes is not None else (
             -(-config.projected_bytes // line) * line
         )
-        region = self.memmap.map(
-            f"eph:{next(self._names)}:{loaded.name}", size, kind="pl"
-        )
+        region = self.memmap.map(f"eph:{next(self._names)}:{loaded.name}", size, kind="pl")
         self.hierarchy.add_backend(region, self.rme)
         var = cls(
-            self, loaded, list(columns), config, region, snapshot_ts,
-            pushdown=pushdown,
+            self, loaded, columns, config, region, snapshot_ts,
+            windowed=windowed, pushdown=pushdown,
         )
         if activate:
             self.activate(var)

@@ -3,10 +3,10 @@
 The engine sits in the programmable logic between the CPU and main memory.
 Its six modules are modelled one-to-one:
 
-* :mod:`repro.rme.geometry` — the configuration port (Table 1) and the
-  request-descriptor equations (1)-(6).
+* :mod:`repro.rme.geometry` — the configuration port (Table 1, one
+  ``(O, C)`` pair per run) and the request-descriptor equations (1)-(6).
 * :mod:`repro.rme.requestor` — walks the table geometry and emits one
-  descriptor per row.
+  descriptor per row and run.
 * :mod:`repro.rme.fetch_unit` — Reader / Column Extractor / Writer; pulls
   the useful bytes of each row out of DRAM.
 * :mod:`repro.rme.reorg_buffer` — the data and metadata scratch-pad
@@ -27,15 +27,12 @@ from .designs import BSL, MLP, PCK, DesignParams, design_by_name
 from .engine import RMEngine
 from .geometry import TableGeometry
 from .descriptors import RequestDescriptor
-from .multirun import MultiRMEConfig, MultiRunTableGeometry
 from .pushdown import HWAggregation, HWGroupBy, HWJoinFilter, HWSelection
 from .resources import ResourceReport, estimate_resources
 
 __all__ = [
     "RMEngine",
     "TableGeometry",
-    "MultiRMEConfig",
-    "MultiRunTableGeometry",
     "HWSelection",
     "HWAggregation",
     "HWGroupBy",

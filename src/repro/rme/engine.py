@@ -4,8 +4,9 @@
 two surfaces:
 
 * a **configuration port** — :meth:`configure` latches a
-  :class:`repro.config.RMEConfig` (Table 1) or the multi-run extension and
-  resets the reorganization buffer, making the next access cold;
+  :class:`repro.config.RMEConfig` (Table 1, or several runs for a
+  non-contiguous group) and resets the reorganization buffer, making the
+  next access cold;
 * a **CPU-facing line port** — :meth:`read_line` implements the memory
   hierarchy's backend protocol, so the cache subsystem routes ephemeral-
   region misses here exactly like it routes ordinary misses to DRAM.
@@ -123,7 +124,7 @@ class RMEngine:
     # -- configuration port -------------------------------------------------------
     def configure(
         self,
-        config,
+        config: RMEConfig,
         table_base: int,
         ephemeral_base: int,
         read_limit: Optional[int] = None,
@@ -132,31 +133,24 @@ class RMEngine:
     ):
         """Latch a new geometry; the buffer goes cold.
 
-        ``config`` is a Table-1 :class:`repro.config.RMEConfig` (one
-        contiguous run) or a :class:`repro.rme.multirun.MultiRMEConfig`
-        (the non-contiguous extension). ``read_limit`` clips bus-aligned
-        bursts so they never read past the table's mapped region (defaults
-        to the table's exact end). ``windowed=True`` allows projections
-        larger than the buffer, processed window by window. ``pushdown``
-        is an optional :class:`~repro.rme.pushdown.HWSelection` or
+        ``config`` is a :class:`repro.config.RMEConfig`: Table 1's single
+        contiguous run, or several runs for a non-contiguous group.
+        ``read_limit`` clips bus-aligned bursts so they never read past
+        the table's mapped region (defaults to the table's exact end).
+        ``windowed=True`` allows projections larger than the buffer,
+        processed window by window. ``pushdown`` is an optional
+        :class:`~repro.rme.pushdown.HWSelection` or
         :class:`~repro.rme.pushdown.HWAggregation` evaluated in the PL.
         """
-        from .multirun import MultiRMEConfig, MultiRunTableGeometry
         from .pushdown import HWAggregation, HWGroupBy, ROW_FILTERS
 
-        config.validate()
-        if isinstance(config, MultiRMEConfig):
-            if pushdown is not None:
+        geometry = TableGeometry(config, table_base, self.platform.axi_bus_bytes)
+        reductions = (HWAggregation, HWGroupBy)
+        if pushdown is not None:
+            if len(config.runs) != 1:
                 raise ConfigurationError(
                     "pushdown requires a single-run column group"
                 )
-            geometry = MultiRunTableGeometry(
-                config, table_base, self.platform.axi_bus_bytes
-            )
-        else:
-            geometry = TableGeometry(config, table_base, self.platform.axi_bus_bytes)
-        reductions = (HWAggregation, HWGroupBy)
-        if pushdown is not None:
             if windowed:
                 raise ConfigurationError(
                     "pushdown and windowed projections are mutually exclusive"

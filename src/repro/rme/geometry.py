@@ -1,9 +1,9 @@
 """Table geometry and the Requestor's descriptor equations.
 
-This module is the arithmetic heart of the RME: given the four
-configuration registers of Table 1 — row size ``R``, row count ``N``,
-column-group width ``C_An`` and row offset ``O_An`` — it produces, for each
-row ``i``, the request descriptor of Section 5 ("Requestor"):
+This module is the arithmetic heart of the RME: given the configuration
+registers of Table 1 — row size ``R``, row count ``N``, column-group width
+``C_An`` and row offset ``O_An`` — it produces, for each row ``i``, the
+request descriptor of Section 5 ("Requestor"):
 
 .. math::
 
@@ -17,12 +17,18 @@ row ``i``, the request descriptor of Section 5 ("Requestor"):
 where ``B_w`` is the platform bus width. Descriptors are always
 bus-aligned and use variable burst lengths so the engine "never fetches
 more data than strictly needed".
+
+A configuration with several ``(O_j, C_j)`` runs applies the same
+equations once per run: ``P_{i,j} = R * i + O_j``, the burst and edge
+markers use the run's width ``C_j``, and run ``j`` writes at
+``C * i + (C_0 + ... + C_{j-1})``, where ``C`` is the packed width of
+all runs together. Table 1's single run is the ``j = 0`` case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, List, Tuple
 
 from ..config import RMEConfig
 from ..errors import GeometryError
@@ -36,6 +42,13 @@ class TableGeometry:
     ``base_addr`` is the main-memory address of row 0 of the row-oriented
     table; ``bus_bytes`` the width of one bus beat (16 bytes on the
     ZCU102's PL-side memory port).
+
+    Each row yields one descriptor per run, and a row's runs pack back to
+    back in the reorganization buffer. The rest of the engine is the same
+    for any run count: the Monitor Bypass tracks packed-line completion by
+    byte counts alone. The only cost of gaps between runs is throughput,
+    since the Requestor emits, and the Fetch Units serve, one descriptor
+    per run instead of one per row.
     """
 
     config: RMEConfig
@@ -68,53 +81,68 @@ class TableGeometry:
         return self.config.col_width
 
     @property
-    def col_offset(self) -> int:
-        return self.config.col_offset
-
-    @property
     def projected_bytes(self) -> int:
         return self.config.projected_bytes
 
     # -- the paper's equations -----------------------------------------------------
-    def useful_start(self, row: int) -> int:
-        """Eq. (1): absolute position P_i of row ``i``'s useful bytes."""
-        self._check_row(row)
-        return self.base_addr + self.row_size * row + self.col_offset
+    def useful_start(self, row: int, run: int = 0) -> int:
+        """Eq. (1): absolute position P_i of run ``run``'s useful bytes in
+        row ``row``."""
+        self._check(row, run)
+        return self.base_addr + self.row_size * row + self.config.runs[run][0]
 
-    def descriptor(self, row: int) -> RequestDescriptor:
-        """Eqs. (2)-(6): the request descriptor for row ``i``."""
+    def descriptor(self, row: int, run: int = 0) -> RequestDescriptor:
+        """Eqs. (1)-(6): the request descriptor for run ``run`` of row ``row``."""
+        self._check(row, run)
+        return self._descriptor(row, *self._run_layout()[run], self.col_width)
+
+    def descriptors(self, rows: "range" = None) -> Iterator[RequestDescriptor]:
+        """Descriptors row-major, run-minor — the Requestor's output stream.
+
+        All of a row's runs complete together. ``rows`` restricts
+        generation to a row window (used by the windowed large-projection
+        mode); defaults to all N rows.
+        """
+        layout = self._run_layout()
+        packed = self.col_width
+        for row in rows if rows is not None else range(self.row_count):
+            for offset, width, prefix in layout:
+                yield self._descriptor(row, offset, width, prefix, packed)
+
+    def _descriptor(self, row: int, offset: int, width: int, prefix: int,
+                    packed: int) -> RequestDescriptor:
         bw = self.bus_bytes
-        p = self.useful_start(row)
-        r_addr = (p // bw) * bw
-        burst = -(-((p % bw) + self.col_width) // bw)
-        w_addr = self.col_width * row
-        lead = p % bw
-        trail = (p + self.col_width) % bw
+        p = self.base_addr + self.row_size * row + offset  # Eq. (1)
         return RequestDescriptor(
             row=row,
-            r_addr=r_addr,
-            burst=burst,
-            w_addr=w_addr,
-            lead_skip=lead,
-            trail_cut=trail,
-            col_width=self.col_width,
+            r_addr=(p // bw) * bw,  # Eq. (2)
+            burst=-(-((p % bw) + width) // bw),  # Eq. (3)
+            w_addr=packed * row + prefix,  # Eq. (4)
+            lead_skip=p % bw,  # Eq. (5)
+            trail_cut=(p + width) % bw,  # Eq. (6)
+            col_width=width,
             bus_bytes=bw,
         )
 
-    def descriptors(self, rows: "range" = None) -> Iterator[RequestDescriptor]:
-        """Descriptors in row order — the Requestor's output stream.
-
-        ``rows`` restricts generation to a row window (used by the
-        windowed large-projection mode); defaults to all N rows.
-        """
-        for row in rows if rows is not None else range(self.row_count):
-            yield self.descriptor(row)
-
     # -- helpers ----------------------------------------------------------------------
-    def _check_row(self, row: int) -> None:
+    def _run_layout(self) -> List[Tuple[int, int, int]]:
+        """Each run as ``(offset, width, packed prefix)``: where its bytes
+        sit in the row, and where they land in the row's packed element."""
+        layout = []
+        prefix = 0
+        for offset, width in self.config.runs:
+            layout.append((offset, width, prefix))
+            prefix += width
+        return layout
+
+    def _check(self, row: int, run: int) -> None:
         if not 0 <= row < self.row_count:
             raise GeometryError(
                 f"row {row} out of range [0, {self.row_count})"
+            )
+        if not 0 <= run < len(self.config.runs):
+            raise GeometryError(
+                f"run {run} out of range [0, {len(self.config.runs)})"
             )
 
     def packed_line_count(self, line_size: int = 64) -> int:

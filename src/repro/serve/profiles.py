@@ -12,7 +12,8 @@ measured scan machinery as always):
 * ``hot_ns`` — the same scan against the already-filled reorganization
   buffer (the executor's hot run);
 * ``program_ns`` — the cost of programming the configuration port: one
-  PS→PL register write per Table-1 (or multi-run) register, each paying
+  PS→PL register write per :meth:`~repro.config.RMEConfig.register_writes`
+  entry (Table 1's four for one run, two more per extra run), each paying
   the round-trip clock-domain crossing plus the PL-side transaction
   overhead.
 

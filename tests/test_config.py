@@ -100,25 +100,25 @@ def test_cache_geometry_rejects(size, assoc, line):
 
 
 def test_rme_config_register_map_matches_table1():
-    cfg = RMEConfig(row_size=64, row_count=100, col_width=4, col_offset=8)
+    cfg = RMEConfig(row_size=64, row_count=100, runs=((8, 4),))
     writes = dict(cfg.register_writes(base=0x1000))
     assert writes == {0x1000: 64, 0x1004: 100, 0x1008: 4, 0x100C: 8}
 
 
 def test_rme_config_derived_quantities():
-    cfg = RMEConfig(row_size=64, row_count=100, col_width=4, col_offset=0)
+    cfg = RMEConfig(row_size=64, row_count=100, runs=((0, 4),))
     assert cfg.projected_bytes == 400
     assert cfg.base_bytes == 6400
     assert cfg.projectivity == pytest.approx(4 / 64)
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(row_size=0, row_count=1, col_width=1, col_offset=0),
-    dict(row_size=64, row_count=0, col_width=1, col_offset=0),
-    dict(row_size=64, row_count=1, col_width=0, col_offset=0),
-    dict(row_size=64, row_count=1, col_width=65, col_offset=0),
-    dict(row_size=64, row_count=1, col_width=4, col_offset=64),
-    dict(row_size=64, row_count=1, col_width=8, col_offset=60),  # overruns row
+    dict(row_size=0, row_count=1, runs=((0, 1),)),
+    dict(row_size=64, row_count=0, runs=((0, 1),)),
+    dict(row_size=64, row_count=1, runs=((0, 0),)),
+    dict(row_size=64, row_count=1, runs=((0, 65),)),
+    dict(row_size=64, row_count=1, runs=((64, 4),)),
+    dict(row_size=64, row_count=1, runs=((60, 8),)),  # overruns row
 ])
 def test_rme_config_validation_rejects(kwargs):
     with pytest.raises(ConfigurationError):
@@ -126,4 +126,4 @@ def test_rme_config_validation_rejects(kwargs):
 
 
 def test_rme_config_full_row_projection_allowed():
-    RMEConfig(row_size=64, row_count=10, col_width=64, col_offset=0).validate()
+    RMEConfig(row_size=64, row_count=10, runs=((0, 64),)).validate()

@@ -91,7 +91,7 @@ def test_reconfigure_rearms_activation(sim):
 
 
 def test_requestor_emits_all_descriptors(sim):
-    geometry = TableGeometry(RMEConfig(64, 20, 4, 0), 0, 16)
+    geometry = TableGeometry(RMEConfig(64, 20, ((0, 4),)), 0, 16)
     dispatch = Store(sim)
     requestor = Requestor(sim, ZCU102, dispatch, n_consumers=2)
     received = []
@@ -114,7 +114,7 @@ def test_requestor_emits_all_descriptors(sim):
 
 
 def test_requestor_paces_one_descriptor_per_cycle(sim):
-    geometry = TableGeometry(RMEConfig(64, 10, 4, 0), 0, 16)
+    geometry = TableGeometry(RMEConfig(64, 10, ((0, 4),)), 0, 16)
     dispatch = Store(sim)
     requestor = Requestor(sim, ZCU102, dispatch, n_consumers=1)
     times = []
@@ -138,7 +138,7 @@ def test_requestor_paces_one_descriptor_per_cycle(sim):
 def test_requestor_backpressure_without_consumers(sim):
     """With no one retiring descriptors, the requestor stalls at its credit
     limit instead of flooding the queue."""
-    geometry = TableGeometry(RMEConfig(64, 100, 4, 0), 0, 16)
+    geometry = TableGeometry(RMEConfig(64, 100, ((0, 4),)), 0, 16)
     dispatch = Store(sim)
     requestor = Requestor(sim, ZCU102, dispatch, n_consumers=1)
     sim.process(requestor.run(geometry))

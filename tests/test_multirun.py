@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from repro import RelationalMemorySystem, RMEConfig
 from repro.bench.workloads import make_listing1_table
 from repro.errors import ConfigurationError, GeometryError, SchemaError
-from repro.rme import MultiRMEConfig, MultiRunTableGeometry
+from repro.rme import TableGeometry
 from tests.conftest import build_relation
 
 
-def listing2_config(n_rows=32) -> MultiRMEConfig:
+def listing2_config(n_rows=32) -> RMEConfig:
     """Listing 2's group over the 96-byte Listing 1 row: num_fld1 (offset
     64, 8 bytes) and num_fld3+num_fld4 (offset 80, 16 bytes)."""
-    return MultiRMEConfig(row_size=96, row_count=n_rows, runs=((64, 8), (80, 16)))
+    return RMEConfig(row_size=96, row_count=n_rows, runs=((64, 8), (80, 16)))
 
 
 # -- configuration -----------------------------------------------------------------
@@ -26,7 +26,7 @@ def test_config_derived_quantities():
     assert cfg.col_offset == 64
     assert cfg.projected_bytes == 24 * 32
     assert cfg.projectivity == pytest.approx(24 / 96)
-    assert cfg.n_runs == 2
+    assert len(cfg.runs) == 2
 
 
 def test_config_register_file_extends_table1():
@@ -45,22 +45,21 @@ def test_config_register_file_extends_table1():
 ])
 def test_config_validation_rejects(runs):
     with pytest.raises(ConfigurationError):
-        MultiRMEConfig(row_size=96, row_count=4, runs=runs).validate()
+        RMEConfig(row_size=96, row_count=4, runs=runs).validate()
 
 
 def test_from_single_round_trips_table1():
-    single = RMEConfig(row_size=64, row_count=10, col_width=4, col_offset=12)
-    lifted = MultiRMEConfig.from_single(single)
-    assert lifted.runs == ((12, 4),)
-    assert lifted.col_width == single.col_width
-    assert lifted.projected_bytes == single.projected_bytes
+    single = RMEConfig(row_size=64, row_count=10, runs=((12, 4),))
+    assert single.runs == ((12, 4),)
+    assert single.col_width == 4
+    assert single.projected_bytes == 40
 
 
 # -- geometry -------------------------------------------------------------------------
 
 
 def test_descriptors_per_row_and_run():
-    geometry = MultiRunTableGeometry(listing2_config(n_rows=3), base_addr=0)
+    geometry = TableGeometry(listing2_config(n_rows=3), base_addr=0)
     descs = list(geometry.descriptors())
     assert len(descs) == 6  # 3 rows x 2 runs
     first_row = descs[:2]
@@ -82,20 +81,20 @@ def test_geometry_construction_rejects_bad_runs(runs):
     """Building a geometry over an invalid run list must raise — the
     descriptor generator never sees a zero-width, overlapping or
     out-of-row run."""
-    config = MultiRMEConfig(row_size=96, row_count=8, runs=runs)
+    config = RMEConfig(row_size=96, row_count=8, runs=runs)
     with pytest.raises((GeometryError, ConfigurationError)):
-        MultiRunTableGeometry(config, base_addr=0)
+        TableGeometry(config, base_addr=0)
 
 
 def test_geometry_rejects_nonpositive_row_shape():
     with pytest.raises((GeometryError, ConfigurationError)):
-        MultiRunTableGeometry(
-            MultiRMEConfig(row_size=0, row_count=4, runs=((0, 4),)),
+        TableGeometry(
+            RMEConfig(row_size=0, row_count=4, runs=((0, 4),)),
             base_addr=0,
         )
     with pytest.raises((GeometryError, ConfigurationError)):
-        MultiRunTableGeometry(
-            MultiRMEConfig(row_size=96, row_count=0, runs=((0, 4),)),
+        TableGeometry(
+            RMEConfig(row_size=96, row_count=0, runs=((0, 4),)),
             base_addr=0,
         )
 
@@ -108,14 +107,14 @@ def test_geometry_rejects_nonpositive_row_shape():
 ])
 def test_geometry_rejects_bad_placement(base_addr, bus_bytes):
     with pytest.raises(GeometryError):
-        MultiRunTableGeometry(
+        TableGeometry(
             listing2_config(n_rows=4), base_addr=base_addr,
             bus_bytes=bus_bytes,
         )
 
 
 def test_geometry_bounds_checked():
-    geometry = MultiRunTableGeometry(listing2_config(n_rows=2), base_addr=0)
+    geometry = TableGeometry(listing2_config(n_rows=2), base_addr=0)
     with pytest.raises(GeometryError):
         geometry.descriptor(2, 0)
     with pytest.raises(GeometryError):
@@ -156,7 +155,7 @@ def test_default_still_rejects_noncontiguous(system, loaded):
 
 def test_contiguous_group_ignores_flag(system, loaded):
     var = system.register_var(loaded, ["A1", "A2"], allow_noncontiguous=True)
-    assert isinstance(var.config, RMEConfig)  # single run stays on Table 1
+    assert var.config.runs == ((0, 8),)  # single run stays on Table 1
 
 
 def test_gaps_cost_fill_time():

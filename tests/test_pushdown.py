@@ -197,10 +197,43 @@ def test_hw_aggregate_register_read_is_one_line(env):
     assert cold.elapsed_ns > 10 * hot.elapsed_ns
 
 
+@pytest.mark.parametrize("func", ["sum", "count", "min", "max"])
+def test_hw_aggregate_over_no_matching_rows(env, func):
+    """An empty SUM/MIN/MAX has no value and says so; COUNT is 0."""
+    table, system, loaded, executor = env
+    avar = system.register_hw_aggregate(loaded, "A1", func, predicate_column="A2",
+                                        op=">", constant=2 ** 40)
+    if func == "count":
+        assert executor.run_rme_hw_aggregate(avar).value == 0
+    else:
+        with pytest.raises(QueryError, match=f"PL {func} aggregate saw no matching rows"):
+            executor.run_rme_hw_aggregate(avar)
+
+
 def test_hw_aggregate_predicate_needs_op_and_constant(env):
     table, system, loaded, executor = env
     with pytest.raises(ConfigurationError):
         system.register_hw_aggregate(loaded, "A1", "sum", predicate_column="A2")
+
+
+@pytest.mark.parametrize("flavour", ["aggregate", "group_by"])
+@pytest.mark.parametrize("given_parts,missing", [
+    (dict(op=">", constant=0), "predicate_column"),
+    (dict(op=">"), "predicate_column, constant"),
+    (dict(constant=0), "predicate_column, op"),
+], ids=["op-and-constant", "op-only", "constant-only"])
+def test_partial_pushdown_predicate_is_refused(env, flavour, given_parts, missing):
+    """A predicate missing its column, op or constant is an error, never
+    a silently unfiltered reduction."""
+    table, system, loaded, executor = env
+    register = {
+        "aggregate": lambda: system.register_hw_aggregate(
+            loaded, "A1", "sum", **given_parts),
+        "group_by": lambda: system.register_hw_group_by(
+            loaded, "A1", "A2", **given_parts),
+    }[flavour]
+    with pytest.raises(ConfigurationError, match=f"missing {missing}$"):
+        register()
 
 
 def test_pushdown_incompatible_with_windowed(env):

@@ -24,7 +24,7 @@ def build_engine(sim, design=MLP, R=64, N=64, C=4, O=0, capacity=1 << 16):
     n_lines = -(-C * N // 64)
     eph = mm.map("eph", n_lines * 64, kind="pl")
     engine = RMEngine(sim, ZCU102, dram, design, capacity)
-    engine.configure(RMEConfig(R, N, C, O), table.base, eph.base, table.limit)
+    engine.configure(RMEConfig(R, N, ((O, C),)), table.base, eph.base, table.limit)
     return engine, table, eph, bytes(rows)
 
 
@@ -114,7 +114,7 @@ def test_reconfigure_goes_cold(sim):
     engine, table, eph, rows = build_engine(sim)
     prefill(sim, engine)
     assert engine.is_hot
-    engine.configure(RMEConfig(64, 64, 8, 8), table.base, eph.base, table.limit)
+    engine.configure(RMEConfig(64, 64, ((8, 8),)), table.base, eph.base, table.limit)
     assert not engine.is_hot
     prefill(sim, engine)
     assert engine.packed_bytes() == software_projection(rows, 64, 64, 8, 8)

@@ -17,7 +17,7 @@ def build(sim, design=MLP, R=64, N=64, C=4):
     mem.write(table.base, pattern[: R * N])
     eph = mm.map("eph", -(-C * N // 64) * 64, kind="pl")
     engine = RMEngine(sim, ZCU102, dram, design)
-    engine.configure(RMEConfig(R, N, C, 0), table.base, eph.base, table.limit)
+    engine.configure(RMEConfig(R, N, ((0, C),)), table.base, eph.base, table.limit)
     return engine, eph
 
 
