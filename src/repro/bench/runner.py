@@ -19,6 +19,7 @@ from ..query.executor import QueryResult
 from ..query.processor import Processor
 from ..query.queries import Query
 from ..rme.designs import ALL_DESIGNS, MLP, DesignParams
+from ..sim.metrics import Memo
 from ..storage.row_table import RowTable
 
 
@@ -91,11 +92,8 @@ class FigureResult:
 #: they run (at cycle level — any run populates the memo) and *replayed*
 #: verbatim when ``platform.fastpath`` is set. Replay is trivially
 #: bit-identical: the stored :class:`QueryResult` is the cycle-level one.
-_BASELINE_MEMO: Dict[tuple, QueryResult] = {}
-_BASELINE_MEMO_MAX = 128
-
-#: Hit/miss tallies for the ``repro perf --profile`` report.
-BASELINE_MEMO_TALLY: Dict[str, int] = {"hits": 0, "misses": 0}
+#: Its hits and misses feed the ``repro perf --profile`` report.
+_BASELINE_MEMO = Memo("cpu_baselines", capacity=128)
 
 
 def _baseline_key(
@@ -126,20 +124,12 @@ def _baseline_replay(key: tuple, fastpath: bool) -> Optional[QueryResult]:
         return None
     result = _BASELINE_MEMO.get(key)
     if result is None:
-        BASELINE_MEMO_TALLY["misses"] += 1
         return None
-    BASELINE_MEMO_TALLY["hits"] += 1
     # Shallow-copy so a caller mutating ``cache_stats`` cannot poison the
     # recording for later replays.
     return dataclasses.replace(
         result, cache_stats={k: dict(v) for k, v in result.cache_stats.items()}
     )
-
-
-def _baseline_record(key: tuple, result: QueryResult) -> None:
-    if len(_BASELINE_MEMO) >= _BASELINE_MEMO_MAX:
-        _BASELINE_MEMO.pop(next(iter(_BASELINE_MEMO)))
-    _BASELINE_MEMO[key] = result
 
 
 class ExperimentRunner:
@@ -179,7 +169,7 @@ class ExperimentRunner:
         processor = Processor(system)
         plan = processor.plan(query, loaded, engine=CPU)
         result = processor.execute(plan.relation, loaded=loaded)
-        _baseline_record(key, result)
+        _BASELINE_MEMO.put(key, result)
         return result
 
     def time_columnar(
@@ -206,7 +196,7 @@ class ExperimentRunner:
                               fetch_columns=columns)
         result = processor.execute(plan.relation, loaded=loaded,
                                    columnar=columnar)
-        _baseline_record(key, result)
+        _BASELINE_MEMO.put(key, result)
         return result
 
     def time_rme(

@@ -23,8 +23,12 @@ Scenarios:
 * ``multirun`` — non-contiguous columns (a two-run configuration).
 * ``pushdown`` — a hardware aggregation plus a single-lane selection.
 
-The serving profile memo is invalidated before each measurement, so the
-numbers describe a cold process, not a warm cache.
+The serving profile memo is cleared before each measurement, so the
+numbers describe a cold process, not a warm cache. Forwarded epochs and
+fallbacks are diffs of the process-wide ``fastpath`` counters
+(:data:`repro.sim.fastpath.FASTPATH_STATS`) around the fast run; with
+``jobs`` they include the epochs that ran in worker processes, whose
+counts :mod:`repro.parallel` merges back.
 
 ``python -m repro perf`` and ``benchmarks/bench_wallclock.py`` are thin
 front-ends over :func:`run_wallclock`; both write ``BENCH_wallclock.json``.
@@ -41,8 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import ZCU102, PlatformConfig
 from ..errors import SimulationError
-from ..parallel import WORKER_CACHE_TRAFFIC
-from ..sim.fastpath import FALLBACK_TALLY, FORWARDED_EPOCHS
+from ..sim.fastpath import FASTPATH_STATS
 from .figures import fig01_projectivity, fig06_q1_designs
 
 #: The platform pair every scenario is timed under, both pinned: the
@@ -148,10 +151,9 @@ class WallclockReport:
             ))
         else:
             lines.append("no fastpath fallbacks: every epoch fast-forwarded")
-        from .runner import BASELINE_MEMO_TALLY
+        from .runner import _BASELINE_MEMO
 
-        hits = BASELINE_MEMO_TALLY["hits"]
-        misses = BASELINE_MEMO_TALLY["misses"]
+        hits, misses = _BASELINE_MEMO.hits, _BASELINE_MEMO.misses
         if hits or misses:
             lines.append(
                 f"CPU-baseline measurement memo: {hits} replayed, "
@@ -164,7 +166,7 @@ def _fresh_caches() -> None:
     """Start each measurement cold: no memoized profiles."""
     from ..serve.profiles import PROFILE_CACHE
 
-    PROFILE_CACHE.invalidate("wallclock benchmark")
+    PROFILE_CACHE.clear()
 
 
 def _snapshot_figure(figure) -> dict:
@@ -319,11 +321,9 @@ def _measure(run: Callable[[PlatformConfig], object],
     return time.perf_counter() - start, snapshot
 
 
-def _forwarded_epochs() -> int:
-    """Epochs fast-forwarded so far, in this process *and* inside any
-    pool workers (whose counts only reach the parent as merged deltas)."""
-    worker = WORKER_CACHE_TRAFFIC.total("fastpath_epochs")
-    return FORWARDED_EPOCHS.count + int(worker)
+def _fastpath_counts() -> Dict[str, int]:
+    """The process-wide ``fastpath`` counters, by name."""
+    return {name: counter.count for name, counter in FASTPATH_STATS}
 
 
 def run_wallclock(
@@ -363,14 +363,17 @@ def run_wallclock(
         cycle_s, cycle_snap = _measure(run, CYCLE_LEVEL)
         if progress:
             progress(f"{name}: fast-forward run ...")
-        epochs_before = _forwarded_epochs()
-        tally_before = dict(FALLBACK_TALLY)
+        before = _fastpath_counts()
         fast_s, fast_snap = _measure(run, FAST_FORWARD)
-        epochs = _forwarded_epochs() - epochs_before
+        moved = {
+            name: count - before.get(name, 0)
+            for name, count in _fastpath_counts().items()
+            if count > before.get(name, 0)
+        }
+        epochs = moved.pop("epochs", 0)
         fallbacks = {
-            reason: count - tally_before.get(reason, 0)
-            for reason, count in FALLBACK_TALLY.items()
-            if count > tally_before.get(reason, 0)
+            name.removeprefix("fallback_"): count
+            for name, count in moved.items()
         }
         identical = cycle_snap == fast_snap
         if not identical:

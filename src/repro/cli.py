@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .bench import extensions as extension_drivers
@@ -77,72 +78,54 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(f"{self.prog}: {message}")
 
-#: figure name -> (driver kwargs builder, normalizer)
-_FIGURES: Dict[str, Callable] = {
-    "fig01": lambda rows: figure_drivers.fig01_projectivity(),
-    "fig06": lambda rows: figure_drivers.fig06_q1_designs(n_rows=rows),
-    "fig07": lambda rows: figure_drivers.fig07_cache_stats(n_rows=2 * rows),
-    "fig08": lambda rows: figure_drivers.fig08_offset_sweep(n_rows=max(128, rows // 4)),
-    "fig09": lambda rows: figure_drivers.fig09_projection_colsize(n_rows=rows),
-    "fig10": lambda rows: figure_drivers.fig10_projection_rowsize(n_rows=rows),
-    "fig11": lambda rows: figure_drivers.fig11_agg_colsize(n_rows=rows),
-    "fig12": lambda rows: figure_drivers.fig12_agg_rowsize(n_rows=rows),
-    "fig13a": lambda rows: figure_drivers.fig13_q7_locality(n_rows=rows, sweep="col"),
-    "fig13b": lambda rows: figure_drivers.fig13_q7_locality(n_rows=rows, sweep="row"),
+#: sweep name -> (driver, rows -> driver kwargs). ``repro figures`` runs
+#: every sweep; a sweep is shardable by ``repro bench`` when its driver
+#: takes ``jobs``, and has a CI-sized ``--smoke`` grid when it takes
+#: ``smoke``. One row scaling per sweep, so ``repro bench NAME --jobs 1``
+#: matches ``repro figures NAME`` point for point.
+_SWEEPS: Dict[str, Tuple[Callable, Callable[[int], dict]]] = {
+    "fig01": (figure_drivers.fig01_projectivity, lambda rows: {}),
+    "fig06": (figure_drivers.fig06_q1_designs, lambda rows: {"n_rows": rows}),
+    "fig07": (figure_drivers.fig07_cache_stats, lambda rows: {"n_rows": 2 * rows}),
+    "fig08": (figure_drivers.fig08_offset_sweep,
+              lambda rows: {"n_rows": max(128, rows // 4)}),
+    "fig09": (figure_drivers.fig09_projection_colsize, lambda rows: {"n_rows": rows}),
+    "fig10": (figure_drivers.fig10_projection_rowsize, lambda rows: {"n_rows": rows}),
+    "fig11": (figure_drivers.fig11_agg_colsize, lambda rows: {"n_rows": rows}),
+    "fig12": (figure_drivers.fig12_agg_rowsize, lambda rows: {"n_rows": rows}),
+    "fig13a": (figure_drivers.fig13_q7_locality,
+               lambda rows: {"n_rows": rows, "sweep": "col"}),
+    "fig13b": (figure_drivers.fig13_q7_locality,
+               lambda rows: {"n_rows": rows, "sweep": "row"}),
     # Extension studies (DESIGN.md section 8).
-    "ext-capacity": lambda rows: extension_drivers.ext_capacity_cliff(n_rows=rows),
-    "ext-pushdown": lambda rows: extension_drivers.ext_pushdown_ladder(n_rows=rows),
-    "ext-hybrid": lambda rows: extension_drivers.ext_hybrid_crossover(n_rows=rows),
-    "ext-isolation": lambda rows: extension_drivers.ext_isolation(n_rows=rows),
-    "ext-multirun": lambda rows: extension_drivers.ext_noncontiguous_tradeoff(n_rows=rows),
-    "ext-serving": lambda rows: extension_drivers.ext_serving_sweep(
-        n_rows=max(128, rows // 2)),
-    "ext-faults": lambda rows: extension_drivers.ext_faults_sweep(
-        n_rows=max(128, rows // 2)),
-    "ext-pim": lambda rows: extension_drivers.ext_pim_shootout(n_rows=rows),
-    "ext-pim-join": lambda rows: extension_drivers.ext_pim_join_shootout(
-        n_fact=2 * rows),
-    "ext-pim-groupby": lambda rows: extension_drivers.ext_pim_groupby_shootout(
-        n_rows=2 * rows),
-    "ext-cluster": lambda rows: extension_drivers.ext_cluster_sweep(
-        n_rows=max(128, rows // 2)),
+    "ext-capacity": (extension_drivers.ext_capacity_cliff, lambda rows: {"n_rows": rows}),
+    "ext-pushdown": (extension_drivers.ext_pushdown_ladder, lambda rows: {"n_rows": rows}),
+    "ext-hybrid": (extension_drivers.ext_hybrid_crossover, lambda rows: {"n_rows": rows}),
+    "ext-isolation": (extension_drivers.ext_isolation, lambda rows: {"n_rows": rows}),
+    "ext-multirun": (extension_drivers.ext_noncontiguous_tradeoff,
+                     lambda rows: {"n_rows": rows}),
+    "ext-serving": (extension_drivers.ext_serving_sweep,
+                    lambda rows: {"n_rows": max(128, rows // 2)}),
+    "ext-faults": (extension_drivers.ext_faults_sweep,
+                   lambda rows: {"n_rows": max(128, rows // 2)}),
+    "ext-pim": (extension_drivers.ext_pim_shootout, lambda rows: {"n_rows": rows}),
+    "ext-pim-join": (extension_drivers.ext_pim_join_shootout,
+                     lambda rows: {"n_fact": 2 * rows}),
+    "ext-pim-groupby": (extension_drivers.ext_pim_groupby_shootout,
+                        lambda rows: {"n_rows": 2 * rows}),
+    "ext-cluster": (extension_drivers.ext_cluster_sweep,
+                    lambda rows: {"n_rows": max(128, rows // 2)}),
 }
 
-#: Sweeps whose drivers shard across processes; same row scaling as
-#: ``_FIGURES`` so ``repro bench NAME --jobs 1`` matches ``repro figures
-#: NAME`` point for point.
-_PARALLEL_FIGURES: Dict[str, Callable] = {
-    "fig01": lambda rows, jobs: figure_drivers.fig01_projectivity(jobs=jobs),
-    "fig06": lambda rows, jobs: figure_drivers.fig06_q1_designs(
-        n_rows=rows, jobs=jobs),
-    "fig08": lambda rows, jobs: figure_drivers.fig08_offset_sweep(
-        n_rows=max(128, rows // 4), jobs=jobs),
-    "ext-serving": lambda rows, jobs: extension_drivers.ext_serving_sweep(
-        n_rows=max(128, rows // 2), jobs=jobs),
-    "ext-faults": lambda rows, jobs: extension_drivers.ext_faults_sweep(
-        n_rows=max(128, rows // 2), jobs=jobs),
-    "ext-pim": lambda rows, jobs: extension_drivers.ext_pim_shootout(
-        n_rows=rows, jobs=jobs),
-    "ext-pim-join": lambda rows, jobs: extension_drivers.ext_pim_join_shootout(
-        n_fact=2 * rows, jobs=jobs),
-    "ext-pim-groupby": lambda rows, jobs:
-        extension_drivers.ext_pim_groupby_shootout(n_rows=2 * rows, jobs=jobs),
-    "ext-cluster": lambda rows, jobs: extension_drivers.ext_cluster_sweep(
-        n_rows=max(128, rows // 2), jobs=jobs),
-}
 
-#: Sweeps with a CI-sized ``--smoke`` grid.
-_SMOKE_FIGURES: Dict[str, Callable] = {
-    "ext-pim": lambda rows, jobs: extension_drivers.ext_pim_shootout(
-        n_rows=rows, jobs=jobs, smoke=True),
-    "ext-pim-join": lambda rows, jobs: extension_drivers.ext_pim_join_shootout(
-        n_fact=2 * rows, jobs=jobs, smoke=True),
-    "ext-pim-groupby": lambda rows, jobs:
-        extension_drivers.ext_pim_groupby_shootout(
-            n_rows=2 * rows, jobs=jobs, smoke=True),
-    "ext-cluster": lambda rows, jobs: extension_drivers.ext_cluster_sweep(
-        n_rows=max(128, rows // 2), jobs=jobs, smoke=True),
-}
+def _sweeps_taking(parameter: str) -> List[str]:
+    """The sweeps whose driver accepts ``parameter``, in table order."""
+    return [name for name, (driver, _kwargs) in _SWEEPS.items()
+            if parameter in inspect.signature(driver).parameters]
+
+
+_PARALLEL_FIGURES = _sweeps_taking("jobs")
+_SMOKE_FIGURES = _sweeps_taking("smoke")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figures = commands.add_parser("figures", help="regenerate paper figures")
     figures.add_argument(
         "names", nargs="*",
-        help=f"figures to run (default: all of {', '.join(_FIGURES)})",
+        help=f"figures to run (default: all of {', '.join(_SWEEPS)})",
     )
     figures.add_argument("--rows", type=int, default=1024,
                          help="rows per experiment point (default 1024)")
@@ -406,18 +389,19 @@ def _cmd_figures(args, out) -> int:
 
     from .bench.report import to_csv
 
-    names = args.names or list(_FIGURES)
-    unknown = [n for n in names if n not in _FIGURES]
+    names = args.names or list(_SWEEPS)
+    unknown = [n for n in names if n not in _SWEEPS]
     if unknown:
         print(f"unknown figures: {', '.join(unknown)} "
-              f"(choose from {', '.join(_FIGURES)})", file=out)
+              f"(choose from {', '.join(_SWEEPS)})", file=out)
         return 2
     csv_dir = None
     if args.csv is not None:
         csv_dir = pathlib.Path(args.csv)
         csv_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
-        result = _FIGURES[name](args.rows)
+        driver, kwargs = _SWEEPS[name]
+        result = driver(**kwargs(args.rows))
         normalize = "Direct" if name == "fig06" else ""
         print(render_figure(result, normalized_to=normalize), file=out)
         print(file=out)
@@ -573,9 +557,9 @@ def _cmd_bench(args, out) -> int:
             f"{', '.join(_SMOKE_FIGURES)}"
         )
     jobs = resolve_jobs(args.jobs)
-    driver = _SMOKE_FIGURES[args.name] if args.smoke \
-        else _PARALLEL_FIGURES[args.name]
-    result = driver(args.rows, jobs)
+    driver, kwargs = _SWEEPS[args.name]
+    extra = {"smoke": True} if args.smoke else {}
+    result = driver(**kwargs(args.rows), jobs=jobs, **extra)
     normalize = "Direct" if args.name == "fig06" else ""
     print(render_figure(result, normalized_to=normalize), file=out)
     print(f"jobs: {jobs}  shards: {len(result.xs)}", file=out)
@@ -810,7 +794,7 @@ def _cmd_serve(args, out) -> int:
         return _cmd_serve_explain(args, tenants, out)
     # Snapshot before profiling so the report and the summary line both
     # describe *this command's* cache traffic, not the process lifetime.
-    cache_snapshot = PROFILE_CACHE.snapshot()
+    cache_snapshot = (PROFILE_CACHE.hits, PROFILE_CACHE.misses)
     profile = profile_workload(
         tenants, platform=platform, design=design, jobs=args.jobs
     )
@@ -837,14 +821,23 @@ def _cmd_serve(args, out) -> int:
         print(metrics_to_csv(report.metrics), file=out)
     else:
         print(render_slo_report(report), file=out)
-        hits, misses = PROFILE_CACHE.delta_since(cache_snapshot)
-        lookups = hits + misses
-        rate = hits / lookups if lookups else 0.0
-        print(
-            f"profile cache: {hits} hits / {misses} misses this run "
-            f"(hit rate {rate:.0%})", file=out,
-        )
+        _print_profile_cache_line(cache_snapshot, out)
     return 0
+
+
+def _print_profile_cache_line(snapshot, out) -> None:
+    """The profile memo's traffic since ``snapshot``, a ``(hits, misses)``
+    pair taken before this command profiled."""
+    from .serve import PROFILE_CACHE
+
+    hits = PROFILE_CACHE.hits - snapshot[0]
+    misses = PROFILE_CACHE.misses - snapshot[1]
+    lookups = hits + misses
+    rate = hits / lookups if lookups else 0.0
+    print(
+        f"profile cache: {hits} hits / {misses} misses this run "
+        f"(hit rate {rate:.0%})", file=out,
+    )
 
 
 #: ``--fault-plan`` name -> Poisson rates per ms at ``--intensity 1``.
@@ -1020,7 +1013,7 @@ def _cmd_chaos(args, out) -> int:
     tenants = default_tenants(
         n_tenants=args.tenants, n_rows=n_rows, seed=args.seed
     )
-    cache_snapshot = PROFILE_CACHE.snapshot()
+    cache_snapshot = (PROFILE_CACHE.hits, PROFILE_CACHE.misses)
     profile = profile_workload(tenants, platform=platform, design=design)
     rate = 0.5 * profile.saturation_rate_qps()
     rows_out = []
@@ -1046,13 +1039,7 @@ def _cmd_chaos(args, out) -> int:
         ["fault rate", "policy", "avail %", "p99 ns", "fallback %",
          "failed", "breaker opens"], rows_out,
     ), file=out)
-    hits, misses = PROFILE_CACHE.delta_since(cache_snapshot)
-    lookups = hits + misses
-    rate_pct = hits / lookups if lookups else 0.0
-    print(
-        f"profile cache: {hits} hits / {misses} misses this run "
-        f"(hit rate {rate_pct:.0%})", file=out,
-    )
+    _print_profile_cache_line(cache_snapshot, out)
     return 0
 
 

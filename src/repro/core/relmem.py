@@ -279,7 +279,10 @@ class RelationalMemorySystem:
         """Re-copy a table's bytes after in-place writes or appends.
 
         Appends must fit the originally mapped region (load with headroom
-        by padding the table before loading if needed).
+        by padding the table before loading if needed). A variable over
+        this table that is active loses its reorganization buffer, which
+        holds the old bytes: its next scan reconfigures and transforms
+        cold.
         """
         data = loaded.table.raw_bytes()
         if len(data) + _REGION_PAD > loaded.region.size:
@@ -289,6 +292,8 @@ class RelationalMemorySystem:
             )
         self.memory.write(loaded.region.base, data)
         loaded.loaded_rows = loaded.table.n_rows
+        if self._active_var is not None and self._active_var.loaded is loaded:
+            self.deactivate()
 
     def load_column_group(
         self, table: RowTable, columns: Sequence[str], name: str = ""

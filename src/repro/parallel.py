@@ -14,22 +14,18 @@ folds the results back together:
   because results are placed by shard index, never by completion order.
 * **Batched dispatch** — tasks are pickled to workers in contiguous
   batches (amortizing serialization), and each batch ships its results
-  back together with the worker's traffic delta (profile-memo hits and
-  misses, fast-forwarded epochs).
+  back together with the worker's
+  :data:`~repro.sim.metrics.PROCESS_METRICS` (memo hits and misses,
+  fast-forwarded epochs, fallbacks by reason), which the parent merges
+  into its own, so process-wide counts are the same whichever process
+  ran a task.
 * **Persistent pools** — worker pools are keyed by their worker count
-  and kept alive across :func:`parallel_map` calls, so fork cost and
-  warm-cache shipping are paid once per process instead of once per
-  sweep (the regression that made ``--jobs 2`` *lose* on small hosts).
-  Workers fork where the platform can, and spawn where it cannot. A
-  pool broken by a worker crash is discarded and rebuilt;
-  :func:`shutdown_pools` (registered via ``atexit``) reaps them at exit.
-* **Warm cache shipping** — the parent's
-  :data:`repro.serve.profiles.PROFILE_CACHE` entries are exported once
-  per pool and absorbed by every worker at start-up, so workers skip the
-  profiling the parent already paid for. Shipping is a pure warm-up:
-  absorbed entries can only be *hits* for keys the parent already
-  resolved, never different values. (A persistent pool ships at
-  creation; workers keep learning their own entries afterwards.)
+  and kept alive across :func:`parallel_map` calls, so fork cost is paid
+  once per process instead of once per sweep (the regression that made
+  ``--jobs 2`` *lose* on small hosts). Workers fork where the platform
+  can, and spawn where it cannot. A pool broken by a worker crash is
+  discarded and rebuilt; :func:`shutdown_pools` (registered via
+  ``atexit``) reaps them at exit.
 * **Measured break-even** — the executor is decided, never requested.
   A sweep of fewer than :data:`INLINE_BELOW` items runs inline. A larger
   one times its first shard inline (the reference loop body, so the
@@ -66,6 +62,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .faults import DEFAULT_RECOVERY, RecoveryPolicy
+from .sim.metrics import PROCESS_METRICS, MetricsRegistry
 from .sim.stats import StatSet
 
 T = TypeVar("T")
@@ -74,14 +71,6 @@ R = TypeVar("R")
 #: Set in worker processes by the pool initializer: nested parallel_map
 #: calls inside a worker always run inline instead of forking grandchildren.
 _IN_WORKER = False
-
-#: Cumulative traffic that happened inside worker processes. The
-#: parent's own ``PROFILE_CACHE`` and ``FORWARDED_EPOCHS`` counters never
-#: see it, so accounting over a whole dispatch (the wall-clock
-#: benchmark's fast-forwarded epoch tally) adds the ``total`` of these
-#: counters. Inline execution is deliberately excluded — it already
-#: shows up in the parent's counters.
-WORKER_CACHE_TRAFFIC = StatSet("parallel.worker_cache")
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -107,55 +96,29 @@ def derive_seed(base: int, *parts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cache shipping + worker-side execution
+# worker-side execution
 # ---------------------------------------------------------------------------
 
 
-def _traffic_counts() -> Dict[str, int]:
-    """This process's cumulative traffic counters, by delta name."""
-    from .serve.profiles import PROFILE_CACHE
-    from .sim.fastpath import FORWARDED_EPOCHS
-
-    return {
-        "profile_hits": PROFILE_CACHE.hits,
-        "profile_misses": PROFILE_CACHE.misses,
-        "fastpath_epochs": FORWARDED_EPOCHS.count,
-    }
-
-
-def _traffic_delta(before: Dict[str, int]) -> Dict[str, int]:
-    after = _traffic_counts()
-    return {name: after[name] - before[name] for name in after}
-
-
-def _worker_init(profiles: list) -> None:
-    """Pool initializer: mark the process as a worker and absorb the
-    parent's warm profile-memo entries."""
+def _worker_init() -> None:
+    """Pool initializer: mark the process as a worker."""
     global _IN_WORKER
     _IN_WORKER = True
-    from .serve.profiles import PROFILE_CACHE
-
-    PROFILE_CACHE.absorb(profiles)
 
 
-def _execute_batch(fn: Callable[[T], R], items: Sequence[T]) -> Tuple[List[R], Dict[str, int]]:
-    """Run one batch in order; returns results plus the traffic delta.
+def _execute_batch(
+    fn: Callable[[T], R], items: Sequence[T]
+) -> Tuple[List[R], MetricsRegistry]:
+    """Worker body: run one batch in order; returns the results plus the
+    batch's process-wide counts.
 
-    Runs identically inline (``jobs=1``) and in a worker — this shared
-    body *is* the determinism argument: there is no parallel-only code
-    path around the task function.
+    The registry is reset first, so it carries this batch's counts only
+    (a forked worker starts with a copy of the parent's). The task calls
+    are the inline loop's, in the same order: there is no parallel-only
+    code path around the task function.
     """
-    before = _traffic_counts()
-    results = [fn(item) for item in items]
-    return results, _traffic_delta(before)
-
-
-def _record_delta(stats: StatSet, delta: Dict[str, int]) -> None:
-    """Fold a traffic delta in: each nonzero entry is one bump whose
-    ``total`` carries the amount."""
-    for name, value in delta.items():
-        if value:
-            stats.bump(name, value)
+    PROCESS_METRICS.reset()
+    return [fn(item) for item in items], PROCESS_METRICS
 
 
 def _make_batches(n_items: int, jobs: int) -> List[range]:
@@ -182,8 +145,8 @@ def _mp_context():
 # ---------------------------------------------------------------------------
 
 #: Live worker pools, keyed by worker count. A pool outlives the
-#: parallel_map call that created it, so fork cost and cache shipping
-#: amortize across a whole benchmark run.
+#: parallel_map call that created it, so fork cost amortizes across a
+#: whole benchmark run.
 _POOLS: Dict[int, ProcessPoolExecutor] = {}
 #: Measured per-pool costs: ``spinup_s`` (creation + first round-trip)
 #: and ``roundtrip_s`` (one no-op batch through a warm pool).
@@ -238,18 +201,14 @@ def _process_overhead_s(n_jobs: int) -> Tuple[float, float]:
 def _get_pool(n_jobs: int) -> ProcessPoolExecutor:
     """The persistent ``n_jobs``-worker pool, created (and measured) on
     demand."""
-    from .serve.profiles import PROFILE_CACHE
-
     pool = _POOLS.get(n_jobs)
     if pool is not None:
         return pool
-    shipment = PROFILE_CACHE.export_entries()
     start = time.perf_counter()
     pool = ProcessPoolExecutor(
         max_workers=n_jobs,
         mp_context=_mp_context(),
         initializer=_worker_init,
-        initargs=(shipment,),
     )
     # One no-op round-trip: forces worker start-up into the measured
     # spin-up figure and yields the warm per-batch round-trip estimate.
@@ -323,8 +282,9 @@ def parallel_map(
     The determinism contract: the returned list is ordered by item index,
     results are merged in index order regardless of worker completion
     order, and ``jobs=1`` (or one item, or a nested call inside a worker)
-    runs the exact same batch body inline — so ``jobs=N`` output is
-    bit-identical to ``jobs=1`` for any deterministic ``fn``.
+    calls ``fn`` inline in the same item order a worker batch does — so
+    ``jobs=N`` output is bit-identical to ``jobs=1`` for any
+    deterministic ``fn``.
 
     ``fn`` must be picklable (a module-level function or a
     ``functools.partial`` of one) and so must the items and results.
@@ -343,10 +303,10 @@ def parallel_map(
     propagate unchanged on first occurrence.
 
     ``stats`` (optional) receives dispatch telemetry: task/batch counts,
-    worker restarts, inline fallbacks, the chosen executor
-    (``mode_inline``/``mode_process``) and the batches' traffic deltas
-    (``profile_hits``/``profile_misses``/``fastpath_epochs``; each
-    counter's ``total`` is the amount).
+    worker restarts, inline fallbacks and the chosen executor
+    (``mode_inline``/``mode_process``). Each worker batch's
+    :data:`~repro.sim.metrics.PROCESS_METRICS` is merged into this
+    process's.
     """
     policy = recovery or DEFAULT_RECOVERY
     if stats is None:
@@ -367,18 +327,15 @@ def parallel_map(
         # reference loop body, so the result merges bit-identically at
         # index 0 whatever executor handles the rest.
         start = time.perf_counter()
-        prefix, delta = _execute_batch(fn, items[:1])
+        prefix = [fn(items[0])]
         item_s = time.perf_counter() - start
-        _record_delta(stats, delta)
         stats.bump("batches")
         chosen = _probe_mode(item_s * (len(items) - 1), n_jobs, stats)
         items = items[1:]
     stats.bump("mode_" + chosen)
     if chosen == "inline":
-        results, delta = _execute_batch(fn, items)
-        _record_delta(stats, delta)
         stats.bump("batches")
-        return prefix + results
+        return prefix + [fn(item) for item in items]
 
     results: List[Optional[R]] = [None] * len(items)
     pending: List[range] = _make_batches(len(items), n_jobs)
@@ -397,11 +354,10 @@ def parallel_map(
                                       return_when=FIRST_COMPLETED)
                 for future in done:
                     span = futures[future]
-                    batch_results, delta = future.result()
+                    batch_results, worker_metrics = future.result()
                     for index, value in zip(span, batch_results):
                         results[index] = value
-                    _record_delta(stats, delta)
-                    _record_delta(WORKER_CACHE_TRAFFIC, delta)
+                    PROCESS_METRICS.merge(worker_metrics)
                     stats.bump("batches")
                     pending.remove(span)
         except BrokenProcessPool:
@@ -417,12 +373,8 @@ def parallel_map(
             # failing the sweep (the analogue of the CPU fallback).
             stats.bump("inline_fallbacks")
             for span in list(pending):
-                batch_results, delta = _execute_batch(
-                    fn, [items[i] for i in span]
-                )
-                for index, value in zip(span, batch_results):
-                    results[index] = value
-                _record_delta(stats, delta)
+                for index in span:
+                    results[index] = fn(items[index])
                 stats.bump("batches")
                 pending.remove(span)
     return prefix + results  # type: ignore[operator]

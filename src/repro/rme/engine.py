@@ -366,8 +366,7 @@ class RMEngine:
             self._ff_interrupted = False  # one-shot: consumed by this start
             self.stats.bump("fastpath_fallbacks")
             self.stats.bump("fastpath_fallback_" + reason)
-            tally = fastpath.FALLBACK_TALLY
-            tally[reason] = tally.get(reason, 0) + 1
+            fastpath.FASTPATH_STATS.bump("fallback_" + reason)
         self.sim.process(
             self.requestor.run(
                 self.geometry, rows, should_stop=lambda: session.cancelled

@@ -21,8 +21,6 @@ See ``docs/serving.md`` for the model and a worked example, and
 
 from .profiles import (
     PROFILE_CACHE,
-    PROFILE_CACHE_STATS,
-    ProfileCache,
     QueryProfile,
     WorkloadProfile,
     port_program_ns,
@@ -57,9 +55,7 @@ __all__ = [
     "OpenLoopWorkload",
     "POLICIES",
     "PROFILE_CACHE",
-    "PROFILE_CACHE_STATS",
     "Port",
-    "ProfileCache",
     "QueryProfile",
     "Request",
     "SchedulerPolicy",

@@ -27,6 +27,10 @@ every tenant's table loaded, exactly like the serving scenario: one
 engine, many descriptors, and an eviction activation between
 measurements so "cold" really means "the port held someone else's
 descriptor".
+
+Whole results are memoized in :data:`PROFILE_CACHE`, a
+:class:`~repro.sim.metrics.Memo` whose hits and misses are counters of
+the process registry (``memo.profiles``).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from ..errors import ConfigurationError
 from ..query.engines import CPU as CPU_ENGINE, RME as RME_ENGINE
 from ..query.processor import Processor
 from ..rme.designs import MLP, DesignParams
-from ..sim.stats import StatSet
+from ..sim.metrics import Memo
 from .workload import TenantSpec
 
 #: A descriptor identity: which geometry the configuration port holds.
@@ -117,96 +121,15 @@ class WorkloadProfile:
         return 1e9 / self.mean_cold_service_ns
 
 
-class ProfileCache:
-    """A bounded FIFO memo of :class:`WorkloadProfile` results.
-
-    Profiling a workload runs every (tenant, template) pair through the
-    cycle-level executor three times; for the serving CLI and the chaos
-    sweeps that cost dominates start-up. Keys are *content*
-    fingerprints — platform, design, buffer capacity, and per tenant the
-    CRC of the raw table bytes, the schema layout, and every template's
-    query text — so a stale hit would require a collision, not a missed
-    invalidation. Tenant weights are deliberately excluded: they shape
-    the arrival mix, not the measured service costs, so a cached result
-    is re-wrapped with the caller's tenants.
-
-    Hit/miss traffic is mirrored into :data:`PROFILE_CACHE_STATS`, whose
-    ``hit_rate`` gauge is the externally visible health signal (surfaced
-    by ``repro serve`` / ``repro chaos``).
-    """
-
-    def __init__(self, max_entries: int = 16):
-        self.max_entries = max_entries
-        self._entries: Dict[tuple, WorkloadProfile] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple) -> Optional[WorkloadProfile]:
-        profile = self._entries.get(key)
-        if profile is None:
-            self.misses += 1
-            PROFILE_CACHE_STATS.bump("misses")
-        else:
-            self.hits += 1
-            PROFILE_CACHE_STATS.bump("hits")
-        PROFILE_CACHE_STATS.set_gauge("hit_rate", self.hit_rate)
-        return profile
-
-    def put(self, key: tuple, profile: WorkloadProfile) -> None:
-        if len(self._entries) >= self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = profile
-
-    def invalidate(self, reason: str = "") -> int:
-        """Drop every entry; returns how many were dropped."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        return dropped
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> Tuple[int, int]:
-        """The lifetime ``(hits, misses)`` pair at this instant.
-
-        Callers that want *per-run* rates snapshot before the run and
-        diff after — the counters themselves are process-lifetime.
-        """
-        return (self.hits, self.misses)
-
-    def delta_since(self, snapshot: Tuple[int, int]) -> Tuple[int, int]:
-        """``(hits, misses)`` accumulated since :meth:`snapshot`."""
-        hits0, misses0 = snapshot
-        return (self.hits - hits0, self.misses - misses0)
-
-    def export_entries(self) -> list:
-        """Every ``(key, profile)`` pair, for shipping to workers."""
-        return list(self._entries.items())
-
-    def absorb(self, entries: list) -> int:
-        """Install exported entries (existing keys win); returns how many
-        were new. Counters are untouched — absorbed entries are warm-up,
-        not traffic."""
-        added = 0
-        for key, profile in entries:
-            if key not in self._entries:
-                if len(self._entries) >= self.max_entries:
-                    self._entries.pop(next(iter(self._entries)))
-                self._entries[key] = profile
-                added += 1
-        return added
-
-
-#: Shared counters plus the ``hit_rate`` gauge for the profile memo.
-PROFILE_CACHE_STATS = StatSet("profile_cache")
-
-#: The process-wide memo consulted by :func:`profile_workload`.
-PROFILE_CACHE = ProfileCache()
+#: The process-wide memo consulted by :func:`profile_workload`, whose
+#: three executor runs per pair dominate serving start-up. It holds
+#: profile dicts keyed by *content* fingerprints — platform, design,
+#: buffer capacity, and per tenant the CRC of the raw table bytes, the
+#: schema layout, and every template's query text — so a stale hit would
+#: require a collision, not a missed invalidation. Tenant weights are
+#: deliberately excluded: they shape the arrival mix, not the measured
+#: service costs, so a hit is wrapped with the caller's tenants.
+PROFILE_CACHE = Memo("profiles", capacity=16)
 
 
 def _tenant_fingerprint(spec: TenantSpec) -> tuple:
@@ -262,7 +185,10 @@ def _build_profiling_system(
 
     Registration order fixes the ephemeral address layout, so two
     processes that call this see bit-identical engine state — the
-    precondition for sharding pairs across workers.
+    precondition for sharding pairs across workers. The first variable
+    is a dedicated eviction descriptor: activating it between
+    measurements guarantees the next access to any template is
+    genuinely cold.
     """
     kwargs = {}
     if buffer_capacity is not None:
@@ -382,44 +308,47 @@ def port_program_ns(platform: PlatformConfig, config) -> float:
 _SHARDED_PROTOCOL = ("isolated-pairs", 1)
 
 
-def _profile_workload_sharded(
+def _profile_shared_engine(
+    tenants: Sequence[TenantSpec],
+    platform: PlatformConfig,
+    design: DesignParams,
+    buffer_capacity: "int | None",
+) -> Dict[Tuple[str, str], QueryProfile]:
+    """The legacy protocol: every pair measured on one engine, each
+    measurement starting from the simulated clock the previous one left
+    behind."""
+    system, loaded, evictor, variables = _build_profiling_system(
+        tenants, platform, design, buffer_capacity
+    )
+    return {
+        (spec.name, template): _measure_pair(
+            system, loaded, evictor, variables[(spec.name, template)],
+            platform, spec, template, query,
+        )
+        for spec in tenants
+        for template, query in spec.templates
+    }
+
+
+def _profile_isolated_pairs(
     tenants: Sequence[TenantSpec],
     platform: PlatformConfig,
     design: DesignParams,
     buffer_capacity: "int | None",
     jobs: int,
-) -> WorkloadProfile:
+) -> Dict[Tuple[str, str], QueryProfile]:
     """The isolated-pair protocol: one fresh engine per (tenant, template).
 
     ``jobs=1`` runs the exact same shard body inline in canonical pair
     order, so any ``jobs=N`` result is bit-identical to it by
     construction (see :func:`repro.parallel.parallel_map`).
     """
-    key = _workload_key(tenants, platform, design, buffer_capacity) \
-        + (_SHARDED_PROTOCOL,)
-    cached = PROFILE_CACHE.get(key)
-    if cached is not None:
-        return WorkloadProfile(
-            platform=platform,
-            design_name=design.name,
-            tenants=tuple(tenants),
-            profiles=cached.profiles,
-        )
     from ..parallel import parallel_map
 
     context = (tuple(tenants), platform, design, buffer_capacity)
-    pairs = _pair_list(tenants)
     task = functools.partial(_profile_pair_task, context=context)
-    measured = parallel_map(task, range(len(pairs)), jobs=jobs)
-    profiles = {(p.tenant, p.template): p for p in measured}
-    result = WorkloadProfile(
-        platform=platform,
-        design_name=design.name,
-        tenants=tuple(tenants),
-        profiles=profiles,
-    )
-    PROFILE_CACHE.put(key, result)
-    return result
+    measured = parallel_map(task, range(len(_pair_list(tenants))), jobs=jobs)
+    return {(p.tenant, p.template): p for p in measured}
 
 
 def profile_workload(
@@ -450,54 +379,23 @@ def profile_workload(
     """
     if not tenants:
         raise ConfigurationError("profiling needs at least one tenant")
-    if jobs is not None:
-        return _profile_workload_sharded(
-            tenants, platform, design, buffer_capacity, jobs
-        )
     key = _workload_key(tenants, platform, design, buffer_capacity)
-    cached = PROFILE_CACHE.get(key)
-    if cached is not None:
-        return WorkloadProfile(
-            platform=platform,
-            design_name=design.name,
-            tenants=tuple(tenants),
-            profiles=cached.profiles,
-        )
-    kwargs = {}
-    if buffer_capacity is not None:
-        kwargs["buffer_capacity"] = buffer_capacity
-    system = RelationalMemorySystem(platform, design, **kwargs)
-    loaded = {t.name: system.load_table(t.table) for t in tenants}
-
-    # A dedicated eviction descriptor: activating it between measurements
-    # guarantees the next access to any template is genuinely cold.
-    first = loaded[tenants[0].name]
-    evictor = system.register_var(
-        first, [first.schema.names[0]], activate=False
-    )
-
-    profiles: Dict[Tuple[str, str], QueryProfile] = {}
-    for spec in tenants:
-        table = loaded[spec.name]
-        for template, query in spec.templates:
-            columns = [c for c in query.columns()]
-            missing = [c for c in columns if c not in table.schema]
-            if missing:
-                raise ConfigurationError(
-                    f"tenant {spec.name!r} template {template!r} references "
-                    f"columns {missing} outside its schema"
-                )
-            var = system.register_var(
-                table, columns, activate=False, allow_noncontiguous=True
+    if jobs is not None:
+        key += (_SHARDED_PROTOCOL,)
+    profiles = PROFILE_CACHE.get(key)
+    if profiles is None:
+        if jobs is None:
+            profiles = _profile_shared_engine(
+                tenants, platform, design, buffer_capacity
             )
-            profiles[(spec.name, template)] = _measure_pair(
-                system, loaded, evictor, var, platform, spec, template, query
+        else:
+            profiles = _profile_isolated_pairs(
+                tenants, platform, design, buffer_capacity, jobs
             )
-    result = WorkloadProfile(
+        PROFILE_CACHE.put(key, profiles)
+    return WorkloadProfile(
         platform=platform,
         design_name=design.name,
         tenants=tuple(tenants),
         profiles=profiles,
     )
-    PROFILE_CACHE.put(key, result)
-    return result

@@ -245,7 +245,7 @@ class ServingSystem:
         # the snapshot they took first, so their profiling traffic counts.
         self._cache_snapshot = (
             cache_snapshot if cache_snapshot is not None
-            else PROFILE_CACHE.snapshot()
+            else (PROFILE_CACHE.hits, PROFILE_CACHE.misses)
         )
         if not 0.0 <= fault_rate < 1.0:
             raise ConfigurationError(
@@ -277,7 +277,9 @@ class ServingSystem:
         # since this system's construction (or the caller's snapshot), so
         # repeated serve/chaos runs in one process see per-run rates, not
         # the process-lifetime ratio.
-        hits, misses = PROFILE_CACHE.delta_since(self._cache_snapshot)
+        hits0, misses0 = self._cache_snapshot
+        hits = PROFILE_CACHE.hits - hits0
+        misses = PROFILE_CACHE.misses - misses0
         lookups = hits + misses
         cache_stats = metrics.scope("profile_cache")
         cache_stats.set_gauge("hits", float(hits))

@@ -53,6 +53,10 @@ bytes are read from memory at commit time.
 Bulk statistic replay routes through :mod:`repro.sim.vector`'s pure-
 Python helpers (exact sums of constant lists, one bucket computation per
 distinct value), so the replay never imports numpy.
+
+Every forwarded epoch, and every epoch a fallback reason kept at cycle
+level, is also counted process-wide in :data:`FASTPATH_STATS`, the
+``fastpath`` scope of :data:`~repro.sim.metrics.PROCESS_METRICS`.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from heapq import heappop, heappush, heappushpop
 from operator import add, sub
 from typing import Dict, List, Tuple
 
-from .stats import Counter
+from .metrics import PROCESS_METRICS
 from .vector import bulk_add, bulk_add_repeated, bulk_observe
 
 #: Epoch replay modes (mirrors the engine's eligibility analysis).
@@ -128,15 +132,13 @@ class EpochTiming:
         self.pipeline_end = 0.0
 
 
-#: Process-wide tally of fallback reasons (reason -> count) across every
-#: engine instance, fed by :meth:`RMEngine._start_current_window`;
-#: ``repro perf --profile`` diffs it per scenario to show coverage gaps.
-FALLBACK_TALLY: Dict[str, int] = {}
-
-#: Process-wide count of fast-forwarded epochs across every engine
-#: instance, bumped by :func:`fast_forward`; ``repro perf`` diffs it per
-#: scenario (worker processes report theirs through :mod:`repro.parallel`).
-FORWARDED_EPOCHS = Counter("fastpath_epochs")
+#: Process-wide fast-path tallies across every engine instance: ``epochs``
+#: counts fast-forwarded epochs (bumped by :func:`fast_forward`) and
+#: ``fallback_<reason>`` the epochs each reason sent to cycle level
+#: (bumped by :meth:`RMEngine._start_current_window`). ``repro perf``
+#: diffs them per scenario; worker processes report theirs through
+#: :mod:`repro.parallel`.
+FASTPATH_STATS = PROCESS_METRICS.scope("fastpath")
 
 
 def _descriptor_columns(geometry, rows, w_bias: int):
@@ -469,7 +471,7 @@ def fast_forward(engine, rows=None, w_bias: int = 0,
     stats = engine.stats
 
     timing = compute_epoch(engine, rows, w_bias, mode, engine._pushdown)
-    FORWARDED_EPOCHS.add()
+    FASTPATH_STATS.bump("epochs")
     n = timing.n
     # Device end states: the reservations the last descriptor leaves behind.
     for bank, (open_row, ready_at) in zip(dram._banks, timing.final_banks):

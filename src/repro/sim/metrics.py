@@ -16,11 +16,19 @@ snapshot time and skips it while it returns ``None``.
 Nothing in this module touches simulated time: registering, attaching and
 snapshotting are pure bookkeeping, so telemetry can stay wired in without
 moving a single benchmark cycle.
+
+Process-wide tallies that belong to no system — the fast path's epoch
+and fallback counts, every :class:`Memo`'s hits and misses — live in one
+registry, :data:`PROCESS_METRICS`. It holds plain scopes only, so it
+pickles: a :mod:`repro.parallel` worker returns its registry with each
+batch and the parent folds it in with :meth:`MetricsRegistry.merge`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple, Union,
+)
 
 from ..errors import SimulationError
 from .stats import StatSet
@@ -162,3 +170,56 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MetricsRegistry({self.name}: {len(self._entries)} paths)"
+
+
+#: The process-wide registry: scopes only, never providers, so that a
+#: worker process can ship it back to its parent; and counters only,
+#: whose merge is order-free, so batches fold in as they complete.
+PROCESS_METRICS = MetricsRegistry("process")
+
+
+class Memo:
+    """A bounded FIFO memo whose lookups are counted in the process registry.
+
+    Every :meth:`get` bumps ``hits`` or ``misses`` in the
+    ``memo.<name>`` scope of :data:`PROCESS_METRICS`. A :meth:`put` into
+    a full memo first evicts the oldest entry. ``None`` is the miss
+    marker, so it is never stored as a value.
+
+    >>> memo = Memo("doctest", capacity=2)
+    >>> for key in "abc":
+    ...     memo.put(key, key.upper())
+    >>> memo.get("a") is None, memo.get("c"), len(memo)
+    (True, 'C', 2)
+    >>> memo.hits, memo.misses
+    (1, 1)
+    """
+
+    def __init__(self, name: str, capacity: int):
+        self.capacity = capacity
+        self._entries: Dict[Hashable, Any] = {}
+        self._stats = PROCESS_METRICS.scope(f"memo.{name}")
+
+    def get(self, key: Hashable) -> Any:
+        value = self._entries.get(key)
+        self._stats.bump("misses" if value is None else "hits")
+        return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        if len(self._entries) >= self.capacity:
+            self._entries.pop(next(iter(self._entries)))
+        self._entries[key] = value
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def hits(self) -> int:
+        return self._stats.count("hits")
+
+    @property
+    def misses(self) -> int:
+        return self._stats.count("misses")

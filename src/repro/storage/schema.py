@@ -341,6 +341,13 @@ class Schema:
             codec = self._codec = _RowCodec(self.columns, self.row_size)
         return codec
 
+    def __getstate__(self) -> dict:
+        # The codec holds struct.Struct objects, which do not pickle; a
+        # copy rebuilds it on first use.
+        state = self.__dict__.copy()
+        state["_codec"] = None
+        return state
+
     def unpack_row(self, data: bytes) -> Tuple[Any, ...]:
         if len(data) != self.row_size:
             raise SchemaError(

@@ -46,8 +46,9 @@ def test_baseline_memo_replays_only_under_fastpath(small_table):
     from repro.bench import runner as runner_mod
     from repro.config import ZCU102
 
-    runner_mod._BASELINE_MEMO.clear()
-    before = dict(runner_mod.BASELINE_MEMO_TALLY)
+    memo = runner_mod._BASELINE_MEMO
+    memo.clear()
+    before = {"hits": memo.hits, "misses": memo.misses}
 
     cycle = ExperimentRunner(
         platform=dataclasses.replace(ZCU102, fastpath=False), designs=(MLP,)
@@ -55,20 +56,20 @@ def test_baseline_memo_replays_only_under_fastpath(small_table):
     first = cycle.time_direct(small_table, q1())
     second = cycle.time_direct(small_table, q1())
     # Cycle-level runs never replay (no tally movement), but both record.
-    assert runner_mod.BASELINE_MEMO_TALLY == before
+    assert {"hits": memo.hits, "misses": memo.misses} == before
     assert second.elapsed_ns == first.elapsed_ns
 
     fast = ExperimentRunner(
         platform=dataclasses.replace(ZCU102, fastpath=True), designs=(MLP,)
     )
     replayed = fast.time_direct(small_table, q1())
-    assert runner_mod.BASELINE_MEMO_TALLY["hits"] == before["hits"] + 1
+    assert memo.hits == before["hits"] + 1
     assert replayed.elapsed_ns == first.elapsed_ns
     assert replayed.value == first.value
 
     # A different query is a different key: recorded fresh, not replayed.
     other = fast.time_columnar(small_table, q1())
-    assert runner_mod.BASELINE_MEMO_TALLY["misses"] == before["misses"] + 1
+    assert memo.misses == before["misses"] + 1
     assert other.elapsed_ns > 0
 
     # Mutating a replayed result must not poison later replays.

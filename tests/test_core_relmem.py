@@ -10,6 +10,8 @@ from repro import (
     uniform_schema,
 )
 from repro.errors import CapacityError, ConfigurationError, SchemaError
+from repro.query.executor import QueryExecutor
+from repro.query.queries import q1
 from repro.rme.designs import MLP
 from tests.conftest import build_relation
 
@@ -87,6 +89,23 @@ def test_sync_table_propagates_updates(system, relation):
     system.warm_up(var)
     packed = system.rme.packed_bytes()
     assert packed[:4] == (999_999).to_bytes(4, "little", signed=True)
+
+
+def test_sync_table_makes_the_active_variable_cold(system, loaded):
+    # A write synced under a hot variable must not leave the stale
+    # projection in the reorganization buffer: the next scan transforms
+    # the new bytes cold.
+    var = system.register_var(loaded, ["A1"])
+    system.warm_up(var)
+    assert var.is_hot
+    loaded.table.update_column(0, "A1", 999_999)
+    system.sync_table(loaded)
+    assert not var.is_hot
+    executor = QueryExecutor(system)
+    result = executor.run_rme(q1("A1"), var)
+    assert result.state == "cold"
+    assert system.rme.packed_bytes() == var.expected_packed_bytes()
+    assert result.value == executor.run_direct(q1("A1"), loaded).value
 
 
 def test_unsynced_append_blocks_register(system, relation):

@@ -30,7 +30,7 @@ from repro.config import ZCU102
 from repro.faults import FaultPlan
 from repro.query.queries import Query, q1, q2, q4, q7
 from repro.rme.designs import BSL, MLP, PCK
-from repro.sim.fastpath import FALLBACK_TALLY, FORWARDED_EPOCHS
+from repro.sim.fastpath import FASTPATH_STATS
 from tests.conftest import build_relation
 from tests.test_replay_property import _registry_snapshot
 
@@ -98,11 +98,11 @@ def test_fastpath_replicates_statistics_exactly():
 
 def test_fastpath_on_by_default():
     assert ZCU102.fastpath
-    before = FORWARDED_EPOCHS.count
+    before = FASTPATH_STATS.count("epochs")
     _, system = _run(ZCU102)
     assert system.rme.stats.count("fastpath_hits") >= 1
     assert system.rme.stats.count("fastpath_fallbacks") == 0
-    assert FORWARDED_EPOCHS.count - before == system.rme.stats.count(
+    assert FASTPATH_STATS.count("epochs") - before == system.rme.stats.count(
         "fastpath_hits")
 
 
@@ -300,10 +300,10 @@ def test_multicore_system_falls_back():
     # A second core can reach DRAM while an epoch is in flight, which the
     # replay's no-cross-traffic premise (enforced by the DRAM guard)
     # forbids; such systems run every epoch cycle-level.
-    before = FALLBACK_TALLY.get("multicore", 0)
+    before = FASTPATH_STATS.count("fallback_multicore")
     result, system = _run(FASTPATH, n_rows=256, n_cores=2)
     _assert_fell_back(system, "multicore")
-    assert FALLBACK_TALLY.get("multicore", 0) - before == system.rme.stats.count(
+    assert FASTPATH_STATS.count("fallback_multicore") - before == system.rme.stats.count(
         "fastpath_fallback_multicore")
     slow, _ = _run(CYCLE_LEVEL, n_rows=256, n_cores=2)
     assert repr(result) == repr(slow)

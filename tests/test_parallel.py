@@ -441,13 +441,64 @@ def test_fig06_sharded_bit_identical():
     assert single.series == sharded.series
 
 
+def test_profile_workload_sharded_on_fresh_tenants(force_pool):
+    # Freshly generated tenants packed their rows, so their schemas hold
+    # a compiled codec; their tables must still pickle into worker tasks.
+    from repro.bench.workloads import _PACKED_CACHE
+    from repro.serve import PROFILE_CACHE, default_tenants, profile_workload
+
+    _PACKED_CACHE.clear()
+    tenants = default_tenants(n_tenants=2, n_rows=128, seed=7)
+    PROFILE_CACHE.clear()
+    single = profile_workload(tenants, jobs=1)
+    PROFILE_CACHE.clear()
+    sharded = profile_workload(tenants, jobs=2)
+    PROFILE_CACHE.clear()
+    assert sharded.profiles == single.profiles
+
+
+def _multicore_scan(n_rows):
+    """A scan on a two-core system: its epoch falls back to cycle level."""
+    from repro import QueryExecutor, RelationalMemorySystem
+    from repro.query.queries import q1
+    from tests.conftest import build_relation
+
+    system = RelationalMemorySystem(n_cores=2)
+    loaded = system.load_table(build_relation(n_rows=n_rows))
+    var = system.register_var(loaded, ["A1"])
+    QueryExecutor(system).run_rme(q1("A1"), var)
+    return system.rme.stats.count("fastpath_fallback_multicore")
+
+
+def test_worker_fallbacks_reach_the_parent(force_pool):
+    from repro.sim.fastpath import FASTPATH_STATS
+
+    before = FASTPATH_STATS.count("fallback_multicore")
+    per_scan = parallel_map(_multicore_scan, [64, 64, 64, 64], jobs=2)
+    assert all(count >= 1 for count in per_scan)
+    assert (FASTPATH_STATS.count("fallback_multicore") - before
+            == sum(per_scan))
+
+
+def test_wallclock_counts_worker_epochs(force_pool):
+    from repro.bench.wallclock import run_wallclock
+
+    single, sharded = (
+        run_wallclock(quick=True, jobs=jobs, scenarios=["fig06"])
+        .scenario("fig06")
+        for jobs in (1, 2)
+    )
+    assert sharded.fastpath_hits == single.fastpath_hits > 0
+    assert sharded.fallbacks == single.fallbacks == {}
+
+
 def test_profile_workload_sharded_bit_identical():
     from repro.serve import PROFILE_CACHE, default_tenants, profile_workload
 
     tenants = default_tenants(n_tenants=2, n_rows=128, seed=7)
-    PROFILE_CACHE.invalidate("test isolation")
+    PROFILE_CACHE.clear()
     single = profile_workload(tenants, jobs=1)
-    PROFILE_CACHE.invalidate("test isolation")
+    PROFILE_CACHE.clear()
     sharded = profile_workload(tenants, jobs=2)
     assert single.profiles == sharded.profiles
 
@@ -459,4 +510,4 @@ def test_profile_workload_sharded_bit_identical():
     # Answers always agree across protocols; timings need not.
     for key, profile in legacy.profiles.items():
         assert profile.value == sharded.profiles[key].value
-    PROFILE_CACHE.invalidate("test isolation")
+    PROFILE_CACHE.clear()

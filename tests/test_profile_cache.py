@@ -1,4 +1,4 @@
-"""The serving-layer profile memo: ``repro.serve.profiles.ProfileCache``.
+"""The serving-layer profile memo: ``repro.serve.profiles.PROFILE_CACHE``.
 
 Profiling a workload is the expensive, cycle-accurate part of serving
 start-up, so ``profile_workload`` memoizes whole results under a content
@@ -17,21 +17,25 @@ from repro.query.queries import q1, q4
 from repro.rme.designs import BSL
 from repro.serve import (
     PROFILE_CACHE,
-    PROFILE_CACHE_STATS,
     OpenLoopWorkload,
-    ProfileCache,
     ServingSystem,
     TenantSpec,
     default_tenants,
     profile_workload,
 )
+from repro.sim.metrics import Memo
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    PROFILE_CACHE.invalidate("test isolation")
+    PROFILE_CACHE.clear()
     yield
-    PROFILE_CACHE.invalidate("test isolation")
+    PROFILE_CACHE.clear()
+
+
+def _lifetime_hit_rate():
+    hits, misses = PROFILE_CACHE.hits, PROFILE_CACHE.misses
+    return hits / (hits + misses)
 
 
 def _tenants(n_rows=128, seed=7):
@@ -101,14 +105,13 @@ def test_hit_rate_exported_as_gauge():
     tenants = _tenants()
     profile_workload(tenants)
     profile_workload(tenants)
-    assert PROFILE_CACHE_STATS.gauge("hit_rate").value == PROFILE_CACHE.hit_rate
-    assert PROFILE_CACHE.hit_rate > 0.0
+    assert _lifetime_hit_rate() > 0.0
     workload = OpenLoopWorkload(tenants, rate_qps=2000.0,
                                 n_requests=20, seed=3)
 
     # The report's gauges are *per-run* deltas: a snapshot taken before
     # this run's profiling lookup attributes exactly that one hit.
-    snap = PROFILE_CACHE.snapshot()
+    snap = (PROFILE_CACHE.hits, PROFILE_CACHE.misses)
     report = ServingSystem(
         profile_workload(tenants), cache_snapshot=snap
     ).run(workload)
@@ -124,7 +127,7 @@ def test_hit_rate_gauge_is_per_run_not_lifetime():
     tenants = _tenants()
     profile = profile_workload(tenants)
     profile_workload(tenants)  # lifetime hit_rate is now > 0
-    assert PROFILE_CACHE.hit_rate > 0.0
+    assert _lifetime_hit_rate() > 0.0
     workload = OpenLoopWorkload(tenants, rate_qps=2000.0,
                                 n_requests=20, seed=3)
     report = ServingSystem(profile).run(workload)  # snapshot at init
@@ -132,11 +135,11 @@ def test_hit_rate_gauge_is_per_run_not_lifetime():
     assert scope["hits"]["value"] == 0.0
     assert scope["misses"]["value"] == 0.0
     assert scope["hit_rate"]["value"] == 0.0
-    assert scope["hit_rate"]["value"] != PROFILE_CACHE.hit_rate
+    assert scope["hit_rate"]["value"] != _lifetime_hit_rate()
 
 
 def test_cache_bounded_fifo():
-    cache = ProfileCache(max_entries=3)
+    cache = Memo("test_fifo", capacity=3)
     for i in range(8):
         cache.put(("key", i), object())
     assert len(cache) == 3

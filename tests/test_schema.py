@@ -1,5 +1,6 @@
 """Tests for column types, schemas and the row codec."""
 
+import pickle
 import struct
 
 import pytest
@@ -124,6 +125,18 @@ def test_pack_unpack_row_roundtrip():
     assert len(packed) == schema.row_size
     assert schema.unpack_row(packed) == row
     assert schema.unpack_column("v", packed) == -5
+
+
+def test_schema_pickles_after_using_its_codec():
+    # The compiled codec holds struct.Struct objects, which do not
+    # pickle; a table that has packed rows must still travel to a worker.
+    schema = Schema([Column("k", int64()), Column("v", int32())])
+    rows = [(7, -5), (-(2 ** 63), 2 ** 31 - 1)]
+    packed = [schema.pack_row(row) for row in rows]
+    assert [schema.unpack_row(data) for data in packed] == rows
+    copy = pickle.loads(pickle.dumps(schema))
+    assert [copy.unpack_row(data) for data in packed] == rows
+    assert [copy.pack_row(row) for row in rows] == packed
 
 
 def test_pack_row_arity_checked():
