@@ -14,7 +14,7 @@ fresh as the base data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence
+from typing import Any, Sequence
 
 from ..errors import ConfigurationError
 from ..storage.column_table import ColumnTable

@@ -19,8 +19,7 @@ from ..memsys.cpu import ScanSegment
 from ..parallel import parallel_map
 from ..query.executor import QueryExecutor
 from ..query.expr import Col
-from ..query.queries import Query, q1, q4
-from ..rme.designs import MLP
+from ..query.queries import Query, q4
 from .runner import FigureResult
 from .workloads import (
     make_grouped_relation,

@@ -22,7 +22,7 @@ from ..model.analytical import figure1_curves
 from ..parallel import parallel_map
 from ..query.queries import Query, q1, q2, q3, q4, q5, q6, q7
 from ..query.expr import Col
-from ..rme.designs import ALL_DESIGNS, BSL, MLP, PCK, DesignParams
+from ..rme.designs import ALL_DESIGNS, MLP, DesignParams
 from ..rme.resources import ResourceReport, estimate_resources
 from .runner import ExperimentRunner, FigureResult, PathTimes
 from .workloads import make_relation, make_relation_for_row_size

@@ -10,7 +10,7 @@ the same machinery: :func:`render_metrics` for humans,
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from .runner import FigureResult
 

@@ -8,9 +8,8 @@ the methodology behind the paper's cold/hot bars in Figure 6.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..config import PlatformConfig, ZCU102
 from ..core.relmem import RelationalMemorySystem
@@ -19,7 +18,6 @@ from ..query.executor import QueryResult
 from ..query.processor import Processor
 from ..query.queries import Query
 from ..rme.designs import ALL_DESIGNS, MLP, DesignParams
-from ..sim.metrics import Memo
 from ..storage.row_table import RowTable
 
 
@@ -81,57 +79,6 @@ class FigureResult:
         return [n / d if d else 0.0 for n, d in zip(num, den)]
 
 
-#: Recorded CPU-baseline measurements, keyed by everything they depend
-#: on: the platform with ``fastpath`` stripped (the flag only changes the
-#: RME engine), the buffer capacity, the scan kind, the table's schema
-#: and packed bytes (one seeded byte stream packs into 1024 128-byte rows
-#: or 2048 64-byte ones alike), the query text, and the fetch column
-#: list. The direct and
-#: columnar paths contain no RME epochs, so the fast-forward layer cannot
-#: collapse them from inside; instead they are *recorded* the first time
-#: they run (at cycle level — any run populates the memo) and *replayed*
-#: verbatim when ``platform.fastpath`` is set. Replay is trivially
-#: bit-identical: the stored :class:`QueryResult` is the cycle-level one.
-#: Its hits and misses feed the ``repro perf --profile`` report.
-_BASELINE_MEMO = Memo("cpu_baselines", capacity=128)
-
-
-def _baseline_key(
-    platform: PlatformConfig,
-    buffer_capacity: Optional[int],
-    kind: str,
-    table: RowTable,
-    query: Query,
-    columns: Optional[Sequence[str]] = None,
-) -> tuple:
-    return (
-        dataclasses.replace(platform, fastpath=False),
-        buffer_capacity,
-        kind,
-        table.name,
-        table.schema.columns,
-        table.raw_bytes(),
-        query.name,
-        query.sql,
-        query.select,
-        tuple(columns) if columns is not None else None,
-    )
-
-
-def _baseline_replay(key: tuple, fastpath: bool) -> Optional[QueryResult]:
-    """The recorded measurement for ``key``, if replay is allowed."""
-    if not fastpath:
-        return None
-    result = _BASELINE_MEMO.get(key)
-    if result is None:
-        return None
-    # Shallow-copy so a caller mutating ``cache_stats`` cannot poison the
-    # recording for later replays.
-    return dataclasses.replace(
-        result, cache_stats={k: dict(v) for k, v in result.cache_stats.items()}
-    )
-
-
 class ExperimentRunner:
     """Times queries over every access path on freshly built platforms."""
 
@@ -153,24 +100,12 @@ class ExperimentRunner:
         return RelationalMemorySystem(self.platform, design, **kwargs)
 
     def time_direct(self, table: RowTable, query: Query) -> QueryResult:
-        """Time the all-CPU tree: row-store scan, no transfers.
-
-        A deterministic baseline with no RME epochs: under
-        ``platform.fastpath`` a previously recorded run of the same
-        (platform, table, query) is replayed instead of re-simulated.
-        """
-        key = _baseline_key(self.platform, self.buffer_capacity, "direct",
-                            table, query)
-        replay = _baseline_replay(key, self.platform.fastpath)
-        if replay is not None:
-            return replay
+        """Time the all-CPU tree: row-store scan, no transfers."""
         system = self._system(MLP)
         loaded = system.load_table(table)
         processor = Processor(system)
         plan = processor.plan(query, loaded, engine=CPU)
-        result = processor.execute(plan.relation, loaded=loaded)
-        _BASELINE_MEMO.put(key, result)
-        return result
+        return processor.execute(plan.relation, loaded=loaded)
 
     def time_columnar(
         self, table: RowTable, query: Query, group_columns: Optional[Sequence[str]] = None
@@ -179,25 +114,16 @@ class ExperimentRunner:
 
         ``group_columns`` widens the fetch projection beyond the query's
         footprint (the projectivity sweeps scan wider groups on purpose).
-        Like :meth:`time_direct`, recorded runs are replayed under
-        ``platform.fastpath``.
         """
         columns = list(group_columns or query.columns())
-        key = _baseline_key(self.platform, self.buffer_capacity,
-                            "columnar", table, query, columns)
-        replay = _baseline_replay(key, self.platform.fastpath)
-        if replay is not None:
-            return replay
         system = self._system(MLP)
         loaded = system.load_table(table)
         columnar = system.load_column_group(table, columns)
         processor = Processor(system)
         plan = processor.plan(query, loaded, engine=COLUMNAR,
                               fetch_columns=columns)
-        result = processor.execute(plan.relation, loaded=loaded,
-                                   columnar=columnar)
-        _BASELINE_MEMO.put(key, result)
-        return result
+        return processor.execute(plan.relation, loaded=loaded,
+                                 columnar=columnar)
 
     def time_rme(
         self,

@@ -25,10 +25,10 @@ Scenarios:
 
 The serving profile memo is cleared before each measurement, so the
 numbers describe a cold process, not a warm cache. Forwarded epochs and
-fallbacks are diffs of the process-wide ``fastpath`` counters
-(:data:`repro.sim.fastpath.FASTPATH_STATS`) around the fast run; with
-``jobs`` they include the epochs that ran in worker processes, whose
-counts :mod:`repro.parallel` merges back.
+scans, and the fallbacks of each, are diffs of the process-wide
+``fastpath`` counters (:data:`repro.sim.fastpath.FASTPATH_STATS`) around
+the fast run; with ``jobs`` they include what ran in worker processes,
+whose counts :mod:`repro.parallel` merges back.
 
 ``python -m repro perf`` and ``benchmarks/bench_wallclock.py`` are thin
 front-ends over :func:`run_wallclock`; both write ``BENCH_wallclock.json``.
@@ -61,9 +61,11 @@ FIG06_MIN_SPEEDUP = 3.0
 class ScenarioTiming:
     """One scenario's paired measurement.
 
-    ``fastpath_hits`` counts the epochs the fast run fast-forwarded;
-    ``fallbacks`` tallies the ``fastpath_fallback_<reason>`` bumps it
-    caused (``repro perf --profile`` renders them).
+    ``fastpath_hits`` counts the epochs the fast run fast-forwarded and
+    ``fallbacks`` the epochs each reason kept at cycle level; ``scans``
+    counts the scans it ran on the scan ladder and ``scan_fallbacks``
+    the scans each reason sent to the event path (``repro perf
+    --profile`` renders both tallies).
     """
 
     name: str
@@ -72,6 +74,8 @@ class ScenarioTiming:
     identical: bool
     fastpath_hits: int
     fallbacks: Dict[str, int] = dataclasses.field(default_factory=dict)
+    scans: int = 0
+    scan_fallbacks: Dict[str, int] = dataclasses.field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
@@ -86,6 +90,8 @@ class ScenarioTiming:
             "identical": self.identical,
             "fastpath_hits": self.fastpath_hits,
             "fallbacks": dict(sorted(self.fallbacks.items())),
+            "scans": self.scans,
+            "scan_fallbacks": dict(sorted(self.scan_fallbacks.items())),
         }
 
 
@@ -120,45 +126,42 @@ class WallclockReport:
         rows = [
             [t.name, f"{t.cycle_s:.2f}", f"{t.fast_s:.2f}",
              f"{t.speedup:.2f}x", "yes" if t.identical else "NO",
-             str(t.fastpath_hits)]
+             str(t.fastpath_hits), str(t.scans)]
             for t in self.scenarios
         ]
         return render_table(
             ["scenario", "cycle-level s", "fastpath s", "speedup",
-             "identical", "ff epochs"], rows,
+             "identical", "ff epochs", "ff scans"], rows,
         )
 
     def render_profile(self) -> str:
-        """The ``repro perf --profile`` view: the fallback tally of every
-        fast run, most-frequent reason first — the worklist for growing
-        fastpath coverage."""
+        """The ``repro perf --profile`` view: the epoch and scan fallback
+        tallies of every fast run, most-frequent reason first — the
+        worklist for growing fastpath coverage."""
         from .report import render_table
 
         lines = []
-        tally: Dict[str, int] = {}
-        for t in self.scenarios:
-            for reason, count in t.fallbacks.items():
-                tally[reason] = tally.get(reason, 0) + count
-        if tally:
-            fb_rows = [
+        for unit, field in (("epochs", "fallbacks"),
+                            ("scans", "scan_fallbacks")):
+            tally: Dict[str, int] = {}
+            for t in self.scenarios:
+                for reason, count in getattr(t, field).items():
+                    tally[reason] = tally.get(reason, 0) + count
+            if not tally:
+                lines.append(f"no fastpath fallbacks: every {unit[:-1]} "
+                             "fast-forwarded")
+                continue
+            rows = [
                 [reason, str(count)]
                 for reason, count in sorted(
                     tally.items(), key=lambda kv: (-kv[1], kv[0])
                 )
             ]
             lines.append(render_table(
-                ["fastpath fallback reason", "epochs"], fb_rows,
+                ["fastpath fallback reason", unit], rows,
             ))
-        else:
-            lines.append("no fastpath fallbacks: every epoch fast-forwarded")
-        from .runner import _BASELINE_MEMO
-
-        hits, misses = _BASELINE_MEMO.hits, _BASELINE_MEMO.misses
-        if hits or misses:
-            lines.append(
-                f"CPU-baseline measurement memo: {hits} replayed, "
-                f"{misses} recorded fresh under fastpath"
-            )
+        scans = sum(t.scans for t in self.scenarios)
+        lines.append(f"scans forwarded on the scan ladder: {scans}")
         return "\n".join(lines)
 
 
@@ -371,9 +374,16 @@ def run_wallclock(
             if count > before.get(name, 0)
         }
         epochs = moved.pop("epochs", 0)
+        scans = moved.pop("scans", 0)
         fallbacks = {
             name.removeprefix("fallback_"): count
             for name, count in moved.items()
+            if name.startswith("fallback_")
+        }
+        scan_fallbacks = {
+            name.removeprefix("scan_fallback_"): count
+            for name, count in moved.items()
+            if name.startswith("scan_fallback_")
         }
         identical = cycle_snap == fast_snap
         if not identical:
@@ -385,7 +395,7 @@ def run_wallclock(
         timings.append(ScenarioTiming(
             name=name, cycle_s=cycle_s, fast_s=fast_s,
             identical=identical, fastpath_hits=epochs,
-            fallbacks=fallbacks,
+            fallbacks=fallbacks, scans=scans, scan_fallbacks=scan_fallbacks,
         ))
         if progress:
             progress(f"{name}: {cycle_s:.2f}s -> {fast_s:.2f}s "

@@ -59,6 +59,7 @@ from .query.sql import parse_query
 from .rme.designs import ALL_DESIGNS, design_by_name
 from .rme.resources import estimate_resources
 from .serve.scheduler import policy_names
+from .sim.metrics import PROCESS_METRICS, MetricsRegistry
 from .sim.trace import write_chrome_trace
 
 
@@ -360,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--smoke", action="store_true", dest="quick",
                       help="alias for --quick (CI smoke runs)")
     perf.add_argument("--profile", action="store_true",
-                      help="also print the fastpath fallback tally by "
-                           "reason and the CPU-baseline memo replays")
+                      help="also print the fastpath fallback tallies "
+                           "(epochs and scans) by reason")
     perf.add_argument("--scenario", action="append", dest="scenarios",
                       metavar="NAME",
                       help="run a subset (fig01, fig06, serving, windowed, "
@@ -687,15 +688,26 @@ def _cmd_stats(args, out) -> int:
     if run is None:
         return 2
     system, result, design_name = run
+    # The system's registry, then the process-wide one (fast-path and
+    # memo counters) under ``process.``.
+    registry = MetricsRegistry()
+    for path, stats in system.metrics:
+        registry.attach(path, stats)
+    for path, stats in PROCESS_METRICS:
+        registry.attach(f"process.{path}", stats)
     if args.format == "json":
-        print(metrics_to_json(system.metrics), file=out)
+        print(metrics_to_json(registry), file=out)
     elif args.format == "csv":
-        print(metrics_to_csv(system.metrics), file=out)
+        print(metrics_to_csv(registry), file=out)
     else:
         print(f"answer: {_short(result.value)}", file=out)
         print(f"elapsed: {result.elapsed_ns:.0f} simulated ns "
               f"({design_name} {'hot' if args.hot else 'cold'})", file=out)
         print(render_metrics(system.metrics, prefix=args.prefix), file=out)
+        if not args.prefix or args.prefix.split(".")[0] == "process":
+            print("process registry:", file=out)
+            print(render_metrics(registry, prefix=args.prefix or "process"),
+                  file=out)
     return 0
 
 

@@ -40,7 +40,7 @@ latencies (the PR 5 algebra, one tier up).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Union
 
 from ..config import PlatformConfig, ZCU102
 from ..errors import ConfigurationError
@@ -62,7 +62,7 @@ from ..serve.service import (
 )
 from ..serve.workload import OpenLoopWorkload, Request, TenantSpec
 from .node import ClusterNode
-from .placement import Placement, make_placement, routing_names
+from .placement import Placement, make_placement
 
 #: request.node value for answers served by the CPU snapshot replica.
 CPU_REPLICA = -1

@@ -188,16 +188,21 @@ class PlatformConfig:
     window_reinit_ns: float = 15_000.0
 
     # --- simulator acceleration -------------------------------------------
-    #: Fast-forward replay of RME fetch epochs (:mod:`repro.sim.fastpath`):
-    #: each eligible epoch is computed arithmetically instead of event by
-    #: event. Purely an accelerator: simulated timestamps, answers and
-    #: statistics are bit-identical either way. The engine falls back to
-    #: the cycle-level path per epoch, counted by reason, whenever a
-    #: tracer or fault plan is attached, the system has more than one CPU
-    #: core, a parallel-lane row filter is configured, or an earlier epoch
-    #: was interrupted. ``False`` forces the cycle-level path everywhere:
-    #: it is the reference the golden fixtures, the replay property tests
-    #: and ``repro perf`` compare the fast path against.
+    #: Fast-forward replay (:mod:`repro.sim.fastpath`): each eligible RME
+    #: fetch epoch is computed arithmetically instead of event by event,
+    #: and each eligible CPU scan (``RelationalMemorySystem.measure``) runs
+    #: on the scan ladder, a flat transcription of the event-driven scan
+    #: loop. Purely an accelerator: simulated timestamps, answers and
+    #: statistics are bit-identical either way. Epochs fall back to cycle
+    #: level, counted by reason, whenever a tracer or fault plan is
+    #: attached, the system has more than one CPU core, a parallel-lane
+    #: row filter is configured, or an earlier epoch was interrupted;
+    #: scans fall back to the event path for the same first three
+    #: reasons, for a busy kernel at entry, a windowed variable, or an
+    #: epoch the scan would start at cycle level. ``False`` forces the
+    #: event-driven path everywhere: it is the reference the golden
+    #: fixtures, the replay property tests and ``repro perf`` compare the
+    #: fast path against.
     fastpath: bool = True
 
     def validate(self) -> None:

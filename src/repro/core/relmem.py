@@ -22,7 +22,7 @@ projection (its next access is cold again).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import PlatformConfig, RMEConfig, ZCU102
@@ -35,7 +35,6 @@ from ..rme.designs import MLP, DesignParams
 from ..rme.engine import RMEngine
 from ..rme.reorg_buffer import DEFAULT_DATA_CAPACITY
 from ..sim import MetricsRegistry, Simulator, Tracer
-from ..storage.column_table import ColumnTable
 from ..storage.mvcc import VersionedRowTable
 from ..storage.row_table import RowTable
 from ..storage.schema import Schema
@@ -609,9 +608,22 @@ class RelationalMemorySystem:
 
     # -- timing surface ----------------------------------------------------------------------
     def measure(self, segments: Sequence[ScanSegment]) -> float:
-        """Run a scan pattern to completion; returns simulated ns."""
+        """Run a scan pattern to completion; returns simulated ns.
+
+        Under ``platform.fastpath`` an eligible scan runs on the scan
+        ladder of :mod:`repro.sim.fastpath`, bit-identical to the
+        event-driven :class:`~repro.memsys.cpu.ScanDriver` below, which
+        stays the reference and the fallback.
+        """
+        segments = list(segments)
+        if self.platform.fastpath:
+            from ..sim.fastpath import forward_scan
+
+            elapsed = forward_scan(self, segments)
+            if elapsed is not None:
+                return elapsed
         driver = ScanDriver(self.sim, self.hierarchy)
-        process = self.sim.process(driver.run(list(segments)), name="measure")
+        process = self.sim.process(driver.run(segments), name="measure")
         self.sim.run()
         return process.value
 

@@ -57,7 +57,7 @@ node index); they are listed in :data:`NODE_FAULT_KINDS` and consumed by
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError

@@ -55,11 +55,12 @@ class Cache:
         return (line_base // self.line_size) % self.n_sets
 
     def _set_for(self, line_base: int) -> "OrderedDict[int, bool]":
-        if line_base % self.line_size:
+        line_size = self.line_size
+        if line_base % line_size:
             raise ConfigurationError(
                 f"{self.name}: {line_base:#x} is not line-aligned"
             )
-        index = self.set_index(line_base)
+        index = (line_base // line_size) % self.n_sets  # set_index, inlined
         cache_set = self._sets.get(index)
         if cache_set is None:
             cache_set = self._sets[index] = OrderedDict()

@@ -12,6 +12,7 @@ misses per level, split into demand and prefetch traffic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import PlatformConfig
@@ -84,6 +85,38 @@ class DRAMBackend(LineBackend):
             yield self.dram.sim.timeout(delay)
 
 
+class RoutingTable:
+    """Mapped regions and the backends serving them, sorted by base.
+
+    Regions never overlap (:class:`~repro.memsys.memmap.MemoryMap`
+    allocates by bumping a pointer), so the region holding an address is
+    the last one whose base is at or below it: one bisection per lookup,
+    however many variables a run registers. Every core's hierarchy shares
+    one table.
+    """
+
+    __slots__ = ("bases", "entries")
+
+    def __init__(self) -> None:
+        self.bases: List[int] = []
+        self.entries: List[Tuple[Region, LineBackend]] = []
+
+    def add(self, region: Region, backend: LineBackend) -> None:
+        """Route ``region`` to ``backend``, keeping the bases sorted."""
+        index = bisect_right(self.bases, region.base)
+        self.bases.insert(index, region.base)
+        self.entries.insert(index, (region, backend))
+
+    def lookup(self, addr: int) -> Optional[Tuple[Region, LineBackend]]:
+        """The ``(region, backend)`` pair holding ``addr``, or None."""
+        index = bisect_right(self.bases, addr) - 1
+        if index >= 0:
+            entry = self.entries[index]
+            if addr < entry[0].limit:
+                return entry
+        return None
+
+
 class MemoryHierarchy:
     """L1 + L2 + routed backends, as seen by one CPU core.
 
@@ -100,7 +133,7 @@ class MemoryHierarchy:
         sim: Simulator,
         platform: PlatformConfig,
         shared_l2: "Cache" = None,
-        shared_backends: "List[Tuple[Region, LineBackend]]" = None,
+        shared_backends: Optional[RoutingTable] = None,
         core_id: int = 0,
     ):
         platform.validate()
@@ -117,8 +150,8 @@ class MemoryHierarchy:
             platform.max_prefetch_stride_lines,
         )
         self.mshrs = Resource(sim, platform.cpu_mshrs, f"mshrs.{core_id}")
-        self._backends: List[Tuple[Region, LineBackend]] = (
-            shared_backends if shared_backends is not None else []
+        self._backends: RoutingTable = (
+            shared_backends if shared_backends is not None else RoutingTable()
         )
         self._inflight: Dict[int, Event] = {}
         # Fixed per-access latencies, pre-resolved: load_line runs once per
@@ -129,16 +162,16 @@ class MemoryHierarchy:
 
     # -- routing ---------------------------------------------------------------
     def add_backend(self, region: Region, backend: LineBackend) -> None:
-        self._backends.append((region, backend))
+        self._backends.add(region, backend)
 
     def route(self, addr: int) -> LineBackend:
-        for region, backend in self._backends:
-            if region.contains(addr):
-                return backend
+        entry = self._backends.lookup(addr)
+        if entry is not None:
+            return entry[1]
         # Fault triage needs to know how far off the address is, not just
         # that it missed: name the nearest mapped region and its bounds.
         nearest = min(
-            (r for r, _b in self._backends),
+            (r for r, _b in self._backends.entries),
             key=lambda r: min(abs(addr - r.base), abs(addr - (r.limit - 1))),
             default=None,
         )
@@ -152,10 +185,8 @@ class MemoryHierarchy:
         )
 
     def _region_of(self, addr: int) -> Optional[Region]:
-        for region, _backend in self._backends:
-            if region.contains(addr):
-                return region
-        return None
+        entry = self._backends.lookup(addr)
+        return entry[0] if entry is not None else None
 
     # -- the load path -----------------------------------------------------------
     def line_base(self, addr: int) -> int:

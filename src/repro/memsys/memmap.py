@@ -16,6 +16,7 @@ Two region kinds exist:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -28,18 +29,21 @@ PL_KIND = "pl"
 
 @dataclass
 class Region:
-    """One mapped region of the physical address space."""
+    """One mapped region of the physical address space.
+
+    ``limit`` (the first address past the region) is computed once: a
+    region's base and size never change after mapping.
+    """
 
     name: str
     base: int
     size: int
     kind: str
     backing: Optional[bytearray] = field(default=None, repr=False)
+    limit: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def limit(self) -> int:
-        """First address past the region."""
-        return self.base + self.size
+    def __post_init__(self) -> None:
+        self.limit = self.base + self.size
 
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.limit
@@ -60,7 +64,10 @@ class MemoryMap:
         self.size = size
         self.alignment = alignment
         self._next = 0
+        #: Mapped regions in base order (bump allocation maps them in
+        #: that order), with their bases alongside for bisection.
         self._regions: List[Region] = []
+        self._bases: List[int] = []
         self._by_name: Dict[str, Region] = {}
 
     def map(self, name: str, size: int, kind: str = DRAM_KIND) -> Region:
@@ -81,6 +88,7 @@ class MemoryMap:
         region = Region(name=name, base=base, size=size, kind=kind, backing=backing)
         self._next = base + size
         self._regions.append(region)
+        self._bases.append(base)
         self._by_name[name] = region
         return region
 
@@ -89,12 +97,20 @@ class MemoryMap:
         region = self._by_name.pop(name, None)
         if region is None:
             raise MemoryMapError(f"region {name!r} is not mapped")
-        self._regions.remove(region)
+        index = self._regions.index(region)
+        del self._regions[index]
+        del self._bases[index]
 
     def find(self, addr: int) -> Region:
-        """The region containing ``addr`` (regions are few; linear scan)."""
-        for region in self._regions:
-            if region.contains(addr):
+        """The region containing ``addr``.
+
+        Regions never overlap, so the only candidate is the last one
+        whose base is at or below ``addr``.
+        """
+        index = bisect_right(self._bases, addr) - 1
+        if index >= 0:
+            region = self._regions[index]
+            if addr < region.limit:
                 return region
         raise MemoryMapError(f"address {addr:#x} is not mapped")
 

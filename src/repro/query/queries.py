@@ -21,7 +21,7 @@ Q7    ``SELECT STD(A1) FROM S``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import QueryError

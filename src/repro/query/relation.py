@@ -44,7 +44,7 @@ from typing import Any, Optional, Tuple
 
 from ..errors import QueryError
 from .engines import CPU, Engine
-from .expr import Col, Expr  # noqa: F401  (Col re-exported for examples)
+from .expr import Expr
 
 
 class Relation:

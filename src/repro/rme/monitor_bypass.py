@@ -42,6 +42,7 @@ class MonitorBypass:
         # retired. ``None`` means the monitor is in normal cycle-level mode.
         self._ff_schedule: Optional[Dict[int, float]] = None
         self._ff_end: float = 0.0
+        #: Completion instants with a wake armed on the kernel.
         self._ff_armed: set = set()
         self._ff_generation = 0
 
@@ -109,28 +110,22 @@ class MonitorBypass:
         return self._ff_schedule is None or self.sim.now >= self._ff_end
 
     def _ff_fire(self, token) -> None:
-        generation, line_idx = token
+        """Wake every line that becomes visible at ``completes_at``.
+
+        Lines sharing a completion instant were completed by one write
+        (port completions strictly increase), which wakes them in line
+        order, each line's waiters in arrival order.
+        """
+        generation, completes_at = token
         if generation != self._ff_generation:
             return  # a reconfiguration superseded this schedule
-        for event in self._waiters.pop(line_idx, []):
-            event.succeed()
+        schedule = self._ff_schedule
+        for line_idx in sorted(line for line in self._waiters
+                               if schedule.get(line) == completes_at):
+            for event in self._waiters.pop(line_idx):
+                event.succeed()
 
     # -- Trapper-facing side -------------------------------------------------------
-    def line_visible(self, line_idx: int) -> bool:
-        """:meth:`line_ready` without the lookup counters (a pure probe).
-
-        Used by the Trapper's collapsed hit path to decide eligibility
-        before it replays the lookup's bookkeeping itself — probing with
-        :meth:`line_ready` would double-count the lookup.
-        """
-        if not self.buffer.line_ready(line_idx):
-            return False
-        if self._ff_schedule is not None:
-            completes_at = self._ff_schedule.get(line_idx)
-            if completes_at is not None and completes_at > self.sim.now:
-                return False
-        return True
-
     def line_ready(self, line_idx: int) -> bool:
         ready = self.buffer.line_ready(line_idx)
         if ready and self._ff_schedule is not None:
@@ -153,13 +148,14 @@ class MonitorBypass:
                 event.succeed()
                 return event
             # Visible only in the future: stall exactly like the cycle-level
-            # path and arm one wake at the recorded completion instant.
+            # path and arm one wake per completion instant.
             self._waiters.setdefault(line_idx, []).append(event)
             self.stats.bump("stalled_requests")
-            if line_idx not in self._ff_armed:
-                self._ff_armed.add(line_idx)
+            if completes_at not in self._ff_armed:
+                self._ff_armed.add(completes_at)
                 self.sim.schedule_at(
-                    completes_at, self._ff_fire, (self._ff_generation, line_idx)
+                    completes_at, self._ff_fire,
+                    (self._ff_generation, completes_at),
                 )
             return event
         self._waiters.setdefault(line_idx, []).append(event)

@@ -16,8 +16,6 @@ describe as an implementation artifact.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import CapacityError, SimulationError
 from ..sim import StatSet
 

@@ -49,64 +49,16 @@ class Trapper:
         self._bram_read_ns = platform.pl_cycles(platform.bram_read_cycles)
         self._response_beats = -(-buffer.line_size // platform.axi_bus_bytes)
         self._transfer_ns = self.pl_clock.cycles(self._response_beats)
-        #: Trapped reads currently in flight (gates the collapsed hit path).
-        self._active = 0
         #: Optional :class:`repro.faults.FaultInjector` (None = no faults).
         self.faults = None
 
     def read_line(self, line_idx: int):
         """A process serving one trapped cache-line read; returns the bytes."""
-        cfg = self.platform
         arrival = self.sim.now
         self.stats.bump("requests")
         self.monitor.notice_access()
         if self.faults is not None:
             self._maybe_poison_buffer()
-        elif (cfg.fastpath and self._active == 0 and self.sim.tracer is None
-                and self.monitor.line_visible(line_idx)):
-            # Hot hit with no other trapped read in flight: every timestamp
-            # of the five-stage ladder below is already determined, and no
-            # concurrent request can contend for the response port between
-            # now and our reservation (later arrivals align to later-or-
-            # equal PL edges and, on ties, to later event sequence numbers).
-            # Replay the ladder arithmetically and sleep straight to the
-            # response time — one event instead of five.
-            self._active += 1
-            try:
-                yield from self._read_hit_collapsed(line_idx, arrival)
-            finally:
-                self._active -= 1
-            return self.buffer.read_line(line_idx)
-        self._active += 1
-        try:
-            result = yield from self._read_cycle_level(line_idx, arrival)
-        finally:
-            self._active -= 1
-        return result
-
-    def _read_hit_collapsed(self, line_idx: int, arrival: float):
-        """The buffer-hit ladder, transcribed (same floats, same order)."""
-        sim = self.sim
-        # CDC into the PL, trap + lookup, BRAM read — fixed-delay chain.
-        t1 = arrival + (self.pl_clock.align_delay(arrival) + self._cdc_sync_ns)
-        t2 = t1 + self._txn_overhead_ns
-        self.monitor.stats.bump("lookups_hit")  # line_ready's bookkeeping
-        self.stats.bump("buffer_hits")
-        t3 = t2 + self._bram_read_ns
-        # Response-port reservation, exactly as the cycle path at t3.
-        start = max(t3, self._response_port_free_at)
-        end = start + self._transfer_ns
-        self._response_port_free_at = end
-        self.stats.bump("response_beats", self._response_beats)
-        t4 = t3 + (end - t3)
-        t5 = t4 + self.platform.cdc_ns
-        wake = sim.event()
-        sim.schedule_at(t5, wake.succeed, None)
-        yield wake
-        self.stats.observe("latency_ns", t5 - arrival)
-        return None
-
-    def _read_cycle_level(self, line_idx: int, arrival: float):
         cfg = self.platform
 
         # Cross into the PL domain (synchroniser + edge alignment).
@@ -145,9 +97,9 @@ class Trapper:
 
         # BRAM read, then stream the line back over the PS-PL port. The
         # response port is shared: concurrent responses serialise beat-wise.
-        yield self.sim.timeout(cfg.pl_cycles(cfg.bram_read_cycles))
-        beats = -(-self.buffer.line_size // cfg.axi_bus_bytes)
-        transfer = self.pl_clock.cycles(beats)
+        yield self.sim.timeout(self._bram_read_ns)
+        beats = self._response_beats
+        transfer = self._transfer_ns
         start = max(self.sim.now, self._response_port_free_at)
         end = start + transfer
         self._response_port_free_at = end

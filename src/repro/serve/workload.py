@@ -29,8 +29,8 @@ processes inside the serving simulation instead.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..query.queries import Query, q1, q2, q4

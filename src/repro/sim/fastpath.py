@@ -1,4 +1,4 @@
-"""Fast-forward replay of fetch epochs, as one flat loop.
+"""Fast-forward replay: fetch epochs as one flat loop, scans as one ladder.
 
 A steady-state RME scan is extraordinarily regular: the Requestor emits
 one descriptor per PL cycle, every descriptor walks the same
@@ -57,13 +57,64 @@ distinct value), so the replay never imports numpy.
 Every forwarded epoch, and every epoch a fallback reason kept at cycle
 level, is also counted process-wide in :data:`FASTPATH_STATS`, the
 ``fastpath`` scope of :data:`~repro.sim.metrics.PROCESS_METRICS`.
+
+**The scan ladder.** :func:`forward_scan` times the CPU side of a scan,
+the loop :meth:`RelationalMemorySystem.measure` otherwise runs on the
+event kernel: ``ScanDriver._run_segment`` -> ``MemoryHierarchy.load_line``
+-> prefetch fills -> MSHRs -> L2 -> the trapper (``RMEngine.read_line``)
+or ``DRAM.access``, and the write-backs of dirty victims. Each actor —
+the demand stream, one per prefetch fill, one per write-back — is one
+flat generator with its backend inlined, stepping on a local
+``(time, seq)`` heap. Cache, prefetcher, DRAM, trapper and monitor state
+and every instrument are committed by the real model code
+(``Cache.lookup``/``fill``, ``StreamPrefetcher.observe``, ``StatSet``,
+``DRAM.access``/``write``, ``MonitorBypass.line_ready``,
+``ReorganizationBuffer.read_line``), called in the kernel's order. No
+step is folded into arithmetic; the saving is the kernel's per-step
+cost and the nested ``yield from`` chain. Its correctness rests on these
+rules:
+
+* *one order*: the kernel's heap plus same-time deque pops entries in
+  ``(time, seq)`` order, and the ladder's heap is keyed the same way.
+  It takes a sequence number wherever the kernel does: every timeout,
+  every process start (a prefetch fill, a write-back), every waiter an
+  event wakes (a merged demand, an MSHR hand-off, a stalled trapped
+  read), and every yield of an event that already fired (a free MSHR's
+  acquire). Timestamps use the kernel's expression, ``now + delay``;
+  ``sim.now`` follows the ladder's clock, since ``line_ready``,
+  ``DRAM.access`` and the epoch activation read it;
+* *direct resumption*: an actor whose new entry no queued entry
+  precedes (none is due at or before its time) resumes at once — the
+  kernel would pop that entry next, its seq being the newest;
+* *a quiet start*: a scan is forwarded only with no pending event, no
+  line in flight, no MSHR held, one core, no tracer and no fault plan,
+  so the ladder's actors are the only ones. The first trapped read of a
+  cold scan activates the engine at that instant; the epoch is
+  fast-forwarded then, and its drain marker is adopted into the ladder's
+  heap under the seq the kernel gave it, so ``sim.now`` ends at
+  max(scan end, ``pipeline_end``) and the kernel's queue ends empty;
+* *no reconfiguration inside a scan*: the monitor's generation checks
+  always pass and fills never decline, because windowed engines (window
+  switches, declined prefetches) are refused;
+* *forwarded epochs only*: a trapped read waits only on a
+  fast-forwarded line, which is resident and becomes visible at its
+  recorded completion instant; the wake fires per instant, lines in
+  index order (``MonitorBypass._ff_fire``). An engine whose coming
+  epoch would run cycle-level is refused.
+
+A refused scan runs the event path and bumps ``scan_fallback_<reason>``
+(``tracer``, ``faults``, ``multicore``, ``busy``, ``windowed``,
+``epoch``); a forwarded one bumps ``scans``. A segment whose lines are
+not all inside one mapped region (or outside the engine's projection)
+runs the event path uncounted, which raises the addressing error.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush, heappushpop
 from operator import add, sub
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .metrics import PROCESS_METRICS
 from .vector import bulk_add, bulk_add_repeated, bulk_observe
@@ -617,3 +668,395 @@ def _commit_rowfilter(engine, timing, buffer, monitor, monitor_stats,
         schedule[line_idx] = timing.t_fin
     stats.bump("pushdown_finalized")
     monitor.install_fastforward(schedule, timing.pipeline_end)
+
+
+# -- the scan ladder ------------------------------------------------------------------
+
+
+def _scan_plan(system, segments):
+    """``(reason, plans)`` for one :meth:`RelationalMemorySystem.measure`.
+
+    ``reason is None`` means the scan is forwarded, with one
+    ``(segment, trapped)`` plan per segment (``trapped`` is True when its
+    lines are trapped by the engine, False when they are DRAM lines). A
+    non-empty reason is a counted fallback; the empty reason sends the
+    scan to the event path uncounted, because that path raises the
+    addressing error (an unmapped or out-of-projection line, an
+    unconfigured engine) this ladder does not reproduce.
+    """
+    from ..memsys.hierarchy import DRAMBackend
+
+    sim = system.sim
+    rme = system.rme
+    if sim.tracer is not None:
+        return "tracer", None
+    if (system.faults is not None or system.dram.faults is not None
+            or rme.faults is not None or rme.trapper.faults is not None):
+        return "faults", None
+    if len(system.hierarchies) > 1 or rme.n_cores > 1:
+        return "multicore", None
+    hierarchy = system.hierarchy
+    if (sim._queue or sim._immediate or hierarchy._inflight
+            or hierarchy.mshrs.in_use):
+        return "busy", None
+    line = hierarchy.line_size
+    routes = hierarchy._backends
+    plans = []
+    for segment in segments:
+        if segment.n_elems == 0:
+            plans.append((segment, False))
+            continue
+        first = segment.start - segment.start % line
+        last_addr = (segment.start + (segment.n_elems - 1) * segment.stride
+                     + segment.elem_size - 1)
+        entry = routes.lookup(first)
+        if entry is None or last_addr >= entry[0].limit:
+            return "", None
+        region, backend = entry
+        if backend is rme:
+            if rme.geometry is None:
+                return "", None
+            offset = region.base - rme.ephemeral_base
+            if offset < 0 or offset % line or (
+                    (region.limit - 1 - rme.ephemeral_base) // line * line
+                    >= rme._projected_total):
+                return "", None
+            if rme.windowed:
+                return "windowed", None
+            if not rme.monitor.activated and rme._fastpath_plan()[0]:
+                return "epoch", None
+            plans.append((segment, True))
+        elif type(backend) is DRAMBackend:
+            plans.append((segment, False))
+        else:
+            return "", None
+    return None, plans
+
+
+def forward_scan(system, segments) -> Optional[float]:
+    """Time a scan through the ladder; None when the event path must.
+
+    The caller (:meth:`RelationalMemorySystem.measure`) runs the
+    event-driven :class:`~repro.memsys.cpu.ScanDriver` on None. Every
+    forwarded scan bumps ``scans`` in :data:`FASTPATH_STATS`, every
+    counted refusal ``scan_fallback_<reason>``.
+    """
+    reason, plans = _scan_plan(system, segments)
+    if reason is not None:
+        if reason:
+            FASTPATH_STATS.bump("scan_fallback_" + reason)
+        return None
+    FASTPATH_STATS.bump("scans")
+    return _run_scan(system, plans)
+
+
+def _run_scan(system, plans) -> float:
+    """The ladder proper: ScanDriver -> load_line -> prefetch fills ->
+    MSHRs -> L2 -> trapper or DRAM, as flat actors on one local queue.
+
+    Entries are ``(time, seq, actor)``. An actor is a generator that
+    yields the absolute time it resumes at (a timeout) or a list to wait
+    in (an event: an in-flight fill, the MSHR queue, a stalled line). A
+    dict entry is a fast-forward completion instant, ``{line: waiters}``;
+    popping it wakes the waiters one sequence number each, as
+    ``Event.succeed`` does. See the module docstring for the ordering
+    rules.
+    """
+    from ..errors import MemoryMapError, SimulationError
+
+    sim = system.sim
+    hierarchy = system.hierarchy
+    platform = system.platform
+    rme = system.rme
+    trapper = rme.trapper
+    monitor = rme.monitor
+    buffer = rme.buffer
+    dram = system.dram
+
+    line = hierarchy.line_size
+    l1 = hierarchy.l1
+    l2 = hierarchy.l2
+    l1_lookup = l1.lookup
+    l2_lookup = l2.lookup
+    l1_contains = l1.contains
+    l1_fill = l1.fill
+    l2_fill = l2.fill
+    l1_bump = l1.stats.bump
+    note_repeat_hits = l1.note_repeat_hits
+    observe = hierarchy.prefetcher.observe
+    prefetch_bump = hierarchy.prefetcher.stats.bump
+    cpu_observe = hierarchy.stats.observe
+    route = hierarchy.route
+    mshr_capacity = hierarchy.mshrs.capacity
+    l1_hit = platform.l1_hit_ns
+    l1_miss_issue = platform.l1_miss_issue_ns
+    l2_hit = platform.l2_hit_ns
+    dram_access = dram.access
+
+    rme_bump = rme.stats.bump
+    eph_base = rme.ephemeral_base
+    trapper_bump = trapper.stats.bump
+    trapper_observe = trapper.stats.observe
+    monitor_bump = monitor.stats.bump
+    line_ready = monitor.line_ready
+    buffer_line_ready = buffer.line_ready
+    buffer_read_line = buffer.read_line
+    pl_cycle = trapper.pl_clock.cycle_ns
+    cdc_sync = trapper._cdc_sync_ns
+    txn = trapper._txn_overhead_ns
+    bram = trapper._bram_read_ns
+    beats = trapper._response_beats
+    transfer = trapper._transfer_ns
+    cdc_ns = platform.cdc_ns
+
+    heap: List[tuple] = []
+    seq = sim._seq
+    now = sim.now
+    port_free = trapper._response_port_free_at
+    mshr_in_use = 0
+    mshr_queue: deque = deque()
+    inflight: Dict[int, list] = {}
+    stalls: Dict[float, Dict[int, list]] = {}
+    elapsed = [0.0]
+
+    def adopt() -> None:
+        """Move whatever real code scheduled on the kernel into the local
+        queue (the activation's drain marker), keeping its sequence."""
+        nonlocal seq
+        seq = sim._seq
+        for time, entry_seq, callback, arg in sim._queue:
+            heappush(heap, (time, entry_seq, foreign(callback, arg)))
+        for entry_seq, callback, arg in sim._immediate:
+            heappush(heap, (now, entry_seq, foreign(callback, arg)))
+        sim._queue.clear()
+        sim._immediate.clear()
+
+    def foreign(callback, arg):
+        """A callback the real kernel holds, run at its turn."""
+        sim._seq = seq
+        callback(arg)
+        adopt()
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def drive(process):
+        """A kernel process that only sleeps (DRAM.write), step by step."""
+        for timeout in process:
+            yield now + timeout.delay
+
+    def fill_l2(line_base: int, dirty: bool = False) -> None:
+        # MemoryHierarchy._fill_l2 with _issue_writeback transcribed.
+        nonlocal seq
+        victim = l2_fill(line_base, dirty)
+        if victim is not None and l2.last_victim_dirty:
+            try:
+                backend = route(victim)
+            except MemoryMapError:
+                return
+            victim_dram = getattr(backend, "dram", None)
+            if victim_dram is None:
+                return
+            seq += 1
+            heappush(heap, (now, seq, drive(
+                victim_dram.write(victim, line, source="writeback"))))
+
+    def fill_l1(line_base: int) -> None:
+        victim = l1_fill(line_base)
+        if victim is not None:
+            fill_l2(victim, l1.last_victim_dirty)
+
+    def fill(line_base: int, demand: bool, trapped: bool):
+        """``MemoryHierarchy.load_line`` past a demand's L1 miss, or a
+        whole prefetch fill, with the backend inlined."""
+        nonlocal seq, port_free, mshr_in_use
+        if demand:
+            yield now + l1_miss_issue
+        elif l1_lookup(line_base, demand=False):
+            return
+        waiters = inflight.get(line_base)
+        if waiters is not None:
+            # Merge with the fill already on its way (always filled: the
+            # ladder never runs a windowed engine, the only one declining).
+            l1_bump("misses_merged")
+            yield waiters
+            if demand:
+                yield now + l1_hit
+            return
+        waiters = inflight[line_base] = []
+        if mshr_in_use < mshr_capacity:
+            # The acquire event fired at once; yielding it resumes the
+            # fill one sequence number later at the same instant.
+            mshr_in_use += 1
+            yield now
+        else:
+            yield mshr_queue
+        if l1_lookup(line_base, demand=False):
+            pass  # filled while we waited for an MSHR slot
+        elif l2_lookup(line_base, demand=demand):
+            yield now + l2_hit
+            fill_l1(line_base)
+        else:
+            fill_start = now
+            yield now + (l1_hit + l2_hit)
+            if trapped:
+                # RMEngine.read_line -> _serve_line -> Trapper.read_line.
+                rme_bump("reads_cpu" if demand else "reads_prefetch")
+                line_idx = (line_base - eph_base) // line
+                arrival = now
+                trapper_bump("requests")
+                if not monitor._activated:
+                    # The first trapped read activates the engine: its
+                    # epoch is fast-forwarded here, at this instant.
+                    sim._seq = seq
+                    monitor.notice_access()
+                    adopt()
+                # Trapper.read_line, one step per timeout.
+                remainder = now % pl_cycle
+                align = 0.0 if remainder < 1e-9 else pl_cycle - remainder
+                yield now + (align + cdc_sync)
+                yield now + txn
+                if line_ready(line_idx):
+                    trapper_bump("buffer_hits")
+                else:
+                    stall_start = now
+                    trapper_bump("buffer_misses")
+                    # MonitorBypass.wait_line: a resident line that is not
+                    # visible yet becomes visible at its completion instant.
+                    if not buffer_line_ready(line_idx):
+                        raise SimulationError(
+                            f"scan ladder: packed line {line_idx} is "
+                            "not resident; its epoch is not forwarded")
+                    completes_at = monitor._ff_schedule[line_idx]
+                    instant = stalls.get(completes_at)
+                    if instant is None:
+                        instant = stalls[completes_at] = {}
+                    line_waiters = instant.get(line_idx)
+                    if line_waiters is None:
+                        line_waiters = instant[line_idx] = []
+                    monitor_bump("stalled_requests")
+                    if completes_at not in monitor._ff_armed:
+                        monitor._ff_armed.add(completes_at)
+                        seq += 1
+                        heappush(heap, (completes_at, seq, instant))
+                    yield line_waiters
+                    trapper_observe("stall_ns", now - stall_start)
+                    line_ready(line_idx)  # the re-probe after the wake
+                yield now + bram
+                start = now if now >= port_free else port_free
+                end = start + transfer
+                port_free = end
+                trapper_bump("response_beats", beats)
+                yield now + (end - now)
+                yield now + cdc_ns
+                trapper_observe("latency_ns", now - arrival)
+                buffer_read_line(line_idx)
+            else:
+                # DRAMBackend.read_line: the real DRAM.access process.
+                access = dram_access(line_base, 64,
+                                     "cpu" if demand else "prefetch")
+                yield now + next(access).delay
+                next(access, None)
+            cpu_observe("fill_ns", now - fill_start)
+            fill_l2(line_base)
+            fill_l1(line_base)
+        # The finally clause: release the MSHR (handing it to the oldest
+        # waiter), retire the in-flight entry, fire the arrival event.
+        if mshr_queue:
+            seq += 1
+            heappush(heap, (now, seq, mshr_queue.popleft()))
+        else:
+            mshr_in_use -= 1
+        del inflight[line_base]
+        for waiter in waiters:
+            seq += 1
+            heappush(heap, (now, seq, waiter))
+        if demand:
+            yield now + l1_hit
+
+    def driver():
+        """ScanDriver.run over every segment, the demand half of
+        ``load_line`` (prefetcher, issue, L1 probe) inlined."""
+        nonlocal seq
+        start_time = now
+        for segment, trapped in plans:
+            n_elems = segment.n_elems
+            stride = segment.stride
+            elem_size = segment.elem_size
+            compute_ns = segment.compute_ns
+            seg_start = segment.start
+            # The home region of every prefetch: each line of the segment
+            # lies in it.
+            region = hierarchy._region_of(seg_start) if n_elems else None
+            index = 0
+            while index < n_elems:
+                addr = seg_start + index * stride
+                line_base = addr - addr % line
+                if stride == 0:
+                    batch = n_elems - index
+                else:
+                    room = line_base + line - addr
+                    in_line = -(-room // stride) if room > 0 else 1
+                    batch = max(1, min(n_elems - index, in_line))
+                load = line_base
+                while True:
+                    targets = observe(load)
+                    if targets:
+                        # MemoryHierarchy._issue_prefetches.
+                        for target in targets:
+                            if target < 0 or target in inflight:
+                                continue
+                            if l1_contains(target):
+                                continue
+                            if not region.base <= target < region.limit:
+                                continue
+                            prefetch_bump("issued")
+                            seq += 1
+                            heappush(heap, (now, seq,
+                                            fill(target, False, trapped)))
+                    if l1_lookup(load, demand=True):
+                        yield now + l1_hit
+                    else:
+                        yield from fill(load, True, trapped)
+                    if load != line_base:
+                        break
+                    note_repeat_hits(batch - 1)
+                    if addr + (batch - 1) * stride + elem_size <= load + line:
+                        break
+                    # The batch's last element straddles into the next line.
+                    load = line_base + line
+                if compute_ns:
+                    yield now + batch * compute_ns
+                index += batch
+        elapsed[0] = now - start_time
+
+    # The scan process starts like any other: one sequence number at now.
+    seq += 1
+    heappush(heap, (now, seq, driver()))
+    try:
+        while heap:
+            now, _seq, actor = heappop(heap)
+            sim.now = now
+            if actor.__class__ is dict:
+                # MonitorBypass._ff_fire: lines in order, waiters in order.
+                del stalls[now]
+                for line_idx in sorted(actor):
+                    for waiter in actor[line_idx]:
+                        seq += 1
+                        heappush(heap, (now, seq, waiter))
+                continue
+            for wake in actor:
+                if wake.__class__ is float:
+                    seq += 1
+                    if heap and heap[0][0] <= wake:
+                        heappush(heap, (wake, seq, actor))
+                        break
+                    # Nothing is due before it: resume at once.
+                    now = wake
+                    sim.now = wake
+                else:
+                    wake.append(actor)
+                    break
+    finally:
+        sim._seq = seq
+        trapper._response_port_free_at = port_free
+    return elapsed[0]

@@ -21,7 +21,7 @@ per node on the root-to-leaf path, plus the chained leaves of the range.
 from __future__ import annotations
 
 import bisect
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..errors import QueryError, SchemaError
 from .row_table import RowTable

@@ -4,7 +4,6 @@ import pytest
 
 from repro import AnalyticalModel, RelationalMemorySystem, figure1_curves
 from repro.errors import ConfigurationError
-from repro.memsys.cpu import ScanSegment
 from repro.query import QueryExecutor, q1
 from repro.rme.designs import BSL, MLP
 from tests.conftest import build_relation

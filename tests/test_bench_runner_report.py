@@ -38,69 +38,49 @@ def test_measure_paths_collects_everything(runner, small_table):
     assert norm["Columnar"] < 1.0
 
 
-def test_baseline_memo_replays_only_under_fastpath(small_table):
-    """The CPU-baseline memo records every run but replays only when the
-    platform sets ``fastpath`` — and the replay is the recorded result."""
+def test_fastpath_baselines_match_the_event_path(small_table):
+    """Direct and columnar timings forwarded on the scan ladder equal the
+    cycle-level reference field for field, and move the scan counter."""
     import dataclasses
 
-    from repro.bench import runner as runner_mod
     from repro.config import ZCU102
-
-    memo = runner_mod._BASELINE_MEMO
-    memo.clear()
-    before = {"hits": memo.hits, "misses": memo.misses}
+    from repro.sim.fastpath import FASTPATH_STATS
 
     cycle = ExperimentRunner(
         platform=dataclasses.replace(ZCU102, fastpath=False), designs=(MLP,)
     )
-    first = cycle.time_direct(small_table, q1())
-    second = cycle.time_direct(small_table, q1())
-    # Cycle-level runs never replay (no tally movement), but both record.
-    assert {"hits": memo.hits, "misses": memo.misses} == before
-    assert second.elapsed_ns == first.elapsed_ns
-
     fast = ExperimentRunner(
         platform=dataclasses.replace(ZCU102, fastpath=True), designs=(MLP,)
     )
-    replayed = fast.time_direct(small_table, q1())
-    assert memo.hits == before["hits"] + 1
-    assert replayed.elapsed_ns == first.elapsed_ns
-    assert replayed.value == first.value
-
-    # A different query is a different key: recorded fresh, not replayed.
-    other = fast.time_columnar(small_table, q1())
-    assert memo.misses == before["misses"] + 1
-    assert other.elapsed_ns > 0
-
-    # Mutating a replayed result must not poison later replays.
-    replayed.cache_stats.setdefault("L1", {})["poisoned"] = 1.0
-    clean = fast.time_direct(small_table, q1())
-    assert "poisoned" not in clean.cache_stats.get("L1", {})
+    for time_path in ("time_direct", "time_columnar"):
+        reference = getattr(cycle, time_path)(small_table, q1())
+        before = FASTPATH_STATS.count("scans")
+        forwarded = getattr(fast, time_path)(small_table, q1())
+        assert FASTPATH_STATS.count("scans") > before, time_path
+        assert forwarded == reference, time_path
 
 
-def test_baseline_memo_keys_on_the_schema():
+def test_direct_baseline_follows_the_schema():
     """One seeded byte stream packs into 256 128-byte rows or 512 64-byte
-    rows alike; a replay must not hand one relation's baseline to the
-    other."""
+    rows alike; each relation's direct timing is its own, identical to
+    the cycle-level reference."""
     import dataclasses
 
-    from repro.bench import runner as runner_mod
     from repro.config import ZCU102
 
     wide = make_relation(256, n_cols=32, col_width=4)
     narrow = make_relation(512, n_cols=16, col_width=4)
     assert wide.raw_bytes() == narrow.raw_bytes()
-    runner_mod._BASELINE_MEMO.clear()
     fast = ExperimentRunner(
         platform=dataclasses.replace(ZCU102, fastpath=True), designs=(MLP,)
     )
     fast.time_direct(wide, q1())
-    replayed = fast.time_direct(narrow, q1())
+    forwarded = fast.time_direct(narrow, q1())
     reference = ExperimentRunner(
         platform=dataclasses.replace(ZCU102, fastpath=False), designs=(MLP,)
     ).time_direct(narrow, q1())
-    assert replayed.elapsed_ns == reference.elapsed_ns
-    assert replayed.cache_stats == reference.cache_stats
+    assert forwarded.elapsed_ns == reference.elapsed_ns
+    assert forwarded.cache_stats == reference.cache_stats
 
 
 def test_figure_result_normalization():

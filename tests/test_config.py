@@ -4,13 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import (
-    CacheGeometry,
-    DRAMTimings,
-    PlatformConfig,
-    RMEConfig,
-    ZCU102,
-)
+from repro.config import CacheGeometry, DRAMTimings, RMEConfig, ZCU102
 from repro.errors import ConfigurationError
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.config import ZCU102
 from repro.errors import ConfigurationError
 from repro.memsys import DRAM, MemoryHierarchy, MemoryMap, PhysicalMemory, ScanSegment
-from repro.memsys.cpu import ScanDriver, measure_scan
+from repro.memsys.cpu import measure_scan
 from repro.memsys.hierarchy import DRAMBackend
 from repro.sim import Simulator
 

@@ -14,7 +14,6 @@ transcripts or deliberately failing snippets.
 from __future__ import annotations
 
 import pathlib
-import re
 
 import pytest
 

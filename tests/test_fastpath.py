@@ -25,7 +25,6 @@ from repro import (
     RowTable,
     uniform_schema,
 )
-from repro.bench.runner import ExperimentRunner
 from repro.config import ZCU102
 from repro.faults import FaultPlan
 from repro.query.queries import Query, q1, q2, q4, q7

@@ -1,7 +1,5 @@
 """Tests for the B+-tree index and the hybrid index/scan execution path."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,13 +1,11 @@
 """Tests for the Monitor Bypass and the Requestor."""
 
-import pytest
-
 from repro.config import RMEConfig, ZCU102
 from repro.rme.geometry import TableGeometry
 from repro.rme.monitor_bypass import MonitorBypass
 from repro.rme.reorg_buffer import ReorganizationBuffer
 from repro.rme.requestor import STOP, Requestor
-from repro.sim import Simulator, Store
+from repro.sim import Store
 
 
 def make_monitor(sim, projected=128):

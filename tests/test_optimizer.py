@@ -3,7 +3,7 @@
 import pytest
 
 from repro import AccessPath, RelationalMemorySystem, RowTable, choose_access_path, uniform_schema
-from repro.query import q1, q4, q7, Query
+from repro.query import q1, q4, q7
 from repro.query.queries import q3
 from tests.conftest import build_relation
 

@@ -490,6 +490,9 @@ def test_wallclock_counts_worker_epochs(force_pool):
     )
     assert sharded.fastpath_hits == single.fastpath_hits > 0
     assert sharded.fallbacks == single.fallbacks == {}
+    # Scans forwarded in worker processes come back with their batch.
+    assert sharded.scans == single.scans > 0
+    assert sharded.scan_fallbacks == single.scan_fallbacks == {}
 
 
 def test_profile_workload_sharded_bit_identical():

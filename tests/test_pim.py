@@ -13,7 +13,7 @@ from repro.config import DRAMTimings, ZCU102
 from repro.core.access_path import AccessPath
 from repro.core.relmem import RelationalMemorySystem
 from repro.errors import ConfigurationError, FaultError, QueryError
-from repro.faults import DEFAULT_RECOVERY, NO_RECOVERY, FaultPlan, RecoveryPolicy
+from repro.faults import DEFAULT_RECOVERY, NO_RECOVERY, FaultPlan
 from repro.pim import (
     BankLayout,
     BankPIM,

@@ -19,7 +19,6 @@ from repro.serve import (
     PROFILE_CACHE,
     OpenLoopWorkload,
     ServingSystem,
-    TenantSpec,
     default_tenants,
     profile_workload,
 )

@@ -1,7 +1,5 @@
 """End-to-end tests of the assembled RME engine (functional + lifecycle)."""
 
-import struct
-
 import pytest
 
 from repro.config import RMEConfig, ZCU102

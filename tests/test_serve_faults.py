@@ -10,7 +10,7 @@ is seed-deterministic.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import DEFAULT_RECOVERY, NO_RECOVERY
+from repro.faults import NO_RECOVERY
 from repro.serve import (
     OpenLoopWorkload,
     ServingSystem,

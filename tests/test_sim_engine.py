@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
 from repro.sim.engine import Timeout
 
 

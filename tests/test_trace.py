@@ -7,7 +7,7 @@ import pytest
 from repro import RelationalMemorySystem, QueryExecutor, q4
 from repro.errors import SimulationError
 from repro.sim import Simulator, Tracer
-from repro.sim.trace import emit, emit_span, to_chrome_trace, write_chrome_trace
+from repro.sim.trace import emit, emit_span, write_chrome_trace
 from tests.conftest import build_relation
 
 

@@ -1,7 +1,5 @@
 """Timing-level tests of the Trapper and Fetch Unit paths."""
 
-import pytest
-
 from repro.config import RMEConfig, ZCU102
 from repro.memsys import DRAM, MemoryMap, PhysicalMemory
 from repro.rme import BSL, MLP, RMEngine

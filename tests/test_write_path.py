@@ -7,7 +7,6 @@ from repro.config import ZCU102
 from repro.errors import MemoryMapError
 from repro.memsys import DRAM, MemoryHierarchy, MemoryMap, PhysicalMemory
 from repro.memsys.hierarchy import DRAMBackend
-from repro.sim import Simulator
 from tests.conftest import build_relation
 
 
