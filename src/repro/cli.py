@@ -577,17 +577,31 @@ def _cmd_bench(args, out) -> int:
     return 0
 
 
-def _cmd_query(args, out) -> int:
-    from .pim import supports_query
+def _adhoc_relation(args, out, prog: str):
+    """Shared preamble of ``query``/``trace``/``stats``: parse the SQL and
+    build the synthetic table ``S`` it runs on.
 
-    query = _parse_sql_or_usage(args.sql, "repro query")
+    Returns ``(query, table)``, or ``None`` after printing which columns
+    the SQL names that ``S`` lacks (the caller exits 2).
+    """
+    query = _parse_sql_or_usage(args.sql, prog)
     table = make_relation(args.rows, n_cols=args.cols, col_width=args.width,
                           seed=args.seed)
     missing = [c for c in query.columns() if c not in table.schema]
     if missing:
         print(f"query references {missing}, but S has columns "
               f"A1..A{args.cols}", file=out)
+        return None
+    return query, table
+
+
+def _cmd_query(args, out) -> int:
+    from .pim import supports_query
+
+    adhoc = _adhoc_relation(args, out, "repro query")
+    if adhoc is None:
         return 2
+    query, table = adhoc
     system = RelationalMemorySystem()
     loaded = system.load_table(table)
     executor = QueryExecutor(system)
@@ -626,18 +640,15 @@ def _cmd_query(args, out) -> int:
 
 
 def _adhoc_rme_run(args, out):
-    """Shared setup of ``trace``/``stats``: run the SQL on the RME path.
+    """Run the ``stats`` SQL on the RME path (cold, then hot with --hot).
 
-    Returns ``(system, result)`` or ``None`` after printing a usage error.
+    Returns ``(system, result, design name)`` or ``None`` after printing
+    a usage error.
     """
-    query = _parse_sql_or_usage(args.sql, "repro stats")
-    table = make_relation(args.rows, n_cols=args.cols, col_width=args.width,
-                          seed=args.seed)
-    missing = [c for c in query.columns() if c not in table.schema]
-    if missing:
-        print(f"query references {missing}, but S has columns "
-              f"A1..A{args.cols}", file=out)
+    adhoc = _adhoc_relation(args, out, "repro stats")
+    if adhoc is None:
         return None
+    query, table = adhoc
     design = design_by_name(args.design)
     system = RelationalMemorySystem(design=design)
     loaded = system.load_table(table)
@@ -650,16 +661,10 @@ def _adhoc_rme_run(args, out):
 
 
 def _cmd_trace(args, out) -> int:
-    # Mirrors _adhoc_rme_run, but the tracer must attach between system
-    # construction and the first access, so the setup is inlined here.
-    query = _parse_sql_or_usage(args.sql, "repro trace")
-    table = make_relation(args.rows, n_cols=args.cols, col_width=args.width,
-                          seed=args.seed)
-    missing = [c for c in query.columns() if c not in table.schema]
-    if missing:
-        print(f"query references {missing}, but S has columns "
-              f"A1..A{args.cols}", file=out)
+    adhoc = _adhoc_relation(args, out, "repro trace")
+    if adhoc is None:
         return 2
+    query, table = adhoc
     design = design_by_name(args.design)
     system = RelationalMemorySystem(design=design)
     tracer = system.enable_tracing(capacity=args.capacity)

@@ -49,8 +49,6 @@ class DRAMBackend(LineBackend):
         self.dram = dram
 
     def read_line(self, line_base: int, source: str = "cpu"):
-        line = self.dram.memory.memmap.find(line_base)  # validates mapping
-        del line
         if self.dram.faults is None:
             return self.dram.access(line_base, 64, source=source)
         return self._read_with_ecc(line_base, source)

@@ -24,15 +24,20 @@ ineligibility as a one-line usage error) before any table exists.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, QueryError
-from ..rme.pushdown import AGG_FUNCS, HWSelection
+from ..rme.pushdown import AGG_FUNCS, CMP_OPS, HWSelection
 from .bitmap import SelectionBitmap
 
-#: Comparison ops the comparator array implements (mirrors HWSelection).
-_CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
+#: ``struct`` codes of the comparator's signed 1/2/4/8-byte fields.
+_FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+#: Verdict bytes 0/1 as the ASCII digits ``int(..., 2)`` parses.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 #: Flip a comparison when the constant is on the left: ``5 < A1`` == ``A1 > 5``.
 _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
@@ -129,30 +134,15 @@ class PredicateProgram:
         """Evaluate over one bank's packed rows: comparator bitmaps, then
         the bulk AND/OR combine tree. Bit ``i`` = ``rows[i]`` matched.
 
-        Comparator passes go through the shared vectorization gate
-        (:func:`repro.sim.vector.comparator_bits`): numpy evaluates the
-        whole bank in one pass when importable, the scalar loop
-        otherwise — exact integer compares either way, so the bitmap is
-        identical. The AND/OR combine is bulk in both cases (bigint
-        bitwise ops).
+        Each comparator sweeps the whole bank at once
+        (:func:`sweep_bank`); the combine is bigint bitwise AND/OR.
         """
-        from ..sim.vector import comparator_bits
-
         n = len(rows)
-        blob = b"".join(rows) if n else b""
-        row_size = len(rows[0]) if n else 0
-        by_leaf = {}
-        for leaf, cmp in zip(self.spec.leaves, self.comparators):
-            bits = comparator_bits(
-                blob, n, row_size, cmp.field_offset, cmp.field_width,
-                cmp.op, cmp.constant,
-            )
-            by_leaf[leaf] = (
-                SelectionBitmap(n, bits) if bits is not None
-                else SelectionBitmap.from_bools(
-                    n, (cmp.matches(row) for row in rows)
-                )
-            )
+        blob = b"".join(rows)
+        by_leaf = {
+            leaf: SelectionBitmap(n, sweep_bank(cmp, blob, n))
+            for leaf, cmp in zip(self.spec.leaves, self.comparators)
+        }
 
         def fold(node) -> SelectionBitmap:
             if isinstance(node, CmpLeaf):
@@ -161,6 +151,33 @@ class PredicateProgram:
             return (left & right) if node.op == "and" else (left | right)
 
         return fold(self.spec.root)
+
+
+def sweep_bank(comparator: HWSelection, blob: bytes, n_rows: int) -> int:
+    """One comparator over a bank's packed rows: the selection bits.
+
+    ``blob`` is ``n_rows`` equal-size packed rows end to end; bit ``i``
+    of the result is set iff row ``i`` matches, exactly as
+    :meth:`HWSelection.matches` decides it row by row. One ``struct``
+    pattern (byte order pinned little-endian) unpacks every row's field
+    as a Python int, the comparison goes through the same op table
+    (:data:`repro.rme.pushdown.CMP_OPS`) and so is exact for any
+    integer constant, and the verdict bytes become the bitmap at C
+    speed.
+
+    >>> rows = struct.pack("<3h", 5, -3, 9)  # three 2-byte rows
+    >>> bin(sweep_bank(HWSelection(0, 2, ">", 0), rows, 3))
+    '0b101'
+    """
+    if not n_rows:
+        return 0
+    offset, width = comparator.field_offset, comparator.field_width
+    pad = len(blob) // n_rows - offset - width
+    row = f"{offset}x{_FIELD_CODES[width]}{pad}x"
+    values = struct.unpack("<" + row * n_rows, blob)
+    verdicts = bytes(map(CMP_OPS[comparator.op], values,
+                         repeat(comparator.constant, n_rows)))
+    return int(verdicts[::-1].translate(_DIGITS), 2)
 
 
 def _fold_const(expr):
@@ -184,7 +201,7 @@ def _as_leaf(node) -> CmpLeaf:
     """One comparison expression -> a comparator leaf, or raise."""
     from ..query.expr import BinOp, Col, Const
 
-    if not isinstance(node, BinOp) or node.op not in _CMP_OPS:
+    if not isinstance(node, BinOp) or node.op not in CMP_OPS:
         raise PimUnsupportedError(
             f"subexpression {node!r} is not a comparison the in-bank "
             f"comparator implements"

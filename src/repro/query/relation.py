@@ -27,6 +27,7 @@ Derived trees are built with the factory methods on :class:`Relation`
 (``select``/``project``/``aggregate``/``join``/``transfer``/``label``)
 rather than by instantiating operation classes directly.
 
+>>> from repro.query.expr import Col
 >>> leaf = LeafRelation("S", ("A1", "A2", "A3"))
 >>> tree = leaf.project("A1", "A2").select(Col("A2") > 0)
 >>> print(tree)
@@ -53,6 +54,7 @@ class Relation:
     Subclasses are frozen dataclasses; this base only provides the
     factory methods that build derived trees and the visitor hook.
 
+    >>> from repro.query.expr import Col
     >>> LeafRelation("S", ("A1",)).aggregate("sum", Col("A1")).columns
     ('sum(A1)',)
     """
@@ -207,6 +209,7 @@ def _check_columns(op: str, needed, target: Relation) -> None:
 class Selection(Relation):
     """σ — keep only the rows satisfying ``predicate``.
 
+    >>> from repro.query.expr import Col
     >>> sel = LeafRelation("S", ("A1", "A2")).select(Col("A2") > 0)
     >>> sel.columns
     ('A1', 'A2')
@@ -289,6 +292,7 @@ class Aggregate(Relation):
     records how many scans the access pattern needs (``std`` is the
     paper's two-pass case, Q7).
 
+    >>> from repro.query.expr import Col
     >>> agg = LeafRelation("S", ("A1", "A2")).aggregate("sum", Col("A1"))
     >>> agg.columns
     ('sum(A1)',)

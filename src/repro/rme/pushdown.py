@@ -25,20 +25,23 @@ and :meth:`~repro.core.relmem.RelationalMemorySystem.register_hw_aggregate`.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigurationError
 
-#: Comparison operators the PL comparator implements.
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+#: Comparison operators the PL comparator implements — and the in-bank
+#: PIM comparator (:func:`repro.pim.predicate.sweep_bank`), which sweeps
+#: a whole bank through the same table.
+CMP_OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
 }
 
 #: Aggregation functions the PL accumulator implements.
@@ -60,10 +63,10 @@ class HWSelection:
     constant: int
 
     def validate(self, group_width: int) -> None:
-        if self.op not in _OPS:
+        if self.op not in CMP_OPS:
             raise ConfigurationError(
                 f"unsupported PL comparator {self.op!r}; "
-                f"expected one of {sorted(_OPS)}"
+                f"expected one of {sorted(CMP_OPS)}"
             )
         if self.field_width not in (1, 2, 4, 8):
             raise ConfigurationError(
@@ -80,7 +83,7 @@ class HWSelection:
         """Evaluate the comparison against one packed row."""
         raw = packed_row[self.field_offset : self.field_offset + self.field_width]
         value = int.from_bytes(raw, "little", signed=True)
-        return _OPS[self.op](value, self.constant)
+        return CMP_OPS[self.op](value, self.constant)
 
 
 @dataclass(frozen=True)

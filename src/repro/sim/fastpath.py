@@ -50,9 +50,12 @@ is never reused, because timestamps that sit on the PS clock's
 2/3-ns grid do not translate exactly to another start instant. Payload
 bytes are read from memory at commit time.
 
-Bulk statistic replay routes through :mod:`repro.sim.vector`'s pure-
-Python helpers (exact sums of constant lists, one bucket computation per
-distinct value), so the replay never imports numpy.
+Statistics are replayed in bulk through the instruments' own methods
+(:meth:`~repro.sim.stats.Counter.add_all`,
+:meth:`~repro.sim.stats.Counter.add_repeated`,
+:meth:`~repro.sim.stats.Histogram.observe_all`): exact sums of constant
+runs and one bucket computation per distinct value, bit-identical to the
+per-event calls.
 
 Every forwarded epoch, and every epoch a fallback reason kept at cycle
 level, is also counted process-wide in :data:`FASTPATH_STATS`, the
@@ -117,7 +120,6 @@ from operator import add, sub
 from typing import Dict, List, Optional, Tuple
 
 from .metrics import PROCESS_METRICS
-from .vector import bulk_add, bulk_add_repeated, bulk_observe
 
 #: Epoch replay modes (mirrors the engine's eligibility analysis).
 MODE_PROJECT = "project"
@@ -537,36 +539,35 @@ def fast_forward(engine, rows=None, w_bias: int = 0,
     # event-driven path (observation lists are pre-ordered by the
     # compute step's ordering lemmas).
     requestor_stats = engine.requestor.stats
-    bulk_add_repeated(requestor_stats.counter("descriptors"), n, 1.0)
-    bulk_add(requestor_stats.counter("burst_beats"), timing.bursts)
-    bulk_observe(requestor_stats.histogram("credit_wait_ns"), timing.credit_waits)
+    requestor_stats.counter("descriptors").add_repeated(n)
+    requestor_stats.counter("burst_beats").add_all(timing.bursts)
+    requestor_stats.histogram("credit_wait_ns").observe_all(timing.credit_waits)
 
     fetch_stats = pool.stats
-    bulk_add_repeated(fetch_stats.counter("descriptors"), n, 1.0)
-    bulk_add(fetch_stats.counter("bytes_fetched"), timing.read_bytes)
-    bulk_add(fetch_stats.counter("bytes_useful"), timing.widths)
-    bulk_observe(fetch_stats.histogram("dram_wait_ns"), timing.dram_waits)
-    bulk_observe(fetch_stats.histogram("service_ns"), timing.service_obs)
+    fetch_stats.counter("descriptors").add_repeated(n)
+    fetch_stats.counter("bytes_fetched").add_all(timing.read_bytes)
+    fetch_stats.counter("bytes_useful").add_all(timing.widths)
+    fetch_stats.histogram("dram_wait_ns").observe_all(timing.dram_waits)
+    fetch_stats.histogram("service_ns").observe_all(timing.service_obs)
 
     dram_stats = dram.stats
     if timing.row_hits:
-        bulk_add_repeated(dram_stats.counter("row_hits"), timing.row_hits, 1.0)
+        dram_stats.counter("row_hits").add_repeated(timing.row_hits)
     if timing.row_empty:
-        bulk_add_repeated(dram_stats.counter("row_empty"), timing.row_empty, 1.0)
+        dram_stats.counter("row_empty").add_repeated(timing.row_empty)
     if timing.row_misses:
-        bulk_add_repeated(dram_stats.counter("row_misses"), timing.row_misses, 1.0)
-    bulk_add_repeated(dram_stats.counter("requests_rme"), n, 1.0)
-    bulk_add(dram_stats.counter("bytes_rme"), timing.read_bytes)
-    bulk_add(dram_stats.counter("beats"), timing.beats)
-    bulk_add(dram_stats.counter("service_ns"), timing.dram_service)
-    bulk_observe(dram_stats.histogram("service_latency_ns"), timing.dram_service)
+        dram_stats.counter("row_misses").add_repeated(timing.row_misses)
+    dram_stats.counter("requests_rme").add_repeated(n)
+    dram_stats.counter("bytes_rme").add_all(timing.read_bytes)
+    dram_stats.counter("beats").add_all(timing.beats)
+    dram_stats.counter("service_ns").add_all(timing.dram_service)
+    dram_stats.histogram("service_latency_ns").observe_all(timing.dram_service)
 
     monitor_stats = monitor.stats
     if mode != MODE_REDUCTION:
-        bulk_add_repeated(monitor_stats.counter("writes"),
-                          len(timing.write_costs), 1.0)
-        bulk_add(monitor_stats.counter("write_port_busy_ns"), timing.write_costs)
-        bulk_observe(monitor_stats.histogram("port_wait_ns"), timing.port_waits)
+        monitor_stats.counter("writes").add_repeated(len(timing.write_costs))
+        monitor_stats.counter("write_port_busy_ns").add_all(timing.write_costs)
+        monitor_stats.histogram("port_wait_ns").observe_all(timing.port_waits)
 
     memory = dram.memory
     if mode == MODE_PROJECT:
@@ -606,11 +607,9 @@ def _commit_projection(timing, memory, buffer, monitor,
         buffer.fill_fastforward(bytes(image))
         # The cycle-level path bumps the buffer's write counter once per
         # descriptor-sized store; replicate that bit-exactly.
-        bulk_add(buffer.stats.counter("writes"), widths)
-        bulk_add_repeated(
-            monitor_stats.counter("lines_completed"),
-            len(timing.line_schedule), 1.0,
-        )
+        buffer.stats.counter("writes").add_all(widths)
+        monitor_stats.counter("lines_completed").add_repeated(
+            len(timing.line_schedule))
     # Lines become *visible* per this schedule; the drain marker keeps
     # ``sim.run()``'s final timestamp identical to the event-driven drain.
     monitor.install_fastforward(dict(enumerate(timing.line_schedule)),
@@ -634,7 +633,7 @@ def _commit_reduction(engine, timing, memory, buffer, monitor, stats) -> None:
         for index in timing.feeds:
             start = (r_addrs[index] - blob_base) + leads[index]
             feed(blob[start : start + widths[index]])
-    bulk_add_repeated(stats.counter("pd_rows_seen"), timing.n, 1.0)
+    stats.counter("pd_rows_seen").add_repeated(timing.n)
     engine._pd_finalized = True
     payload = accumulator.register_payload()
     if payload:
@@ -657,7 +656,7 @@ def _commit_rowfilter(engine, timing, buffer, monitor, monitor_stats,
             lines_completed.count += 1
             lines_completed.total += 1.0
             schedule[line_idx] = end
-    bulk_add_repeated(stats.counter("pd_rows_seen"), timing.n, 1.0)
+    stats.counter("pd_rows_seen").add_repeated(timing.n)
     engine._pd_next_row = timing.n
     engine._pd_cursor = timing.pd_cursor
     engine._pd_matches = timing.pd_matches

@@ -12,12 +12,80 @@ The top-level system gathers the sets into a
 :class:`repro.sim.metrics.MetricsRegistry` for the experiment reports
 (cache requests/misses for Figure 7, DRAM row hit rates for the ablation
 benchmarks, latency breakdowns for the observability tooling, and so on).
+
+The fast-forward layer (:mod:`repro.sim.fastpath`) replays thousands of
+observations at once through :meth:`Counter.add_all`,
+:meth:`Counter.add_repeated` and :meth:`Histogram.observe_all`, each
+bit-identical to the element-by-element calls. Counts, extremes and
+bucket tallies are order-free integer and compare operations. Float
+totals are not: float addition is not associative, so a total is
+accumulated by the same sequential loop, except where a constant run is
+provably summed exactly (:func:`_sum_run_exact`).
 """
 
 from __future__ import annotations
 
+import collections
 import math
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
+
+#: Most fetch-side timing values land on a coarse dyadic grid (PL cycles
+#: of 10 ns, DRAM timings in whole ns, AXI hops in halves); scaling by 16
+#: makes them integers, where addition is exact. PS-clock values (2/3 ns
+#: cycles) do not, so every run is checked before the shortcut is taken.
+_DYADIC_SCALE = 16
+#: Integer magnitude below which float arithmetic on scaled values is exact.
+_EXACT_LIMIT = float(2**53)
+
+
+def _sum_run_exact(total: float, value: float, n: int) -> Optional[float]:
+    """``total`` after ``n`` sequential ``+= value``, or None if inexact.
+
+    Exact cases: ``value == 0.0`` (identity on a non-negative total), and
+    dyadic-grid values where the whole computation fits integer float
+    range — there each intermediate sum is exactly representable, so the
+    sequential loop and the closed form produce the same bits.
+    """
+    if value == 0.0:
+        # -0.0 + 0.0 == +0.0 flips the sign bit; totals here are sums of
+        # non-negative durations, but guard anyway.
+        if total == 0.0 and math.copysign(1.0, total) < 0.0:
+            return None
+        return total
+    scaled_total = total * _DYADIC_SCALE
+    scaled_value = float(value) * _DYADIC_SCALE  # values may be ints
+    if not (scaled_total.is_integer() and scaled_value.is_integer()):
+        return None
+    if abs(scaled_value) >= _EXACT_LIMIT:
+        return None  # the float conversion above may already have rounded
+    # Integer arithmetic from here: every intermediate sum of the loop is
+    # monotone between start and end (constant-sign step), so bounding
+    # |start| and |end| below 2**53 bounds them all; each is then exactly
+    # representable and each float add of the loop is exact.
+    start_int = int(scaled_total)
+    end_int = start_int + n * int(scaled_value)
+    if abs(end_int) >= _EXACT_LIMIT or abs(start_int) >= _EXACT_LIMIT:
+        return None
+    return float(end_int) / _DYADIC_SCALE
+
+
+def _sequential_total(start: float, values: Sequence[float]) -> float:
+    """``start`` after sequentially adding every value, bit-identically.
+
+    A constant list (one C-speed ``count``) collapses through
+    :func:`_sum_run_exact` where exact; anything else runs the element
+    loop, which is the reference itself — and, for a mixed list, faster
+    than scanning it for runs in Python.
+    """
+    n = len(values)
+    if n and values.count(values[0]) == n:
+        shortcut = _sum_run_exact(start, values[0], n)
+        if shortcut is not None:
+            return shortcut
+    total = start
+    for value in values:
+        total += value
+    return total
 
 
 class Counter:
@@ -37,6 +105,24 @@ class Counter:
     def add(self, value: float = 1.0) -> None:
         self.count += 1
         self.total += value
+
+    def add_all(self, values: Sequence[float]) -> None:
+        """Replay ``add(v) for v in values``, bit-identically."""
+        if values:
+            self.total = _sequential_total(self.total, values)
+            self.count += len(values)
+
+    def add_repeated(self, n: int, value: float = 1.0) -> None:
+        """Replay ``n`` calls of ``add(value)``, bit-identically."""
+        if n <= 0:
+            return
+        total = _sum_run_exact(self.total, value, n)
+        if total is None:
+            total = self.total
+            for _ in range(n):
+                total += value
+        self.total = total
+        self.count += n
 
     @property
     def mean(self) -> float:
@@ -154,33 +240,40 @@ class Histogram:
         key = (exponent, min(sub, self.subbuckets - 1))
         self._buckets[key] = self._buckets.get(key, 0) + 1
 
-    def observe_run(self, value: float, n: int) -> None:
-        """Record ``value`` ``n`` times, bit-identically to ``n`` calls of
-        :meth:`observe`.
+    def observe_all(self, values: Sequence[float]) -> None:
+        """Replay ``observe(v) for v in values``, bit-identically.
 
-        The bucket index, min/max and underflow test are computed once;
-        only the ``total`` accumulation stays a sequential loop, because
-        ``total + n*value`` is not the same float as ``n`` repeated adds
-        and replayed statistics must match the event-driven ones exactly.
+        ``count``, ``min``/``max``, underflow and bucket tallies are
+        order-free and computed in bulk; ``total`` keeps the sequential
+        float-accumulation order. Replayed observations repeat heavily (a
+        steady-state epoch waits the same few durations over and over),
+        so each distinct value is bucketed once and credited its
+        multiplicity, with the bucket expression of :meth:`observe`.
         """
-        if n <= 0:
+        n = len(values)
+        if not n:
             return
         self.count += n
-        total = self.total
-        for _ in range(n):
-            total += value
-        self.total = total
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if value <= 0:
+        self.total = _sequential_total(self.total, values)
+        lo = min(values)
+        hi = max(values)
+        if self.min is None or lo < self.min:
+            self.min = lo
+        if self.max is None or hi > self.max:
+            self.max = hi
+        if hi <= 0:
             self._underflow += n
             return
-        mantissa, exponent = math.frexp(value)
-        sub = int((mantissa - 0.5) * 2 * self.subbuckets)
-        key = (exponent, min(sub, self.subbuckets - 1))
-        self._buckets[key] = self._buckets.get(key, 0) + n
+        buckets = self._buckets
+        subbuckets = self.subbuckets
+        for value, seen in collections.Counter(values).items():
+            if value <= 0:
+                self._underflow += seen
+                continue
+            mantissa, exponent = math.frexp(value)
+            sub = int((mantissa - 0.5) * 2 * subbuckets)
+            key = (exponent, min(sub, subbuckets - 1))
+            buckets[key] = buckets.get(key, 0) + seen
 
     def _bucket_upper(self, key: Tuple[int, int]) -> float:
         exponent, sub = key

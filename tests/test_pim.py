@@ -1,12 +1,17 @@
 """Tests for the bank-level PIM pushdown engine (``repro.pim``).
 
 Covers the bitmap algebra, the DRAM-geometry bank partition, the
-predicate compiler and its refusal reasons, byte-identity of PIM answers
+predicate compiler and its refusal reasons, the bank comparator sweep
+against the row-by-row comparator, byte-identity of PIM answers
 against the software paths, the cost model's shape, optimizer placement,
 plan printing, and fault degradation mirroring the RME contract.
 """
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bench.workloads import make_relation
 from repro.config import DRAMTimings, ZCU102
@@ -28,12 +33,14 @@ from repro.pim import (
     supports_join,
     supports_query,
 )
+from repro.pim.predicate import sweep_bank
 from repro.query.engines import CPU, PIM
 from repro.query.executor import QueryExecutor
 from repro.query.expr import Col
 from repro.query.optimizer import choose_access_path, choose_join_path
 from repro.query.processor import Processor, join_relation
 from repro.query.queries import Query, q1, q2, q4
+from repro.rme.pushdown import CMP_OPS, HWSelection
 from repro.storage.row_table import RowTable
 from repro.storage.schema import Column, Schema, intn
 
@@ -166,6 +173,53 @@ def test_supports_join_reasons():
     arith = Query(name="arith", sql="", select=("K",),
                   predicate=(Col("A1") * Col("A2")) > 0)
     assert supports_join("K", lhs, arith) != ""
+
+
+# -- the in-bank comparator sweep ------------------------------------------------
+
+#: Constants at and beyond the int64 range: Python ints compare exactly.
+EDGE_CONSTANTS = (-(2**64), -(2**63) - 1, -(2**63), 2**63 - 1, 2**63, 2**64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_rows=st.integers(0, 200),
+    width=st.sampled_from([1, 2, 4, 8]),
+    lead=st.integers(0, 12),
+    trail=st.integers(0, 12),
+    op=st.sampled_from(sorted(CMP_OPS)),
+    constant=st.one_of(st.integers(-300, 300), st.sampled_from(EDGE_CONSTANTS),
+                       st.integers(-(2**70), 2**70)),
+    from_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_rows=0, width=8, lead=0, trail=0, op="<", constant=0,
+         from_row=False, seed=0)
+@example(n_rows=31, width=8, lead=3, trail=5, op=">=", constant=-(2**63),
+         from_row=False, seed=1)
+@example(n_rows=32, width=1, lead=0, trail=0, op="!=", constant=2**63,
+         from_row=False, seed=2)
+def test_bank_sweep_matches_hwselection_row_by_row(
+        n_rows, width, lead, trail, op, constant, from_row, seed):
+    rng = random.Random(seed)
+    row_size = lead + width + trail
+    blob = bytearray(rng.randbytes(n_rows * row_size))
+    extremes = (-(2 ** (8 * width - 1)), 2 ** (8 * width - 1) - 1, 0, -1)
+    for row in range(0, n_rows, 3):  # plant field extremes in some rows
+        value = rng.choice(extremes)
+        start = row * row_size + lead
+        blob[start:start + width] = value.to_bytes(width, "little",
+                                                   signed=True)
+    rows = [bytes(blob[i * row_size:(i + 1) * row_size])
+            for i in range(n_rows)]
+    if from_row and rows:  # make == and != verdicts non-trivial
+        constant = int.from_bytes(rng.choice(rows)[lead:lead + width],
+                                  "little", signed=True)
+    comparator = HWSelection(lead, width, op, constant)
+    comparator.validate(row_size)
+    expected = sum(1 << i for i, row in enumerate(rows)
+                   if comparator.matches(row))
+    assert sweep_bank(comparator, bytes(blob), n_rows) == expected
 
 
 # -- byte-identity against the software paths -------------------------------------

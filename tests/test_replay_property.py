@@ -21,11 +21,9 @@ compared between the fast path and the fastpath event path (the same
 run with the scan ladder switched off for the test), so the ladder is
 pinned on them too.
 
-Each mix additionally runs with the numpy gate forced shut
-(``repro.sim.vector._NUMPY = None``), pinning the contract that the
-replay does not depend on numpy being importable. The fast runs assert
-that the scan counter moved (or, for windowed variables, their fallback
-counter), so a mix cannot pass by falling back to the event path.
+The fast run asserts that the scan counter moved (or, for windowed
+variables, their fallback counter), so a mix cannot pass by falling
+back to the event path.
 """
 
 import dataclasses
@@ -37,7 +35,7 @@ from repro import QueryExecutor, RelationalMemorySystem, RowTable
 from repro.config import ZCU102
 from repro.query.queries import Query, q1, q2, q7
 from repro.rme.designs import BSL, MLP, PCK
-from repro.sim import fastpath, vector
+from repro.sim import fastpath
 from repro.sim.fastpath import FASTPATH_STATS
 from repro.storage.schema import Column, Schema, int32, int64
 from tests.conftest import build_relation
@@ -206,23 +204,15 @@ def _observe(run, platform, case, ladder=True):
 def _check(run, case, windowed=False):
     reference = _observe(run, CYCLE_LEVEL, case)
     event_path = _observe(run, FASTPATH, case, ladder=False)
-    saved = vector._NUMPY
-    try:
-        vector._NUMPY = vector._UNSET  # let numpy load if present
-        vectorized = _observe(run, FASTPATH, case)
-        vector._NUMPY = None  # force the pure-Python bulk paths
-        pure = _observe(run, FASTPATH, case)
-    finally:
-        vector._NUMPY = saved
+    fast = _observe(run, FASTPATH, case)
 
     assert reference[3] == event_path[3] == 0, case
-    for fast in (vectorized, pure):
-        assert fast[:2] == reference[:2], case
-        assert fast[:3] == event_path[:3], case
-        if windowed:
-            assert fast[4] > 0, case
-        else:
-            assert fast[3] > 0, case  # the scan ran on the ladder
+    assert fast[:2] == reference[:2], case
+    assert fast[:3] == event_path[:3], case
+    if windowed:
+        assert fast[4] > 0, case
+    else:
+        assert fast[3] > 0, case  # the scan ran on the ladder
 
 
 @settings(max_examples=12, deadline=None)

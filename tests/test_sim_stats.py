@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.sim import Counter, Gauge, Histogram, StatSet
-from repro.sim.vector import add_total, bulk_add, bulk_add_repeated, bulk_observe
 
 
 def test_counter_counts_and_totals():
@@ -180,7 +179,7 @@ def test_statset_reset_round_trip_all_instruments():
     assert stats.percentile("never_observed", 50) == 0.0
 
 
-# -- bulk replay helpers -----------------------------------------------------------
+# -- bulk replay methods -----------------------------------------------------------
 
 #: One PS cycle (1000 / 1500 MHz): not on the dyadic grid, so runs of it
 #: take the sequential path.
@@ -219,15 +218,14 @@ def test_bulk_helpers_match_element_loop(values, start):
     loop.total = start
     for value in values:
         loop.add(value)
-    assert repr(add_total(start, values)) == repr(loop.total)
     bulk = Counter("x")
     bulk.total = start
-    bulk_add(bulk, values)
+    bulk.add_all(values)
     assert _counter_state(bulk) == _counter_state(loop)
     if len({repr(value) for value in values}) == 1:
         repeated = Counter("x")
         repeated.total = start
-        bulk_add_repeated(repeated, len(values), values[0])
+        repeated.add_repeated(len(values), values[0])
         assert _counter_state(repeated) == _counter_state(loop)
 
     loop_histogram = Histogram("h")
@@ -236,5 +234,5 @@ def test_bulk_helpers_match_element_loop(values, start):
         loop_histogram.observe(value)
     bulk_histogram = Histogram("h")
     bulk_histogram.total = start
-    bulk_observe(bulk_histogram, values)
+    bulk_histogram.observe_all(values)
     assert _histogram_state(bulk_histogram) == _histogram_state(loop_histogram)
