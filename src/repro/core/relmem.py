@@ -323,10 +323,17 @@ class RelationalMemorySystem:
 
         The node array is what the index probe path touches; its content
         is the Python-side index structure (the simulator prices the
-        accesses; the lookups answer from the structure).
+        accesses; the lookups answer from the structure). A versioned
+        table is refused: the tree would hold every physical version,
+        apply no visibility, and go stale as commits append versions.
         """
         from ..storage.index import BPlusTreeIndex
 
+        if loaded.versioned is not None:
+            raise ConfigurationError(
+                f"cannot index versioned table {loaded.name!r}: a B+-tree "
+                "over physical versions cannot apply MVCC visibility"
+            )
         index = BPlusTreeIndex.build(loaded.table, column, fanout)
         region = self.memmap.map(
             f"index:{loaded.name}:{column}:{next(self._names)}",

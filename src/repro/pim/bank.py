@@ -4,16 +4,18 @@ The PIM engine computes *where the data already is*: each DRAM bank owns
 the rows whose bytes live in its arrays, so the unit of parallelism is
 fixed by the same address mapping the timing model uses
 (:meth:`repro.memsys.dram.DRAM.locate` — page-interleaved,
-``bank = (addr // row_buffer_bytes) % n_banks``). This module partitions
-a loaded table's row ids into per-bank slices with that exact mapping,
-so the cost model's activation counts and the banks' local bitmaps line
-up with the memory system the rest of the simulator prices.
+``bank = (addr // row_buffer_bytes) % n_banks``). This module splits a
+loaded table by DRAM page: the rows whose first byte lies in one page
+form one contiguous row-id range, owned by that page's bank, so the
+cost model's activation counts and the banks' local bitmaps line up with
+the memory system the rest of the simulator prices.
 
 A row that straddles a page boundary is assigned to the bank of its
 first byte; the spill into the neighbouring page is folded into that
 slice's activation count rather than modelled as a cross-bank handoff
 (the in-bank sequencer reads the straddling beats through the shared
-array interface).
+array interface). A page in which no row starts (rows wider than a
+page) holds no range and is not counted.
 """
 
 from __future__ import annotations
@@ -50,26 +52,41 @@ def bank_of_key(key: int, n_banks: int) -> int:
 
 @dataclass(frozen=True)
 class BankSlice:
-    """One bank's share of a table: its rows and the pages they occupy."""
+    """One bank's share of a table: one row-id range per page it opens.
+
+    Each range holds the rows whose first byte lies in one DRAM page of
+    this bank, ascending, so the slice's rows are the ranges in order.
+    """
 
     bank: int
-    row_ids: Tuple[int, ...]
-    n_pages: int  #: distinct DRAM pages the slice's rows start in
+    ranges: Tuple[range, ...]
+
+    @property
+    def n_pages(self) -> int:
+        """Distinct DRAM pages the slice's rows start in."""
+        return len(self.ranges)
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_ids)
+        """Rows the bank holds."""
+        return sum(len(rows) for rows in self.ranges)
 
 
 class BankLayout:
     """The per-bank partition of one loaded table's rows.
 
+    One step per page the table spans (not per row): the rows starting
+    in page ``p`` are ``range(first, stop)`` where ``stop`` is the first
+    row whose start address reaches page ``p + 1``.
+
     >>> from repro.config import DRAMTimings
     >>> layout = BankLayout(0, 64, 256, DRAMTimings())
     >>> [s.n_rows for s in layout.slices]
     [32, 32, 32, 32, 32, 32, 32, 32]
-    >>> sorted(r for s in layout.slices for r in s.row_ids) == list(range(256))
-    True
+    >>> layout.slices[1].ranges
+    (range(32, 64),)
+    >>> [s.ranges for s in BankLayout(2000, 24, 90, DRAMTimings()).slices]
+    [(range(0, 2),), (range(2, 88),), (range(88, 90),)]
     """
 
     def __init__(self, base_addr: int, row_size: int, n_rows: int,
@@ -83,26 +100,18 @@ class BankLayout:
         self.n_rows = n_rows
         self.timings = timings
         page = timings.row_buffer_bytes
-        rows: Dict[int, List[int]] = {}
-        pages: Dict[int, set] = {}
-        for row_id in range(n_rows):
-            block = (base_addr + row_id * row_size) // page
-            bank = block % timings.n_banks
-            rows.setdefault(bank, []).append(row_id)
-            pages.setdefault(bank, set()).add(block)
+        ranges: Dict[int, List[range]] = {}
+        first = 0
+        while first < n_rows:
+            block = (base_addr + first * row_size) // page
+            # The first row whose start reaches the next page boundary.
+            stop = min(n_rows, -(-((block + 1) * page - base_addr) // row_size))
+            ranges.setdefault(block % timings.n_banks, []).append(
+                range(first, stop))
+            first = stop
         self.slices: Tuple[BankSlice, ...] = tuple(
-            BankSlice(bank, tuple(rows[bank]), len(pages[bank]))
-            for bank in sorted(rows)
+            BankSlice(bank, tuple(ranges[bank])) for bank in sorted(ranges)
         )
-
-    @property
-    def n_banks(self) -> int:
-        """Banks that actually hold rows of this table."""
-        return len(self.slices)
-
-    @property
-    def pages_total(self) -> int:
-        return sum(s.n_pages for s in self.slices)
 
     def page_of(self, row_id: int) -> int:
         """The global DRAM page (block) index a row starts in."""

@@ -9,18 +9,23 @@ the final bitmap (``n_rows / 8`` bytes) crosses the AXI boundary.
 
 The bitmap here is an arbitrary-precision integer under the hood, which
 makes the bulk combine operators one-line and exact, and keeps
-``count``/``to_bytes`` cheap for the cost model's readout pricing.
+``count``/``nbytes`` cheap for the cost model's readout pricing.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..errors import ConfigurationError
 
 
 class SelectionBitmap:
-    """One bit per row, little-endian bit order (bit ``i`` = row ``i``)."""
+    """One bit per row, little-endian bit order (bit ``i`` = row ``i``).
+
+    >>> bitmap = SelectionBitmap(5, 0b1101) | SelectionBitmap(5, 0b10)
+    >>> bitmap.count(), list(bitmap.indices()), bitmap.nbytes
+    (4, [0, 1, 2, 3], 1)
+    """
 
     __slots__ = ("n_rows", "bits")
 
@@ -28,39 +33,7 @@ class SelectionBitmap:
         if n_rows < 0:
             raise ConfigurationError("a bitmap cannot cover negative rows")
         self.n_rows = n_rows
-        self.bits = bits & self._mask(n_rows)
-
-    @staticmethod
-    def _mask(n_rows: int) -> int:
-        return (1 << n_rows) - 1
-
-    # -- constructors ------------------------------------------------------------
-    @classmethod
-    def zeros(cls, n_rows: int) -> "SelectionBitmap":
-        return cls(n_rows, 0)
-
-    @classmethod
-    def ones(cls, n_rows: int) -> "SelectionBitmap":
-        return cls(n_rows, cls._mask(n_rows))
-
-    @classmethod
-    def from_bools(cls, n_rows: int, flags: Iterable[bool]) -> "SelectionBitmap":
-        bits = 0
-        for index, flag in enumerate(flags):
-            if flag:
-                bits |= 1 << index
-        return cls(n_rows, bits)
-
-    @classmethod
-    def from_indices(cls, n_rows: int, indices: Iterable[int]) -> "SelectionBitmap":
-        bits = 0
-        for index in indices:
-            if not 0 <= index < n_rows:
-                raise ConfigurationError(
-                    f"row {index} outside bitmap of {n_rows} rows"
-                )
-            bits |= 1 << index
-        return cls(n_rows, bits)
+        self.bits = bits & ((1 << n_rows) - 1)
 
     # -- bulk combining ----------------------------------------------------------
     def _check_peer(self, other: "SelectionBitmap") -> None:
@@ -78,40 +51,23 @@ class SelectionBitmap:
         self._check_peer(other)
         return SelectionBitmap(self.n_rows, self.bits | other.bits)
 
-    def __invert__(self) -> "SelectionBitmap":
-        return SelectionBitmap(self.n_rows, ~self.bits)
-
     # -- reading -----------------------------------------------------------------
-    def get(self, index: int) -> bool:
-        return bool((self.bits >> index) & 1)
-
     def count(self) -> int:
         """Popcount: how many rows matched."""
         return bin(self.bits).count("1")
 
     def indices(self) -> Iterator[int]:
         """Set row indices, ascending."""
-        bits = self.bits
-        index = 0
-        while bits:
-            if bits & 1:
-                yield index
-            bits >>= 1
-            index += 1
+        digits = bin(self.bits)[:1:-1]  # bit i is digit i
+        index = digits.find("1")
+        while index >= 0:
+            yield index
+            index = digits.find("1", index + 1)
 
     @property
     def nbytes(self) -> int:
         """Packed size: what a bitmap readout actually moves."""
         return (self.n_rows + 7) // 8
-
-    def to_bytes(self) -> bytes:
-        return self.bits.to_bytes(max(1, self.nbytes), "little")
-
-    def words(self, word_bytes: int) -> int:
-        """How many ``word_bytes``-wide ALU words one bulk op touches."""
-        if word_bytes <= 0:
-            raise ConfigurationError("word width must be positive")
-        return max(1, -(-self.n_rows // (8 * word_bytes)))
 
     # -- comparisons -------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -31,7 +31,7 @@ bank's time, not the sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..config import DRAMTimings, PlatformConfig
 from ..errors import ConfigurationError
@@ -185,6 +185,28 @@ def expected_pages_touched(n_pages: int, n_matches: int) -> float:
     return n_pages * (1.0 - (1.0 - 1.0 / n_pages) ** n_matches)
 
 
+def _pages(schema, n_rows: int, d: DRAMTimings) -> int:
+    """Pages a table of ``n_rows`` packed rows fills."""
+    rows_per_page = max(1, d.row_buffer_bytes // schema.row_size)
+    return _ceil_div(n_rows, rows_per_page)
+
+
+def _bank_shape(query, schema, n_rows: int,
+                d: DRAMTimings) -> Tuple[int, int, int, int]:
+    """The integers one filter phase is billed on, for a table spread
+    evenly over the banks: rows and pages per bank, then the
+    predicate's comparator and combine passes."""
+    from .predicate import predicate_spec
+
+    rows_per_bank = _ceil_div(n_rows, d.n_banks)
+    pages_per_bank = _pages(schema, rows_per_bank, d)
+    n_compare = n_combine = 0
+    if query.predicate is not None:
+        spec = predicate_spec(query.predicate)
+        n_compare, n_combine = spec.n_compare, spec.n_combine
+    return rows_per_bank, pages_per_bank, n_compare, n_combine
+
+
 def estimate_query_ns(
     query,
     schema,
@@ -202,18 +224,10 @@ def estimate_query_ns(
     spec pass) when the query cannot be lowered; callers gate on
     :func:`repro.pim.predicate.supports_query` first.
     """
-    from .predicate import predicate_spec
-
     model = model or PIMCostModel()
     d = model.dram
-    rows_per_bank = _ceil_div(n_rows, d.n_banks) if n_rows else 0
-    rows_per_page = max(1, d.row_buffer_bytes // schema.row_size)
-    pages_per_bank = _ceil_div(rows_per_bank, rows_per_page) if n_rows else 0
-
-    n_compare = n_combine = 0
-    if query.predicate is not None:
-        spec = predicate_spec(query.predicate)
-        n_compare, n_combine = spec.n_compare, spec.n_combine
+    rows_per_bank, pages_per_bank, n_compare, n_combine = _bank_shape(
+        query, schema, n_rows, d)
 
     total = model.setup_ns()
     total += model.bank_scan_ns(pages_per_bank, rows_per_bank, n_compare)
@@ -250,27 +264,10 @@ def estimate_query_ns(
 
     total += model.readout_ns(max(1, _ceil_div(n_rows, 8)))
     _offset, group_width = schema.covering_group(query.select)
-    pages_total = _ceil_div(n_rows, rows_per_page) if n_rows else 0
-    pages_touched = expected_pages_touched(pages_total, matches)
+    pages_touched = expected_pages_touched(_pages(schema, n_rows, d), matches)
     total += model.gather_ns(int(round(pages_touched)), matches, group_width,
                              query.work_cost_ns())
     return total
-
-
-def _side_scan_ns(query, schema, n_rows: int, model: PIMCostModel) -> float:
-    """The filter phase of one join side (comparators + combines)."""
-    from .predicate import predicate_spec
-
-    d = model.dram
-    rows_per_bank = _ceil_div(n_rows, d.n_banks) if n_rows else 0
-    rows_per_page = max(1, d.row_buffer_bytes // schema.row_size)
-    pages_per_bank = _ceil_div(rows_per_bank, rows_per_page) if n_rows else 0
-    n_compare = n_combine = 0
-    if query.predicate is not None:
-        spec = predicate_spec(query.predicate)
-        n_compare, n_combine = spec.n_compare, spec.n_combine
-    return (model.bank_scan_ns(pages_per_bank, rows_per_bank, n_compare)
-            + model.combine_ns(rows_per_bank, n_combine))
 
 
 def estimate_join_ns(
@@ -298,8 +295,12 @@ def estimate_join_ns(
     model = model or PIMCostModel()
     d = model.dram
     total = 2 * model.setup_ns()
-    total += _side_scan_ns(lhs_query, lhs_schema, n_lhs, model)
-    total += _side_scan_ns(rhs_query, rhs_schema, n_rhs, model)
+    for query, schema, n_rows in ((lhs_query, lhs_schema, n_lhs),
+                                  (rhs_query, rhs_schema, n_rhs)):
+        rows, pages, n_compare, n_combine = _bank_shape(query, schema,
+                                                        n_rows, d)
+        total += (model.bank_scan_ns(pages, rows, n_compare)
+                  + model.combine_ns(rows, n_combine))
 
     lhs_kept = int(round(lhs_selectivity * n_lhs))
     rhs_kept = int(round(rhs_selectivity * n_rhs))
@@ -325,9 +326,8 @@ def estimate_join_ns(
         (lhs_query, lhs_schema, n_lhs, lhs_kept),
         (rhs_query, rhs_schema, n_rhs, rhs_kept),
     ):
-        rows_per_page = max(1, d.row_buffer_bytes // schema.row_size)
-        pages_total = _ceil_div(n_rows, rows_per_page) if n_rows else 0
-        pages = expected_pages_touched(pages_total, min(matches, kept))
+        pages = expected_pages_touched(_pages(schema, n_rows, d),
+                                       min(matches, kept))
         _off, width = schema.covering_group(query.select)
         total += model.gather_ns(int(round(pages)), matches, width,
                                  query.work_cost_ns())

@@ -3,12 +3,16 @@
 :class:`BankPIM` is the execution engine behind the ``@pim`` engine
 identity (:data:`repro.query.engines.PIM`). One run:
 
-1. partitions the loaded table across DRAM banks with the timing
-   model's own address mapping (:class:`repro.pim.bank.BankLayout`);
-2. evaluates the predicate's comparator program over each bank's rows,
-   producing per-bank :class:`~repro.pim.bitmap.SelectionBitmap`\\ s and
-   combining them with bulk bitwise AND/OR
-   (:class:`~repro.pim.predicate.PredicateProgram`);
+1. splits the loaded table by DRAM page into row ranges per bank, with
+   the timing model's own address mapping
+   (:class:`repro.pim.bank.BankLayout`);
+2. takes one pass per bank: the bank's page ranges are read as one
+   contiguous run of packed rows, the predicate's comparator program
+   sweeps it, producing :class:`~repro.pim.bitmap.SelectionBitmap`\\ s
+   combined with bulk bitwise AND/OR
+   (:class:`~repro.pim.predicate.PredicateProgram`), and the bank's
+   bill and fault draw close the pass — the same pass filters both
+   sides of a join;
 3. either feeds the matching rows' fields into the in-bank accumulator
    (COUNT/SUM/MIN/MAX — the answer leaves DRAM as one register line),
    folds them into per-bank key→state GROUP BY tables merged at the
@@ -38,7 +42,7 @@ exactly like the RME path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import FaultError, QueryError
 from .bank import BankLayout, bank_of_key
@@ -94,14 +98,12 @@ class PIMJoinExecution:
 class _SideScan:
     """One join side after its per-bank filter phase."""
 
-    name: str
-    n_rows: int
+    loaded: Any
+    query: Any
+    layout: BankLayout
     matched: List[int]
     rows: List[Dict[str, Any]]
     filter_ns: float
-    layout: BankLayout
-    schema: Any
-    query: Any
 
 
 class BankPIM:
@@ -116,20 +118,19 @@ class BankPIM:
         self.last_wasted_ns = 0.0
 
     # -- plumbing ----------------------------------------------------------------
-    def _check_eligible(self, query, loaded) -> None:
-        reason = supports_query(query)
-        if reason:
-            raise QueryError(f"{query.name}: not PIM-evaluable: {reason}")
+    @staticmethod
+    def _check_table(label: str, query, loaded) -> None:
+        """Refuse MVCC tables and columns the table does not have."""
         if loaded.versioned is not None:
             raise QueryError(
-                f"{query.name}: PIM scans physical rows and cannot apply "
+                f"{label}: PIM scans physical rows and cannot apply "
                 "MVCC visibility; versioned tables are not PIM-eligible"
             )
         schema = loaded.schema
         for column in query.columns():
             if column not in schema:
                 raise QueryError(
-                    f"{query.name}: unknown column {column!r} "
+                    f"{label}: unknown column {column!r} "
                     f"(table has {schema.names})"
                 )
 
@@ -168,20 +169,70 @@ class BankPIM:
             sim.schedule(elapsed_ns, lambda _arg: None)
             sim.run()
 
+    @staticmethod
+    def _bind(query, schema) -> Optional[PredicateProgram]:
+        """The query's comparator program, or None with no predicate."""
+        if query.predicate is None:
+            return None
+        return predicate_spec(query.predicate).bind(schema)
+
+    def _filter(self, program: Optional[PredicateProgram], loaded,
+                raw: bytes, spent_ns: float,
+                bank_work: Optional[Callable[[SelectionBitmap], float]] = None,
+                ) -> Tuple[BankLayout, SelectionBitmap, float]:
+        """The filter phase: one pass per bank over its page ranges.
+
+        Each bank sweeps ``program`` (every row matches without one)
+        over its rows, joined once from its page ranges, and bills the
+        scan plus the combine; ``bank_work`` bills the bank's further
+        work on its own matches (a group fold or the accumulator). The
+        bank's ECC check then closes its scan: an uncorrectable flip
+        surfaces there, with ``spent_ns`` plus this bank's work wasted.
+        Returns the layout, the table's selection bitmap and the phase's
+        time — banks scan concurrently, so the slowest bank's.
+        """
+        row_size = loaded.schema.row_size
+        n_rows = loaded.table.n_rows
+        layout = BankLayout(loaded.base_addr, row_size, n_rows,
+                            self.model.dram)
+        n_compare = program.n_compare if program is not None else 0
+        n_combine = program.n_combine if program is not None else 0
+        bits = 0
+        bank_ns: List[float] = []
+        for bank in layout.slices:
+            n_bank = bank.n_rows
+            if program is None:
+                local = (1 << n_bank) - 1
+            else:
+                blob = b"".join(raw[rows.start * row_size:rows.stop * row_size]
+                                for rows in bank.ranges)
+                local = program.run(blob, n_bank).bits
+            hits = 0  # the bank's local bits, moved to table row ids
+            for rows in bank.ranges:
+                hits |= (local & ((1 << len(rows)) - 1)) << rows.start
+                local >>= len(rows)
+            elapsed = self.model.bank_scan_ns(
+                bank.n_pages, n_bank, n_compare
+            ) + self.model.combine_ns(n_bank, n_combine)
+            if bank_work is not None:
+                elapsed += bank_work(SelectionBitmap(n_rows, hits))
+            self._draw_fault(bank.bank, loaded.name, spent_ns + elapsed)
+            bank_ns.append(elapsed)
+            bits |= hits
+        return layout, SelectionBitmap(n_rows, bits), max(bank_ns, default=0.0)
+
     # -- the scan ----------------------------------------------------------------
     def run(self, query, loaded) -> PIMExecution:
         """Execute one eligible query entirely at the banks."""
-        self._check_eligible(query, loaded)
+        reason = supports_query(query)
+        if reason:
+            raise QueryError(f"{query.name}: not PIM-evaluable: {reason}")
+        self._check_table(query.name, query, loaded)
         self.last_wasted_ns = 0.0
         schema = loaded.schema
-        n_rows = loaded.table.n_rows
         row_size = schema.row_size
         raw = loaded.table.raw_bytes()
-        layout = BankLayout(loaded.base_addr, row_size, n_rows, self.model.dram)
-
-        program: Optional[PredicateProgram] = None
-        if query.predicate is not None:
-            program = predicate_spec(query.predicate).bind(schema)
+        program = self._bind(query, schema)
 
         agg_field: Optional[Tuple[int, int]] = None
         if query.aggregate not in (None, "count"):
@@ -190,48 +241,26 @@ class BankPIM:
         if query.group_by is not None:
             group_field = self._field_of(schema, query.group_by)
 
+        local_tables: List[Dict[int, Any]] = []
+
+        def bank_work(hits: SelectionBitmap) -> float:
+            if group_field is None:
+                return self.model.accumulate_ns(hits.count(), agg_field[1])
+            # The bank folds its matches into a local key→state table.
+            local_tables.append(self._fold_bank(
+                query, raw, row_size, hits.indices(), group_field, agg_field))
+            return self.model.group_fold_ns(
+                hits.count(), group_field[1],
+                agg_field[1] if agg_field is not None else 0,
+            )
+
+        folds = group_field is not None or agg_field is not None
         setup = self.model.setup_ns()
         breakdown: Dict[str, float] = {"setup_ns": setup}
-        bank_ns: List[float] = []
-        matched: List[int] = []
-        local_tables: List[Dict[int, Any]] = []
-        for bank_slice in layout.slices:
-            rows = [raw[r * row_size:(r + 1) * row_size]
-                    for r in bank_slice.row_ids]
-            if program is None:
-                local = SelectionBitmap.ones(len(rows))
-                elapsed = self.model.bank_scan_ns(
-                    bank_slice.n_pages, len(rows), 0
-                )
-            else:
-                local = program.run(rows)
-                elapsed = self.model.bank_scan_ns(
-                    bank_slice.n_pages, len(rows), program.n_compare
-                ) + self.model.combine_ns(len(rows), program.n_combine)
-            hits = [bank_slice.row_ids[i] for i in local.indices()]
-            if group_field is not None:
-                # The bank folds its matches into a local key→state table.
-                local_tables.append(
-                    self._fold_bank(query, raw, row_size, hits,
-                                    group_field, agg_field)
-                )
-                elapsed += self.model.group_fold_ns(
-                    len(hits), group_field[1],
-                    agg_field[1] if agg_field is not None else 0,
-                )
-            elif agg_field is not None:
-                elapsed += self.model.accumulate_ns(local.count(), agg_field[1])
-            # The bank's ECC check closes its scan; an uncorrectable flip
-            # surfaces here, after this bank's work is already spent.
-            self._draw_fault(bank_slice.bank, loaded.name, setup + elapsed)
-            bank_ns.append(elapsed)
-            matched.extend(hits)
-
-        matched.sort()
-        bitmap = SelectionBitmap.from_indices(n_rows, matched)
+        layout, bitmap, filter_ns = self._filter(
+            program, loaded, raw, setup, bank_work if folds else None)
+        matched = list(bitmap.indices())
         matches = len(matched)
-        # Banks scan concurrently: the filter phase ends with the slowest.
-        filter_ns = max(bank_ns) if bank_ns else 0.0
         breakdown["filter_ns"] = filter_ns
         total = setup + filter_ns
 
@@ -250,7 +279,7 @@ class BankPIM:
                                           agg_field)
             readout = self.model.readout_ns(RESULT_LINE_BYTES)
         else:
-            value = self._gather_value(query, schema, raw, row_size, matched)
+            value = self._decode(schema, raw, matched, query.select)
             readout = self.model.readout_ns(max(1, bitmap.nbytes))
             pages = len({layout.page_of(r) for r in matched})
             gather = self.model.gather_ns(pages, matches,
@@ -261,8 +290,8 @@ class BankPIM:
         breakdown["readout_ns"] = readout
         total += readout
         self._advance_clock(total)
-        return PIMExecution(value=value, n_rows=n_rows, matches=matches,
-                            elapsed_ns=total, bitmap=bitmap,
+        return PIMExecution(value=value, n_rows=loaded.table.n_rows,
+                            matches=matches, elapsed_ns=total, bitmap=bitmap,
                             breakdown=breakdown)
 
     # -- the join ----------------------------------------------------------------
@@ -287,7 +316,8 @@ class BankPIM:
         if reason:
             raise QueryError(f"join not PIM-evaluable: {reason}")
         for query, loaded in ((lhs_query, lhs_loaded), (rhs_query, rhs_loaded)):
-            self._check_join_side(on, query, loaded)
+            self._check_table(loaded.name, query, loaded)
+            self._field_of(loaded.schema, on)  # the key must be an integer field
         self.last_wasted_ns = 0.0
 
         setup = 2 * self.model.setup_ns()  # both sides' scans are programmed
@@ -300,7 +330,7 @@ class BankPIM:
 
         build, probe = ((lhs, rhs) if len(lhs.rows) <= len(rhs.rows)
                         else (rhs, lhs))
-        key_width = build.schema.column(on).size
+        key_width = build.loaded.schema.column(on).size
         n_banks = max(1, self.model.dram.n_banks)
 
         # Build: park each surviving build row in its key's bank.
@@ -352,7 +382,7 @@ class BankPIM:
             participating = [r for r, row in zip(side.matched, side.rows)
                              if row[on] in joined_keys]
             pages = len({side.layout.page_of(r) for r in participating})
-            _off, width = side.schema.covering_group(side.query.select)
+            _off, width = side.loaded.schema.covering_group(side.query.select)
             gather += self.model.gather_ns(pages, matches, width,
                                            side.query.work_cost_ns())
         breakdown["gather_ns"] = gather
@@ -361,75 +391,24 @@ class BankPIM:
         self._advance_clock(total)
         return PIMJoinExecution(
             rows=joined,
-            n_rows=lhs.n_rows + rhs.n_rows,
+            n_rows=lhs.loaded.table.n_rows + rhs.loaded.table.n_rows,
             rhs_rows=len(rhs.rows),
             matches=matches,
             elapsed_ns=total,
-            build_table=build.name,
+            build_table=build.loaded.name,
             breakdown=breakdown,
         )
 
-    def _check_join_side(self, on: str, query, loaded) -> None:
-        if loaded.versioned is not None:
-            raise QueryError(
-                f"{loaded.name}: PIM scans physical rows and cannot apply "
-                "MVCC visibility; versioned tables are not PIM-eligible"
-            )
-        schema = loaded.schema
-        for column in query.columns():
-            if column not in schema:
-                raise QueryError(
-                    f"{loaded.name}: unknown column {column!r} "
-                    f"(table has {schema.names})"
-                )
-        self._field_of(schema, on)  # the key must be an integer field
-
     def _filter_side(self, query, loaded, spent_ns: float) -> _SideScan:
-        """One side's per-bank filter phase (comparators + bitmaps)."""
-        schema = loaded.schema
-        n_rows = loaded.table.n_rows
-        row_size = schema.row_size
+        """One join side's filter phase, its matches decoded to rows."""
         raw = loaded.table.raw_bytes()
-        layout = BankLayout(loaded.base_addr, row_size, n_rows,
-                            self.model.dram)
-        program: Optional[PredicateProgram] = None
-        if query.predicate is not None:
-            program = predicate_spec(query.predicate).bind(schema)
-        bank_ns: List[float] = []
-        matched: List[int] = []
-        for bank_slice in layout.slices:
-            rows = [raw[r * row_size:(r + 1) * row_size]
-                    for r in bank_slice.row_ids]
-            if program is None:
-                local = SelectionBitmap.ones(len(rows))
-                elapsed = self.model.bank_scan_ns(
-                    bank_slice.n_pages, len(rows), 0
-                )
-            else:
-                local = program.run(rows)
-                elapsed = self.model.bank_scan_ns(
-                    bank_slice.n_pages, len(rows), program.n_compare
-                ) + self.model.combine_ns(len(rows), program.n_combine)
-            self._draw_fault(bank_slice.bank, loaded.name, spent_ns + elapsed)
-            bank_ns.append(elapsed)
-            matched.extend(bank_slice.row_ids[i] for i in local.indices())
-        matched.sort()
-        indices = [schema.index_of(c) for c in query.select]
-        dicts = []
-        for r in matched:
-            unpacked = schema.unpack_row(raw[r * row_size:(r + 1) * row_size])
-            dicts.append(dict(zip(query.select,
-                                  (unpacked[i] for i in indices))))
-        return _SideScan(
-            name=loaded.name,
-            n_rows=n_rows,
-            matched=matched,
-            rows=dicts,
-            filter_ns=max(bank_ns) if bank_ns else 0.0,
-            layout=layout,
-            schema=schema,
-            query=query,
-        )
+        layout, bitmap, filter_ns = self._filter(
+            self._bind(query, loaded.schema), loaded, raw, spent_ns)
+        matched = list(bitmap.indices())
+        rows = [dict(zip(query.select, values)) for values in
+                self._decode(loaded.schema, raw, matched, query.select)]
+        return _SideScan(loaded=loaded, query=query, layout=layout,
+                         matched=matched, rows=rows, filter_ns=filter_ns)
 
     # -- answers -----------------------------------------------------------------
     @staticmethod
@@ -447,7 +426,7 @@ class BankPIM:
         return max(state, value)
 
     def _fold_bank(self, query, raw: bytes, row_size: int,
-                   row_ids: List[int], group_field: Tuple[int, int],
+                   row_ids: Iterable[int], group_field: Tuple[int, int],
                    agg_field: Optional[Tuple[int, int]]) -> Dict[int, Any]:
         """One bank's local key→state fold over its matching rows."""
         goff, gwidth = group_field
@@ -516,11 +495,10 @@ class BankPIM:
         return ops.aggregate(query.aggregate, values)
 
     @staticmethod
-    def _gather_value(query, schema, raw: bytes, row_size: int,
-                      matched: List[int]):
-        indices = [schema.index_of(c) for c in query.select]
-        rows = []
-        for r in matched:
-            unpacked = schema.unpack_row(raw[r * row_size:(r + 1) * row_size])
-            rows.append(tuple(unpacked[i] for i in indices))
-        return rows
+    def _decode(schema, raw: bytes, matched: List[int],
+                columns) -> List[Tuple[Any, ...]]:
+        """The matched rows' ``columns``, read in place from the table."""
+        extractors = schema.column_extractors(columns)
+        row_size = schema.row_size
+        return [tuple(extract(raw, r * row_size) for extract in extractors)
+                for r in matched]

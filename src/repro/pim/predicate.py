@@ -27,7 +27,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from ..errors import ConfigurationError, QueryError
 from ..rme.pushdown import AGG_FUNCS, CMP_OPS, HWSelection
@@ -130,17 +130,16 @@ class PredicateProgram:
     def n_combine(self) -> int:
         return self.spec.n_combine
 
-    def run(self, rows: Sequence[bytes]) -> SelectionBitmap:
-        """Evaluate over one bank's packed rows: comparator bitmaps, then
-        the bulk AND/OR combine tree. Bit ``i`` = ``rows[i]`` matched.
+    def run(self, blob: bytes, n_rows: int) -> SelectionBitmap:
+        """Evaluate over one bank's ``n_rows`` packed rows, end to end in
+        ``blob``: comparator bitmaps, then the bulk AND/OR combine tree.
+        Bit ``i`` = row ``i`` of the blob matched.
 
         Each comparator sweeps the whole bank at once
         (:func:`sweep_bank`); the combine is bigint bitwise AND/OR.
         """
-        n = len(rows)
-        blob = b"".join(rows)
         by_leaf = {
-            leaf: SelectionBitmap(n, sweep_bank(cmp, blob, n))
+            leaf: SelectionBitmap(n_rows, sweep_bank(cmp, blob, n_rows))
             for leaf, cmp in zip(self.spec.leaves, self.comparators)
         }
 

@@ -80,8 +80,6 @@ class QueryExecutor:
 
     def __init__(self, system: RelationalMemorySystem):
         self.system = system
-        #: Lazily-built :class:`repro.pim.BankPIM` device for run_pim.
-        self._pim = None
 
     # -- public entry points ------------------------------------------------------
     def run_direct(
@@ -191,9 +189,7 @@ class QueryExecutor:
         """
         from ..pim import BankPIM
 
-        if self._pim is None or self._pim.system is not self.system:
-            self._pim = BankPIM(self.system)
-        device = self._pim
+        device = BankPIM(self.system)
         if flush:
             self.system.flush_caches()
         self.system.reset_stats()
@@ -262,9 +258,7 @@ class QueryExecutor:
         """
         from ..pim import BankPIM
 
-        if self._pim is None or self._pim.system is not self.system:
-            self._pim = BankPIM(self.system)
-        device = self._pim
+        device = BankPIM(self.system)
         if flush:
             self.system.flush_caches()
         self.system.reset_stats()
@@ -409,7 +403,7 @@ class QueryExecutor:
         # Functional answer over exactly the matched rows.
         columns = query.columns()
         all_rows = self._rows(loaded, columns, None)
-        matched = [all_rows[i] for i in row_ids if i < len(all_rows)]
+        matched = [all_rows[i] for i in row_ids]
         kept = ops.filter_rows(matched, query.predicate)  # residual filter
         value = self._finalize(query, kept)
         n_rows = loaded.table.n_rows

@@ -14,6 +14,7 @@ and explain the timing change in the commit message.
 
 import dataclasses
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from repro.bench.figures import (
     fig08_offset_sweep,
 )
 from repro.config import ZCU102
+from repro.storage.row_table import RowTable
+from repro.storage.schema import Column, Schema, int32, uniform_schema
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FASTPATH = dataclasses.replace(ZCU102, fastpath=True)
@@ -230,13 +233,140 @@ def _recovery_fingerprints(platform):
     return {"xs": ["repr(fingerprint)"], "series": series}
 
 
+def _pim_table(name, n_rows, n_cols, seed):
+    """Int32 columns A1..An; A2 takes 8 values so GROUP BY folds."""
+    rng = random.Random(seed)
+    table = RowTable(name, uniform_schema(n_cols, 4))
+    for _ in range(n_rows):
+        row = [rng.randint(-1000, 1000) for _ in range(n_cols)]
+        row[1] = rng.randrange(8)
+        table.append(row)
+    return table
+
+
+def _pim_bills(platform):
+    """Bank-level PIM bills: answers, simulated ns and breakdowns of
+    scans, aggregates, GROUP BY and joins over rows that fill, straddle
+    and overflow a DRAM page, on page-aligned and unaligned bases; fault
+    runs at both severities; and the planner's estimates for each cell."""
+    from repro import QueryExecutor, RelationalMemorySystem
+    from repro.faults import DEFAULT_RECOVERY, FaultEvent, FaultPlan
+    from repro.pim import BankPIM, PIMCostModel, estimate_join_ns, estimate_query_ns
+    from repro.query.expr import Col
+    from repro.query.queries import Query
+
+    model = PIMCostModel(platform)
+    compound = (Col("A1") < 0).and_(Col("A3") > -200).or_(Col("A4") > 900)
+    scans = {
+        "proj": Query(name="proj", sql="", select=("A1", "A3"),
+                      predicate=Col("A1") < 0),
+        "proj_or": Query(name="proj_or", sql="", select=("A2", "A4"),
+                         predicate=compound),
+        "count": Query(name="count", sql="", select=(), aggregate="count",
+                       agg_expr=Col("A1"), predicate=Col("A3") >= 250),
+        "sum": Query(name="sum", sql="", select=(), aggregate="sum",
+                     agg_expr=Col("A4"), predicate=compound),
+        "min": Query(name="min", sql="", select=(), aggregate="min",
+                     agg_expr=Col("A3"), predicate=Col("A1").ne(7)),
+        "max": Query(name="max", sql="", select=(), aggregate="max",
+                     agg_expr=Col("A1"), predicate=Col("A4") <= -500),
+        "max_bare": Query(name="max_bare", sql="", select=(),
+                          aggregate="max", agg_expr=Col("A3")),
+        "group_sum": Query(name="group_sum", sql="", select=(),
+                           aggregate="sum", agg_expr=Col("A1"),
+                           predicate=Col("A3") < 400, group_by="A2"),
+        "group_count": Query(name="group_count", sql="", select=(),
+                             aggregate="count", agg_expr=Col("A1"),
+                             group_by="A2"),
+    }
+    # 64 B rows fill pages exactly; the next two tables load behind it on
+    # unaligned bases, 24 B rows straddle pages and 3000 B rows overflow
+    # them (some pages hold no row start).
+    tables = (_pim_table("s64", 256, 16, 1), _pim_table("s24", 300, 6, 2),
+              _pim_table("wide", 48, 750, 3))
+    series = {}
+    system = RelationalMemorySystem(platform)
+    device = BankPIM(system)
+    for table in tables:
+        loaded = system.load_table(table)
+        series[f"base/{table.name}"] = loaded.base_addr
+        for name, query in scans.items():
+            run = device.run(query, loaded)
+            series[f"scan/{table.name}/{name}"] = [
+                repr(run.value), run.n_rows, run.matches,
+                run.bitmap.bits, run.elapsed_ns, run.breakdown,
+            ]
+            series[f"estimate/{table.name}/{name}"] = estimate_query_ns(
+                query, table.schema, table.n_rows, run.selectivity, model,
+                n_groups=8)
+    series["scan/sim_now"] = system.sim.now
+
+    # A dimension with unique keys 0..39 and a 12 B fact whose keys
+    # cover 0..47, so about five in six fact rows find their parent.
+    rng = random.Random(6)
+    dim = RowTable("D", Schema([Column("K", int32()), Column("D1", int32())]))
+    fact = RowTable("F", Schema([Column(c, int32()) for c in ("K", "A1", "F1")]))
+    for key in range(40):
+        dim.append([key, rng.randint(-1000, 1000)])
+    for _ in range(400):
+        fact.append([rng.randrange(48), rng.randint(-1000, 1000),
+                     rng.randint(-1000, 1000)])
+    lhs = Query(name="D", sql="", select=("K", "D1"))
+    sides = {}
+    for cut in (-900, 300):
+        rhs = Query(name="F", sql="", select=("K", "A1", "F1"),
+                    predicate=Col("F1") < cut)
+        sides[cut] = rhs
+        system = RelationalMemorySystem(platform)
+        ld, lf = system.load_table(dim), system.load_table(fact)
+        join = BankPIM(system).run_join("K", lhs, ld, rhs, lf)
+        series[f"join/{cut}"] = [
+            repr(join.rows), join.n_rows, join.rhs_rows, join.matches,
+            join.elapsed_ns, join.build_table, join.breakdown, system.sim.now,
+        ]
+        series[f"estimate/join/{cut}"] = estimate_join_ns(
+            "K", lhs, dim.schema, dim.n_rows, rhs, fact.schema, fact.n_rows,
+            rhs_selectivity=join.rhs_rows / fact.n_rows, model=model)
+
+    plans = {
+        "sev1": lambda: FaultPlan.single("dram_bitflip", 0.0, severity=1),
+        "sev2": lambda: FaultPlan.single("dram_bitflip", 0.0, severity=2),
+        # Two corrected flips, then an uncorrectable one in the third bank
+        # (the injector draws events armed at one instant last-listed first).
+        "sev1x2_sev2": lambda: FaultPlan(events=tuple(
+            FaultEvent("dram_bitflip", 0.0, severity=s) for s in (2, 1, 1))),
+    }
+    for plan_name, plan in plans.items():
+        system = RelationalMemorySystem(platform)
+        loaded = system.load_table(tables[1])
+        injector = system.enable_faults(plan(), DEFAULT_RECOVERY)
+        result = QueryExecutor(system).run_pim(scans["sum"], loaded)
+        series[f"fault/scan/{plan_name}"] = [
+            result.state, repr(result.value), result.elapsed_ns,
+            system.sim.now,
+            sorted([name, c.count] for name, c in injector.stats),
+        ]
+        system = RelationalMemorySystem(platform)
+        ld, lf = system.load_table(dim), system.load_table(fact)
+        injector = system.enable_faults(plan(), DEFAULT_RECOVERY)
+        join = QueryExecutor(system).run_pim_join("K", lhs, ld,
+                                                  sides[300], lf)
+        series[f"fault/join/{plan_name}"] = [
+            join.state, repr(join.rows),
+            join.elapsed_ns, system.sim.now,
+            sorted([name, c.count] for name, c in injector.stats),
+        ]
+    return {"xs": ["bill"], "series": series}
+
+
 #: Each scenario is (fixture file, callable taking ``platform``) that
 #: yields an xs/series snapshot. Scales are chosen small enough for the
 #: test suite but large enough to exercise credit back-pressure, bank
 #: conflicts and packed-line completion (fig06), analytical curves
 #: (fig01), burst-length-2 straddling descriptors (fig08), window
-#: switching, multirun descriptor streams, and every retry, breaker and
-#: fallback path under injected faults (recovery fingerprints).
+#: switching, multirun descriptor streams, every retry, breaker and
+#: fallback path under injected faults (recovery fingerprints), and the
+#: bank-level PIM engine's bills, fault draws and estimates (PIM bills).
 SCENARIOS = {
     "fig01_projectivity.json": lambda platform: fig01_projectivity(
         n_points=12, n_rows=8192, platform=platform
@@ -250,6 +380,7 @@ SCENARIOS = {
     "windowed_epoch.json": _windowed_epoch,
     "multirun_epoch.json": _multirun_epoch,
     "recovery_fingerprints.json": _recovery_fingerprints,
+    "pim_bills.json": _pim_bills,
 }
 
 

@@ -12,9 +12,11 @@ from repro import (
     RelationalMemorySystem,
     choose_access_path,
 )
-from repro.errors import QueryError, SchemaError
+from repro.errors import ConfigurationError, QueryError, SchemaError
 from repro.query.expr import Const, key_range
 from repro.storage.index import BPlusTreeIndex
+from repro.storage.mvcc import TransactionManager, VersionedRowTable
+from repro.storage.schema import Column, Schema, int32
 from tests.conftest import build_relation
 
 
@@ -230,3 +232,24 @@ def test_optimizer_alternates_with_selectivity(indexed_env):
     assert broad.estimates_ns[AccessPath.INDEX] > min(
         broad.estimates_ns[AccessPath.DIRECT_ROW],
         broad.estimates_ns[AccessPath.RME])
+
+
+def test_index_refuses_versioned_table():
+    # The tree would index every physical version while the scan paths
+    # answer from the visible ones, so row ids would shift and rows past
+    # the visible count would vanish; building it is refused instead.
+    table = VersionedRowTable("v", Schema([Column("K", int32()),
+                                           Column("V", int32())]))
+    manager = TransactionManager(table)
+    for key in range(64):
+        manager.insert([key, 10 * key])
+    for key in range(0, 64, 2):
+        manager.update(key, [key, 10 * key + 1])
+    system = RelationalMemorySystem()
+    loaded = system.load_table(table, manager=manager)
+    with pytest.raises(ConfigurationError, match="versioned"):
+        system.load_index(loaded, "K")
+    executor = QueryExecutor(system)
+    point = Query(name="k40", sql="", select=("K", "V"),
+                  predicate=Col("K").eq(40))
+    assert executor.run_direct(point, loaded).value == [(40, 401)]

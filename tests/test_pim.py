@@ -48,33 +48,25 @@ from repro.storage.schema import Column, Schema, intn
 # -- bitmap algebra ---------------------------------------------------------------
 
 
-def test_bitmap_from_bools_roundtrip():
-    flags = [True, False, True, True, False]
-    bitmap = SelectionBitmap.from_bools(5, flags)
-    assert [bitmap.get(i) for i in range(5)] == flags
-    assert bitmap.count() == 3
-    assert list(bitmap.indices()) == [0, 2, 3]
-
-
 def test_bitmap_bitwise_ops_mask_to_size():
-    a = SelectionBitmap.from_indices(4, [0, 1])
-    b = SelectionBitmap.from_indices(4, [1, 2])
+    a = SelectionBitmap(4, 0b0011)
+    b = SelectionBitmap(4, 0b0110)
     assert list((a & b).indices()) == [1]
     assert list((a | b).indices()) == [0, 1, 2]
-    inverted = ~SelectionBitmap.zeros(4)
-    assert inverted == SelectionBitmap.ones(4)
+    inverted = SelectionBitmap(4, -1)
+    assert inverted == SelectionBitmap(4, 0b1111)
     assert inverted.count() == 4  # no bits above n_rows leak in
 
 
 def test_bitmap_peer_size_mismatch_rejected():
     with pytest.raises(ConfigurationError):
-        SelectionBitmap.ones(4) & SelectionBitmap.ones(5)
+        SelectionBitmap(4, 0b1111) & SelectionBitmap(5, 0b11111)
 
 
 def test_bitmap_nbytes_is_packed():
-    assert SelectionBitmap.zeros(1).nbytes == 1
-    assert SelectionBitmap.zeros(8).nbytes == 1
-    assert SelectionBitmap.zeros(9).nbytes == 2
+    assert SelectionBitmap(1).nbytes == 1
+    assert SelectionBitmap(8).nbytes == 1
+    assert SelectionBitmap(9).nbytes == 2
 
 
 # -- bank partitioning ------------------------------------------------------------
@@ -86,7 +78,8 @@ def test_bank_layout_matches_dram_interleave():
     # 64 B rows, 2048 B pages -> 32 rows per page, pages round-robin the
     # banks, so 256 rows land 32 per bank across all 8 banks.
     assert [s.n_rows for s in layout.slices] == [32] * timings.n_banks
-    covered = sorted(r for s in layout.slices for r in s.row_ids)
+    covered = sorted(r for s in layout.slices for rows in s.ranges
+                     for r in rows)
     assert covered == list(range(256))
     # page_of agrees with the DRAM mapping block = addr // page_size.
     assert layout.page_of(0) == 0
@@ -98,6 +91,36 @@ def test_bank_layout_respects_base_addr():
     shifted = BankLayout(timings.row_buffer_bytes, 64, 32, timings)
     # One page past base 0: the first rows now live in bank 1, not 0.
     assert shifted.slices[0].bank == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.integers(0, 1 << 20),
+    row_size=st.one_of(st.integers(1, 128), st.integers(1, 5000)),
+    n_rows=st.integers(0, 600),
+    n_banks=st.integers(1, 16),
+    page=st.integers(64, 2048),
+)
+@example(base=0, row_size=64, n_rows=256, n_banks=8, page=2048)
+@example(base=2000, row_size=24, n_rows=90, n_banks=8, page=2048)
+@example(base=100, row_size=5000, n_rows=9, n_banks=3, page=2048)
+def test_bank_layout_matches_row_by_row_reference(base, row_size, n_rows,
+                                                  n_banks, page):
+    # Reference: each row goes to the bank of the page holding its first
+    # byte; a bank's pages are the distinct pages its rows start in.
+    rows, pages = {}, {}
+    for row in range(n_rows):
+        block = (base + row * row_size) // page
+        rows.setdefault(block % n_banks, []).append(row)
+        pages.setdefault(block % n_banks, set()).add(block)
+    timings = DRAMTimings(n_banks=n_banks, row_buffer_bytes=page)
+    layout = BankLayout(base, row_size, n_rows, timings)
+    assert [s.bank for s in layout.slices] == sorted(rows)
+    for bank_slice in layout.slices:
+        expected = rows[bank_slice.bank]
+        assert [r for rng in bank_slice.ranges for r in rng] == expected
+        assert bank_slice.n_rows == len(expected)
+        assert bank_slice.n_pages == len(pages[bank_slice.bank])
 
 
 def test_bank_layout_rejects_bad_geometry():
