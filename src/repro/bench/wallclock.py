@@ -212,7 +212,7 @@ def _scenario_serving(quick: bool, jobs: Optional[int]) -> Callable[[PlatformCon
         tenants = default_tenants(
             n_tenants=n_tenants, n_rows=n_rows, seed=7
         )
-        profile = profile_workload(tenants, platform=platform, jobs=jobs)
+        profile = profile_workload(tenants, platform=platform, jobs=jobs or 1)
         workload = OpenLoopWorkload(
             tenants, rate_qps=0.8 * profile.saturation_rate_qps(),
             n_requests=n_requests, seed=7,
@@ -345,8 +345,7 @@ def run_wallclock(
     ``jobs`` shards each scenario's sweep points across worker processes
     (see :mod:`repro.parallel`); both the cycle-level and fast-forward
     runs use the same ``jobs``, so the bit-identity comparison still
-    holds point for point. ``None`` keeps the legacy single-process
-    paths.
+    holds point for point. ``None`` runs every scenario in one process.
     """
     names = list(scenarios) if scenarios else list(SCENARIOS)
     unknown = [n for n in names if n not in SCENARIOS]

@@ -265,10 +265,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="override a platform parameter, e.g. "
                             "--config pl_freq_mhz=300 (repeatable)")
-    serve.add_argument("--jobs", type=int, default=None,
+    serve.add_argument("--jobs", type=int, default=1,
                        help="shard tenant/template profiling across this "
-                            "many processes (default: single-process "
-                            "legacy profiling)")
+                            "many processes; output is identical for any "
+                            "value (default 1)")
     serve.add_argument("--explain", action="store_true",
                        help="print each (tenant, template) engine-annotated "
                             "IR plan tree and exit without serving")

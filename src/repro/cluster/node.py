@@ -27,7 +27,7 @@ import math
 from typing import List, Optional, Tuple
 
 from ..faults import CircuitBreaker
-from ..sim import Event, MetricsRegistry, Simulator
+from ..sim import MetricsRegistry, Wakeup
 from ..serve.scheduler import Port, SchedulerPolicy
 
 
@@ -46,6 +46,7 @@ class ClusterNode:
         # Wired by the cluster after construction.
         self.ports: List[Port] = []
         self.scheduler: Optional[SchedulerPolicy] = None
+        self.wakeup: Optional[Wakeup] = None
         # Fault state.
         self.down_until = 0.0
         self.crash_started = -1.0
@@ -58,17 +59,6 @@ class ClusterNode:
         self.marked_down = False
         # Serving counters mirrored outside the registry for cheap access.
         self.served = 0
-        self._wake: Optional[Event] = None
-
-    # -- idle plumbing (same pattern as ServingSystem) ----------------------
-    def wake_event(self, sim: Simulator) -> Event:
-        if self._wake is None or self._wake.triggered:
-            self._wake = sim.event()
-        return self._wake
-
-    def kick(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
 
     # -- fault-state queries -------------------------------------------------
     def is_down(self, now: float) -> bool:

@@ -51,7 +51,7 @@ from ..faults import (
     RecoveryPolicy,
 )
 from ..rme.designs import MLP, DesignParams
-from ..sim import Event, MetricsRegistry, Simulator
+from ..sim import Event, MetricsRegistry, Simulator, Wakeup
 from ..serve.profiles import WorkloadProfile
 from ..serve.scheduler import Port, make_scheduler
 from ..serve.service import (
@@ -279,6 +279,7 @@ class ClusterSystem:
                 index, MetricsRegistry(f"node{index}"), self.recovery.breaker()
             )
             node.ports = [Port(index=i) for i in range(self.n_ports)]
+            node.wakeup = Wakeup(sim)
             node.scheduler = make_scheduler(
                 self.policy, node.ports, self.queue_depth, node.sched_stats,
                 self._descriptor_of_attempt, quantum=self.quantum,
@@ -329,7 +330,7 @@ class ClusterSystem:
 
     def _kick_all(self) -> None:
         for node in self.nodes:
-            node.kick()
+            node.wakeup.kick()
 
     def _complete(self, request: Request) -> None:
         self._open_requests -= 1
@@ -498,7 +499,7 @@ class ClusterSystem:
         )
         if not node.scheduler.admit(attempt):
             return None
-        node.kick()
+        node.wakeup.kick()
         return attempt
 
     def _deadline_timer(self, winner: Event):
@@ -515,7 +516,7 @@ class ClusterSystem:
                 if (self._arrivals_done and self._open_requests == 0
                         and node.scheduler.backlog() == 0):
                     return
-                yield node.wake_event(sim)
+                yield node.wakeup.wait()
                 continue
             if attempt.abandoned or attempt.winner.triggered:
                 node.node_stats.bump("abandoned")

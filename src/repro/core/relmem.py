@@ -45,6 +45,17 @@ from .ephemeral import EphemeralVariable
 _REGION_PAD = 64
 
 
+def _field(group: Schema, column: str) -> Tuple[int, int]:
+    """``column``'s offset and width in the packed group, refused unless
+    the engine's field readers decode its type."""
+    from ..rme.pushdown import unreadable_field
+
+    reason = unreadable_field(group, column)
+    if reason:
+        raise ConfigurationError(reason)
+    return group.offset_of(column), group.column(column).size
+
+
 def _hw_selection(group: Schema, predicate_column, op, constant):
     """The PL comparator ``predicate_column OP constant`` over the packed
     group, or None when none of the three is given."""
@@ -59,11 +70,9 @@ def _hw_selection(group: Schema, predicate_column, op, constant):
             "a pushdown predicate needs predicate_column, op and constant; "
             f"missing {', '.join(missing)}"
         )
+    offset, width = _field(group, predicate_column)
     return HWSelection(
-        field_offset=group.offset_of(predicate_column),
-        field_width=group.column(predicate_column).size,
-        op=op,
-        constant=constant,
+        field_offset=offset, field_width=width, op=op, constant=constant,
     )
 
 
@@ -429,10 +438,11 @@ class RelationalMemorySystem:
                 sorted({column, predicate_column}, key=loaded.schema.index_of)
             )
         group = loaded.schema.group_schema(columns)
+        offset, width = _field(group, column)
         aggregation = HWAggregation(
             func=func,
-            field_offset=group.offset_of(column),
-            field_width=group.column(column).size,
+            field_offset=offset,
+            field_width=width,
             predicate=_hw_selection(group, predicate_column, op, constant),
         )
         return self._register(
@@ -465,10 +475,9 @@ class RelationalMemorySystem:
             raise ConfigurationError(
                 f"join key {key_column!r} must be inside the projected group"
             )
+        offset, width = _field(group, key_column)
         join_filter = HWJoinFilter(
-            field_offset=group.offset_of(key_column),
-            field_width=group.column(key_column).size,
-            keys=frozenset(keys),
+            field_offset=offset, field_width=width, keys=frozenset(keys),
         )
         return self._register(
             loaded, columns, snapshot_ts, activate,
@@ -503,12 +512,14 @@ class RelationalMemorySystem:
             sorted(wanted, key=loaded.schema.index_of)
         )
         group = loaded.schema.group_schema(columns)
+        group_offset, group_width = _field(group, group_column)
+        agg_offset, agg_width = _field(group, agg_column)
         group_by = HWGroupBy(
-            group_offset=group.offset_of(group_column),
-            group_width=group.column(group_column).size,
+            group_offset=group_offset,
+            group_width=group_width,
             func=func,
-            agg_offset=group.offset_of(agg_column),
-            agg_width=group.column(agg_column).size,
+            agg_offset=agg_offset,
+            agg_width=agg_width,
             predicate=_hw_selection(group, predicate_column, op, constant),
             max_groups=max_groups,
         )

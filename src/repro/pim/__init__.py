@@ -29,6 +29,7 @@ from .predicate import (
     PimUnsupportedError,
     PredicateProgram,
     PredicateSpec,
+    bank_fields,
     predicate_spec,
     supports_join,
     supports_query,
@@ -54,6 +55,7 @@ __all__ = [
     "PimUnsupportedError",
     "PredicateProgram",
     "PredicateSpec",
+    "bank_fields",
     "predicate_spec",
     "supports_join",
     "supports_query",

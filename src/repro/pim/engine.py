@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import FaultError, QueryError
+from ..rme.pushdown import unreadable_field
 from .bank import BankLayout, bank_of_key
 from .bitmap import SelectionBitmap
 from .cost import (
@@ -135,13 +136,10 @@ class BankPIM:
                 )
 
     def _field_of(self, schema, column: str) -> Tuple[int, int]:
-        col = schema.column(column)
-        if not col.ctype.fmt:
-            raise QueryError(
-                f"column {column!r} is a raw byte string; the in-bank "
-                "datapath is integer-only"
-            )
-        return schema.offset_of(column), col.size
+        reason = unreadable_field(schema, column)
+        if reason:
+            raise QueryError(reason)
+        return schema.offset_of(column), schema.column(column).size
 
     def _draw_fault(self, bank: int, table_name: str, wasted_ns: float) -> None:
         faults = self.system.faults

@@ -30,7 +30,7 @@ from itertools import repeat
 from typing import List, Tuple, Union
 
 from ..errors import ConfigurationError, QueryError
-from ..rme.pushdown import AGG_FUNCS, CMP_OPS, HWSelection
+from ..rme.pushdown import AGG_FUNCS, CMP_OPS, HWSelection, unreadable_field
 from .bitmap import SelectionBitmap
 
 #: ``struct`` codes of the comparator's signed 1/2/4/8-byte fields.
@@ -98,6 +98,9 @@ class PredicateSpec:
                 raise PimUnsupportedError(
                     f"predicate references unknown column {leaf.column!r}"
                 )
+            reason = unreadable_field(schema, leaf.column)
+            if reason:
+                raise PimUnsupportedError(reason)
             comparator = HWSelection(
                 field_offset=schema.offset_of(leaf.column),
                 field_width=schema.column(leaf.column).size,
@@ -279,6 +282,24 @@ def supports_query(query) -> str:
         except PimUnsupportedError as error:
             return str(error)
     return ""
+
+
+def bank_fields(query) -> Tuple[str, ...]:
+    """The columns whose fields the banks decode for an eligible query:
+    the predicate's, the aggregated one (not for COUNT) and the GROUP BY
+    key. Projected columns are decoded by the CPU's gather.
+
+    >>> from repro.query.sql import parse_query
+    >>> bank_fields(parse_query("SELECT SUM(A3) FROM S WHERE A1 < 5 GROUP BY A2"))
+    ('A1', 'A3', 'A2')
+    """
+    fields = list(predicate_spec(query.predicate).columns
+                  if query.predicate is not None else ())
+    if query.aggregate not in (None, "count"):
+        fields.append(query.agg_expr.name)
+    if query.group_by is not None:
+        fields.append(query.group_by)
+    return tuple(dict.fromkeys(fields))
 
 
 def supports_join(on: str, lhs_query, rhs_query) -> str:

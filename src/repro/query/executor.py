@@ -400,10 +400,14 @@ class QueryExecutor:
         low, high, inclusive = bounds
         row_ids = index.range(low, high, inclusive)
 
-        # Functional answer over exactly the matched rows.
+        # Functional answer: decode only the matched rows (an indexed
+        # table is never versioned, so row ids are physical rows).
         columns = query.columns()
-        all_rows = self._rows(loaded, columns, None)
-        matched = [all_rows[i] for i in row_ids]
+        extractors = loaded.schema.column_extractors(columns)
+        matched = [
+            dict(zip(columns, (extract(row, 0) for extract in extractors)))
+            for row in map(loaded.table.row_bytes, row_ids)
+        ]
         kept = ops.filter_rows(matched, query.predicate)  # residual filter
         value = self._finalize(query, kept)
         n_rows = loaded.table.n_rows

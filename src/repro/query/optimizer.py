@@ -22,6 +22,7 @@ from ..core.relmem import LoadedTable
 from ..errors import QueryError
 from ..model.analytical import AnalyticalModel
 from ..rme.designs import DesignParams, MLP
+from ..rme.pushdown import unreadable_field
 from .queries import HASH_BUILD_NS, HASH_PROBE_NS, Query
 
 
@@ -102,13 +103,15 @@ def choose_access_path(
             index.height, touched_leaves, matches, index.node_bytes
         )
 
-    # Bank-level PIM: only for queries the in-bank datapath can evaluate,
-    # and only over plain physical tables (the banks cannot apply MVCC
-    # visibility). Closed-form, same constants as the executed scan.
+    # Bank-level PIM: only for queries the in-bank datapath can evaluate
+    # on fields it can read, and only over plain physical tables (the
+    # banks cannot apply MVCC visibility). Closed-form, same constants
+    # as the executed scan.
     if loaded.versioned is None:
-        from ..pim import estimate_query_ns, supports_query
+        from ..pim import bank_fields, estimate_query_ns, supports_query
 
-        if not supports_query(query):
+        if not (supports_query(query)
+                or unreadable_field(schema, *bank_fields(query))):
             estimates[AccessPath.PIM] = estimate_query_ns(
                 query, schema, n_rows, selectivity
             )
@@ -157,9 +160,12 @@ def choose_join_path(
     estimates: Dict[AccessPath, float] = {AccessPath.DIRECT_ROW: cpu_ns}
 
     if lhs_loaded.versioned is None and rhs_loaded.versioned is None:
-        from ..pim import estimate_join_ns, supports_join
+        from ..pim import bank_fields, estimate_join_ns, supports_join
 
-        if not supports_join(on, lhs_query, rhs_query):
+        if not (supports_join(on, lhs_query, rhs_query) or any(
+            unreadable_field(loaded.schema, on, *bank_fields(query))
+            for query, loaded, _sel in sides
+        )):
             estimates[AccessPath.PIM] = estimate_join_ns(
                 on,
                 lhs_query, lhs_loaded.schema, lhs_loaded.table.n_rows,

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigurationError
+from ..storage.schema import RAW_INT_FMT
 
 #: Comparison operators the PL comparator implements — and the in-bank
 #: PIM comparator (:func:`repro.pim.predicate.sweep_bank`), which sweeps
@@ -46,6 +47,33 @@ CMP_OPS = {
 
 #: Aggregation functions the PL accumulator implements.
 AGG_FUNCS = ("sum", "count", "min", "max")
+
+#: Column formats of the little-endian signed integers every field reader
+#: here decodes: int8/16/32/64 and ``intn``'s any-width raw integer.
+_SIGNED_INT_FORMATS = frozenset(("b", "h", "i", "q", RAW_INT_FMT))
+
+
+def unreadable_field(schema, *columns: str) -> str:
+    """Why the in-memory datapaths cannot read one of ``columns``, or ``""``.
+
+    The PL comparator, join filter, accumulators and group table here,
+    and the PIM bank sweep that shares their op table, decode every
+    field as a little-endian signed integer; an unsigned, floating-point
+    or byte-string column would be read as a different number.
+
+    >>> from repro.storage.schema import Column, Schema, float64, int32
+    >>> schema = Schema([Column("A", int32()), Column("F", float64())])
+    >>> unreadable_field(schema, "A")
+    ''
+    >>> print(unreadable_field(schema, "A", "F"))
+    column 'F' is float64; the in-memory datapaths read only signed integer fields
+    """
+    for column in columns:
+        ctype = schema.column(column).ctype
+        if ctype.fmt not in _SIGNED_INT_FORMATS:
+            return (f"column {column!r} is {ctype.name}; the in-memory "
+                    "datapaths read only signed integer fields")
+    return ""
 
 
 @dataclass(frozen=True)

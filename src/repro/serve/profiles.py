@@ -22,11 +22,12 @@ byte-identical value the single-query executor produces — the serving
 layer never invents results, it only re-prices *when* they are produced
 under contention.
 
-All profiling happens on one shared :class:`RelationalMemorySystem` with
-every tenant's table loaded, exactly like the serving scenario: one
-engine, many descriptors, and an eviction activation between
-measurements so "cold" really means "the port held someone else's
-descriptor".
+Each pair is measured on its own fresh :class:`RelationalMemorySystem`
+with every tenant's table loaded in tenant order and only that pair's
+ephemeral variable registered, so the cold scan is the first access
+after the port is programmed and a pair's costs depend on no other
+pair. Pairs can therefore run in any number of processes with the same
+result.
 
 Whole results are memoized in :data:`PROFILE_CACHE`, a
 :class:`~repro.sim.metrics.Memo` whose hits and misses are counters of
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..config import PlatformConfig, ZCU102
 from ..core.relmem import RelationalMemorySystem
@@ -165,77 +166,50 @@ def _workload_key(
     )
 
 
-def _pair_list(tenants: Sequence[TenantSpec]) -> List[Tuple[str, str]]:
-    """Every (tenant, template) pair in canonical profiling order."""
-    return [
-        (spec.name, template)
-        for spec in tenants
-        for template, _query in spec.templates
-    ]
-
-
-def _build_profiling_system(
-    tenants: Sequence[TenantSpec],
-    platform: PlatformConfig,
-    design: DesignParams,
-    buffer_capacity: "int | None",
-):
-    """A fresh engine with every tenant's table loaded and every pair's
-    ephemeral variable registered in canonical order.
-
-    Registration order fixes the ephemeral address layout, so two
-    processes that call this see bit-identical engine state — the
-    precondition for sharding pairs across workers. The first variable
-    is a dedicated eviction descriptor: activating it between
-    measurements guarantees the next access to any template is
-    genuinely cold.
-    """
-    kwargs = {}
-    if buffer_capacity is not None:
-        kwargs["buffer_capacity"] = buffer_capacity
-    system = RelationalMemorySystem(platform, design, **kwargs)
-    loaded = {t.name: system.load_table(t.table) for t in tenants}
-    first = loaded[tenants[0].name]
-    evictor = system.register_var(
-        first, [first.schema.names[0]], activate=False
-    )
-    variables = {}
+def _check_templates(tenants: Sequence[TenantSpec]) -> None:
+    """Refuse a template that reads columns outside its tenant's schema."""
     for spec in tenants:
-        table = loaded[spec.name]
         for template, query in spec.templates:
-            columns = [c for c in query.columns()]
-            missing = [c for c in columns if c not in table.schema]
+            missing = [c for c in query.columns() if c not in spec.table.schema]
             if missing:
                 raise ConfigurationError(
                     f"tenant {spec.name!r} template {template!r} references "
                     f"columns {missing} outside its schema"
                 )
-            variables[(spec.name, template)] = system.register_var(
-                table, columns, activate=False, allow_noncontiguous=True
-            )
-    return system, loaded, evictor, variables
 
 
-def _measure_pair(
-    system, loaded, evictor, var, platform, spec: TenantSpec,
-    template: str, query,
-) -> QueryProfile:
-    """One pair's cold/hot/direct measurement (shared by both protocols).
+def _profile_pair(index: int, context: tuple) -> QueryProfile:
+    """Measure pair ``index`` (canonical tenant, then template order) on
+    its own fresh engine.
+
+    Every tenant's table is loaded, in tenant order, so the table
+    addresses the scans touch are the same for every pair; only this
+    pair's ephemeral variable is registered, and nothing else is
+    measured on the engine. The pair's numbers therefore depend on no
+    other pair, nor on which process measured it.
 
     Both scans go through the relational-algebra IR: the processor plans
     the canonical RME tree (fetch behind explicit transfers) for the
     cold/hot pair and the all-CPU tree for the degraded-path baseline,
-    then executes them on the same measured machinery the executor
-    always used — the profile numbers are bit-identical to the pre-IR
-    loop.
+    then executes them on the executor's measured machinery.
     """
-    processor = Processor(system)
+    tenants, platform, design, buffer_capacity = context
+    spec, (template, query) = [
+        (spec, pair) for spec in tenants for pair in spec.templates
+    ][index]
+    kwargs = {}
+    if buffer_capacity is not None:
+        kwargs["buffer_capacity"] = buffer_capacity
+    system = RelationalMemorySystem(platform, design, **kwargs)
+    loaded = {t.name: system.load_table(t.table) for t in tenants}
     table = loaded[spec.name]
-    columns = [c for c in query.columns()]
-    runs = tuple(table.schema.column_runs(columns))
+    columns = list(query.columns())
+    var = system.register_var(
+        table, columns, activate=False, allow_noncontiguous=True
+    )
+    processor = Processor(system)
     rme_plan = processor.plan(query, table, engine=RME_ENGINE)
     cpu_plan = processor.plan(query, table, engine=CPU_ENGINE)
-    system.activate(evictor)  # someone else's descriptor is loaded
     cold = processor.execute(rme_plan.relation, var=var)
     hot = processor.execute(rme_plan.relation, var=var)
     if cold.value != hot.value:
@@ -252,7 +226,7 @@ def _measure_pair(
         tenant=spec.name,
         template=template,
         sql=query.sql,
-        descriptor=(spec.name, runs),
+        descriptor=(spec.name, tuple(table.schema.column_runs(columns))),
         columns=tuple(columns),
         n_rows=table.table.n_rows,
         program_ns=port_program_ns(platform, var.config),
@@ -260,32 +234,6 @@ def _measure_pair(
         hot_ns=hot.elapsed_ns,
         value=cold.value,
         direct_ns=direct.elapsed_ns,
-    )
-
-
-def _profile_pair_task(pair_index: int, context: tuple) -> QueryProfile:
-    """Shard body of the parallel profiler: measure ONE pair on a fresh
-    engine.
-
-    Measurements taken later in the legacy shared-engine loop depend on
-    the simulated clock the earlier measurements advanced (float
-    timestamps are offset-sensitive), so pairs cannot be split out of
-    that loop bit-identically. The sharded protocol instead gives every
-    pair the same start state — a freshly built engine with the full
-    canonical layout — which makes each pair's numbers independent of
-    which worker measured it, and of how many workers there are.
-    """
-    tenants, platform, design, buffer_capacity = context
-    system, loaded, evictor, variables = _build_profiling_system(
-        tenants, platform, design, buffer_capacity
-    )
-    pairs = _pair_list(tenants)
-    name, template = pairs[pair_index]
-    spec = next(t for t in tenants if t.name == name)
-    query = dict(spec.templates)[template]
-    return _measure_pair(
-        system, loaded, evictor, variables[(name, template)],
-        platform, spec, template, query,
     )
 
 
@@ -302,63 +250,14 @@ def port_program_ns(platform: PlatformConfig, config) -> float:
     return len(config.register_writes()) * per_write
 
 
-#: Cache-key marker for the sharded protocol: its numbers come from
-#: fresh-engine-per-pair measurements and must never satisfy (or be
-#: satisfied by) a legacy shared-engine lookup.
-_SHARDED_PROTOCOL = ("isolated-pairs", 1)
-
-
-def _profile_shared_engine(
-    tenants: Sequence[TenantSpec],
-    platform: PlatformConfig,
-    design: DesignParams,
-    buffer_capacity: "int | None",
-) -> Dict[Tuple[str, str], QueryProfile]:
-    """The legacy protocol: every pair measured on one engine, each
-    measurement starting from the simulated clock the previous one left
-    behind."""
-    system, loaded, evictor, variables = _build_profiling_system(
-        tenants, platform, design, buffer_capacity
-    )
-    return {
-        (spec.name, template): _measure_pair(
-            system, loaded, evictor, variables[(spec.name, template)],
-            platform, spec, template, query,
-        )
-        for spec in tenants
-        for template, query in spec.templates
-    }
-
-
-def _profile_isolated_pairs(
-    tenants: Sequence[TenantSpec],
-    platform: PlatformConfig,
-    design: DesignParams,
-    buffer_capacity: "int | None",
-    jobs: int,
-) -> Dict[Tuple[str, str], QueryProfile]:
-    """The isolated-pair protocol: one fresh engine per (tenant, template).
-
-    ``jobs=1`` runs the exact same shard body inline in canonical pair
-    order, so any ``jobs=N`` result is bit-identical to it by
-    construction (see :func:`repro.parallel.parallel_map`).
-    """
-    from ..parallel import parallel_map
-
-    context = (tuple(tenants), platform, design, buffer_capacity)
-    task = functools.partial(_profile_pair_task, context=context)
-    measured = parallel_map(task, range(len(_pair_list(tenants))), jobs=jobs)
-    return {(p.tenant, p.template): p for p in measured}
-
-
 def profile_workload(
     tenants: Sequence[TenantSpec],
     platform: PlatformConfig = ZCU102,
     design: DesignParams = MLP,
     buffer_capacity: int = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> WorkloadProfile:
-    """Measure every (tenant, template) pair on one shared platform.
+    """Measure every (tenant, template) pair, each on its own fresh engine.
 
     Results are memoized in :data:`PROFILE_CACHE` under a content
     fingerprint of every input; a repeated call with identical tables,
@@ -366,34 +265,29 @@ def profile_workload(
     touching the simulator. The returned profile always carries the
     *caller's* tenant specs so weight changes take effect immediately.
 
-    ``jobs=None`` (the default) keeps the legacy shared-engine loop:
-    every pair measured on one engine, each measurement starting from the
-    simulated clock the previous one left behind. ``jobs=int`` switches
-    to the *isolated-pair* protocol — each pair measured on a fresh
-    engine holding the full canonical layout — which makes per-pair
-    numbers start-state-independent and therefore shardable across
-    processes; ``jobs=1`` and ``jobs=N`` are bit-identical. The two
-    protocols measure the same physics from different simulated start
-    states, so they are cached under distinct keys and their numbers
-    differ well beyond rounding: for :func:`default_tenants`, 17 of the
-    36 cost fields differ, by up to 0.17% (``tenant0``/``filter``
-    ``hot_ns`` is 5547.77 ns shared against 5540.50 ns isolated).
+    ``jobs`` only picks how many processes measure the pairs (see
+    :func:`repro.parallel.parallel_map`): every pair starts from the
+    same fresh engine, so any ``jobs`` gives the same profiles, and
+    ``jobs`` is not part of the memo key.
     """
     if not tenants:
         raise ConfigurationError("profiling needs at least one tenant")
+    _check_templates(tenants)
     key = _workload_key(tenants, platform, design, buffer_capacity)
-    if jobs is not None:
-        key += (_SHARDED_PROTOCOL,)
     profiles = PROFILE_CACHE.get(key)
     if profiles is None:
-        if jobs is None:
-            profiles = _profile_shared_engine(
-                tenants, platform, design, buffer_capacity
-            )
-        else:
-            profiles = _profile_isolated_pairs(
-                tenants, platform, design, buffer_capacity, jobs
-            )
+        # Imported here so that importing the library loads no process
+        # pool machinery (multiprocessing, concurrent.futures).
+        from ..parallel import parallel_map
+
+        context = (tuple(tenants), platform, design, buffer_capacity)
+        n_pairs = sum(len(spec.templates) for spec in tenants)
+        measured = parallel_map(
+            functools.partial(_profile_pair, context=context),
+            range(n_pairs),
+            jobs=jobs,
+        )
+        profiles = {(p.tenant, p.template): p for p in measured}
         PROFILE_CACHE.put(key, profiles)
     return WorkloadProfile(
         platform=platform,

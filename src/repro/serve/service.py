@@ -36,7 +36,7 @@ from ..config import PlatformConfig, ZCU102
 from ..errors import ConfigurationError
 from ..faults import DEFAULT_RECOVERY, RecoveryPolicy
 from ..rme.designs import MLP, DesignParams
-from ..sim import Event, MetricsRegistry, Simulator
+from ..sim import Event, MetricsRegistry, Simulator, Wakeup
 from .profiles import PROFILE_CACHE, WorkloadProfile, profile_workload
 from .scheduler import POLICIES, Port, SchedulerPolicy, make_scheduler
 from .workload import (
@@ -296,7 +296,7 @@ class ServingSystem:
         )
         self.records: List[Request] = []
         self._arrivals_done = False
-        self._wake: Optional[Event] = None
+        self._wakeup = Wakeup(sim)
         self._completions: Dict[int, Event] = {}
         self._arrivals_seen = 0
         self._sheds_seen = 0
@@ -343,7 +343,7 @@ class ServingSystem:
                 arrival_ns=self.sim.now,
             ))
         self._arrivals_done = True
-        self._kick()
+        self._wakeup.kick()
 
     def _start_clients(self, workload: ClosedLoopWorkload) -> None:
         self._mix = workload.mix
@@ -374,7 +374,7 @@ class ServingSystem:
         self._clients_left -= 1
         if self._clients_left == 0:
             self._arrivals_done = True
-            self._kick()
+            self._wakeup.kick()
 
     def _pick(self, rng: random.Random):
         # Closed-loop clients sample the same weighted mix as open loop.
@@ -393,7 +393,7 @@ class ServingSystem:
             self._complete(request)
             return
         self._publish_load_gauges()
-        self._kick()
+        self._wakeup.kick()
 
     def _publish_load_gauges(self) -> None:
         """Keep the load gauges current as the run progresses, so an
@@ -411,7 +411,7 @@ class ServingSystem:
             if request is None:
                 if self._arrivals_done and self.scheduler.backlog() == 0:
                     return
-                yield self._wake_event()
+                yield self._wakeup.wait()
                 continue
             self._publish_load_gauges()
             yield from self._execute(port, request)
@@ -499,7 +499,7 @@ class ServingSystem:
         port.served += 1
         self._observe(request)
         self._complete(request)
-        self._kick()
+        self._wakeup.kick()
 
     def _fail_request(self, request: Request) -> None:
         """Give up on a request: no answer, counted against availability."""
@@ -509,7 +509,7 @@ class ServingSystem:
         self._tenant_stats[request.tenant].bump("failed")
         self._fault_stats.bump("failed")
         self._complete(request)
-        self._kick()
+        self._wakeup.kick()
 
     def _observe(self, request: Request) -> None:
         tstats = self._tenant_stats[request.tenant]
@@ -524,16 +524,6 @@ class ServingSystem:
         done = self._completions.pop(request.index, None)
         if done is not None:
             done.succeed(request)
-
-    # -- wake/idle plumbing --------------------------------------------------------
-    def _wake_event(self) -> Event:
-        if self._wake is None or self._wake.triggered:
-            self._wake = self.sim.event()
-        return self._wake
-
-    def _kick(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
 
     # -- reporting ---------------------------------------------------------------
     def _build_report(self, arrival_kind: str) -> ServingReport:

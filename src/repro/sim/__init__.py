@@ -15,6 +15,7 @@ The public surface:
   slots, fetch-unit pool).
 * :class:`Store` — an unbounded FIFO queue for passing items between
   processes (e.g. request descriptors).
+* :class:`Wakeup` — a reusable idle wake-up (the serving loops' ports).
 * :class:`Counter`, :class:`Gauge`, :class:`Histogram`, :class:`StatSet`
   — cheap statistics instruments.
 * :class:`MetricsRegistry` — the hierarchical directory of every
@@ -25,7 +26,7 @@ The public surface:
 
 from .engine import Event, Process, Simulator, Timeout
 from .metrics import MetricsRegistry
-from .resources import Resource, Store
+from .resources import Resource, Store, Wakeup
 from .stats import Counter, Gauge, Histogram, StatSet
 from .trace import TraceRecord, Tracer, to_chrome_trace, write_chrome_trace
 
@@ -36,6 +37,7 @@ __all__ = [
     "Process",
     "Resource",
     "Store",
+    "Wakeup",
     "Counter",
     "Gauge",
     "Histogram",

@@ -3,13 +3,14 @@
 :class:`Resource` models a pool of identical slots (DRAM controller queue
 entries, outstanding AXI transaction IDs, fetch units). :class:`Store` is a
 FIFO hand-off queue between producer and consumer processes (the Requestor
-feeding descriptors to Fetch Units, for instance).
+feeding descriptors to Fetch Units, for instance). :class:`Wakeup` is the
+idle wake-up of a serving loop's ports.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Deque, Optional
 
 from ..errors import SimulationError
 from .engine import Event, Simulator
@@ -91,3 +92,28 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
+
+
+class Wakeup:
+    """A reusable wake-up for processes that idle until there is work.
+
+    ``yield wakeup.wait()`` blocks until the next :meth:`kick`; every
+    waiter of one round shares the pending event. A kick with nobody
+    waiting is dropped, so an idle loop re-checks for work before it
+    waits.
+    """
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self._event: Optional[Event] = None
+
+    def wait(self) -> Event:
+        """The pending wake-up event, a fresh one once the last fired."""
+        if self._event is None or self._event.triggered:
+            self._event = self.sim.event()
+        return self._event
+
+    def kick(self) -> None:
+        """Wake every process waiting on the pending event."""
+        if self._event is not None and not self._event.triggered:
+            self._event.succeed()

@@ -42,7 +42,9 @@ from repro.query.processor import Processor, join_relation
 from repro.query.queries import Query, q1, q2, q4
 from repro.rme.pushdown import CMP_OPS, HWSelection
 from repro.storage.row_table import RowTable
+from repro.query.sql import parse_query
 from repro.storage.schema import Column, Schema, intn
+from tests.conftest import build_mixed_relation
 
 
 # -- bitmap algebra ---------------------------------------------------------------
@@ -294,6 +296,61 @@ def test_pim_rejects_ineligible_queries():
     loaded = system.load_table(table)
     with pytest.raises(QueryError, match="not PIM-evaluable"):
         BankPIM(system).run(q1(), loaded)
+
+
+# -- field types the banks can read -----------------------------------------------
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT SUM(F) FROM T WHERE A1 < 0",
+    "SELECT MAX(U) FROM T WHERE A1 < 0",
+    "SELECT A1 FROM T WHERE F < 2",
+    "SELECT A1 FROM T WHERE U > 3000000060",
+    "SELECT SUM(A1) FROM T GROUP BY U",
+])
+def test_pim_refuses_fields_it_cannot_read(sql):
+    system = RelationalMemorySystem()
+    loaded = system.load_table(build_mixed_relation())
+    with pytest.raises(QueryError, match="read only signed integer fields"):
+        QueryExecutor(system).run_pim(parse_query(sql), loaded)
+
+
+def test_pim_gathers_projected_columns_of_any_type():
+    # The banks read only A1; the CPU gathers F and U with their own types.
+    system = RelationalMemorySystem()
+    loaded = system.load_table(build_mixed_relation())
+    executor = QueryExecutor(system)
+    query = parse_query("SELECT F, U FROM T WHERE A1 >= 30")
+    pim = executor.run_pim(query, loaded)
+    assert pim.value == executor.run_direct(query, loaded).value
+    assert pim.value == [(31.0, 3_000_000_062), (31.5, 3_000_000_063)]
+
+
+def test_planner_never_prices_pim_on_unreadable_fields():
+    system = RelationalMemorySystem()
+    loaded = system.load_table(build_mixed_relation())
+    processor = Processor(system)
+    query = parse_query("SELECT SUM(F) FROM T WHERE A1 < -30")
+    plan = processor.plan(query, loaded, selectivity=2 / 64)
+    assert AccessPath.PIM not in plan.choice.estimates_ns
+    assert processor.execute(plan.relation, loaded=loaded).value == 0.5
+    signed = parse_query("SELECT SUM(A1) FROM T WHERE A1 < -30")
+    choice = processor.plan(signed, loaded, selectivity=2 / 64).choice
+    assert AccessPath.PIM in choice.estimates_ns
+
+
+def test_pim_join_on_unreadable_key_refused():
+    system = RelationalMemorySystem()
+    lhs = system.load_table(build_mixed_relation("L"))
+    rhs = system.load_table(build_mixed_relation("R"))
+    lhs_q = Query(name="l", sql="", select=("U", "A1"),
+                  predicate=Col("A1") < -30)
+    rhs_q = Query(name="r", sql="", select=("U", "F"))
+    choice = choose_join_path("U", lhs_q, lhs, rhs_q, rhs,
+                              lhs_selectivity=2 / 64)
+    assert AccessPath.PIM not in choice.estimates_ns
+    with pytest.raises(QueryError, match="read only signed integer fields"):
+        QueryExecutor(system).run_pim_join("U", lhs_q, lhs, rhs_q, rhs)
 
 
 # -- cost model -------------------------------------------------------------------

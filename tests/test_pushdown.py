@@ -15,7 +15,7 @@ from repro import (
 )
 from repro.errors import ConfigurationError, QueryError
 from repro.rme.pushdown import AggregateAccumulator
-from tests.conftest import build_relation
+from tests.conftest import build_mixed_relation, build_relation
 
 
 def sum_where_query(op=">", k=0):
@@ -280,3 +280,20 @@ def test_pushdown_rejected_on_versioned_tables():
         system.register_filtered_var(loaded, ["key", "val"], "val", ">", 0)
     with pytest.raises(ConfigurationError):
         system.register_hw_aggregate(loaded, "val", "sum")
+
+
+@pytest.mark.parametrize("register", [
+    lambda system, t: system.register_filtered_var(t, ["U"], "U", ">", 3_000_000_060),
+    lambda system, t: system.register_hw_aggregate(t, "U", "max"),
+    lambda system, t: system.register_hw_aggregate(t, "F", "sum"),
+    lambda system, t: system.register_hw_aggregate(t, "A1", "sum", "F", "<", 2),
+    lambda system, t: system.register_hw_group_by(t, "A1", "U"),
+    lambda system, t: system.register_hw_group_by(t, "F", "A1"),
+    lambda system, t: system.register_semijoin_var(t, ["F", "U"], "U", {1}),
+], ids=["filter-uint32", "max-uint32", "sum-float64", "predicate-float64",
+        "group-key-uint32", "group-agg-float64", "join-key-uint32"])
+def test_pushdown_refuses_fields_it_cannot_read(register):
+    system = RelationalMemorySystem()
+    loaded = system.load_table(build_mixed_relation())
+    with pytest.raises(ConfigurationError, match="read only signed integer"):
+        register(system, loaded)

@@ -1,9 +1,12 @@
 """End-to-end tests for the serving loop: profiles, SLOs, correctness."""
 
+import dataclasses
+
 import pytest
 
 from repro import QueryExecutor, RelationalMemorySystem
 from repro.errors import ConfigurationError
+from repro.query.queries import q4
 from repro.serve import (
     ClosedLoopWorkload,
     OpenLoopWorkload,
@@ -67,6 +70,25 @@ def test_profiled_answers_match_fresh_executor(specs, profile):
             entry = profile.profile(spec.name, template)
             direct = executor.run_direct(query, loaded)
             assert entry.value == direct.value
+
+
+def test_each_pair_profiled_on_its_own(specs, profile):
+    """Dropping one template leaves every other pair's profile unchanged:
+    no pair's costs depend on what else was measured."""
+    first = specs[0]
+    trimmed = [dataclasses.replace(first, templates=first.templates[1:])]
+    trimmed += specs[1:]
+    others = profile_workload(trimmed).profiles
+    dropped = (first.name, first.templates[0][0])
+    assert set(others) == set(profile.profiles) - {dropped}
+    for key, entry in others.items():
+        assert entry == profile.profiles[key], key
+
+
+def test_template_outside_schema_refused(specs):
+    stray = dataclasses.replace(specs[1], templates=(("stray", q4("A99")),))
+    with pytest.raises(ConfigurationError, match="outside its schema"):
+        profile_workload([specs[0], stray])
 
 
 # -- serving ------------------------------------------------------------------------
