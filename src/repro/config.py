@@ -242,10 +242,6 @@ class PlatformConfig:
         """Convert ``n`` PL cycles to nanoseconds."""
         return n * self.pl_cycle_ns
 
-    def ps_cycles(self, n: float) -> float:
-        """Convert ``n`` PS cycles to nanoseconds."""
-        return n * self.ps_cycle_ns
-
     def with_overrides(self, **kwargs) -> "PlatformConfig":
         """Return a copy of this config with the given fields replaced."""
         cfg = replace(self, **kwargs)

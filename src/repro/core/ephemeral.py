@@ -19,7 +19,8 @@ The object carries both faces of the co-design:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from itertools import compress
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..config import RMEConfig
 from ..errors import QueryError
@@ -87,19 +88,17 @@ class EphemeralVariable:
         return self.system.is_active(self) and self.system.rme.is_hot
 
     # -- functional face ------------------------------------------------------------
-    def values(self) -> List[Tuple[Any, ...]]:
-        """Row-ordered tuples of the group's columns.
+    def values(self, columns: Optional[Sequence[str]] = None) -> List[Tuple[Any, ...]]:
+        """Row-ordered tuples of ``columns`` of the group (all of them, in
+        schema order, by default).
 
         For a versioned table, only versions visible at the variable's
         snapshot timestamp are returned — the paper's ephemeral variables
         "generate the (group of) column(s) that contain the rows that are
         valid at the time of the query".
         """
-        raw = self.loaded.table.project_values(self.group_schema.names)
-        mask = self._visibility_mask()
-        if mask is None:
-            return raw
-        return [row for row, visible in zip(raw, mask) if visible]
+        names = self.group_schema.names if columns is None else columns
+        return list(self._visible(self.loaded.table.scan(names)))
 
     def column(self, name: str) -> List[Any]:
         if name not in self.group_schema:
@@ -107,26 +106,36 @@ class EphemeralVariable:
                 f"column {name!r} is outside ephemeral view {self.name!r} "
                 f"({self.group_schema.names})"
             )
-        index = self.group_schema.index_of(name)
-        return [row[index] for row in self.values()]
+        return [value for (value,) in self.values((name,))]
 
     def __getitem__(self, row_idx: int) -> Tuple[Any, ...]:
         """Physical-slot indexing, like ``cg[i]`` in Listing 4."""
-        raw = self.loaded.table.project_values(self.group_schema.names)
-        return raw[row_idx]
+        n_rows = self.loaded.table.n_rows
+        if not -n_rows <= row_idx < n_rows:
+            raise IndexError(f"slot {row_idx} outside {self.name!r}")
+        return self.loaded.table.row(row_idx % n_rows, self.group_schema.names)
 
     def expected_packed_bytes(self) -> bytes:
         """The byte-exact packed projection (software golden reference)."""
         return self.loaded.table.project_bytes(self.group_schema.names)
 
-    def _visibility_mask(self) -> Optional[List[bool]]:
+    def _packed_rows(self) -> Iterator[bytes]:
+        """The visible rows of the packed view, as the PL models read them."""
+        packed = self.expected_packed_bytes()
+        width = self.group_schema.row_size
+        return self._visible(
+            packed[base:base + width] for base in range(0, len(packed), width)
+        )
+
+    def _visible(self, rows: Iterator[Any]) -> Iterator[Any]:
+        """``rows`` (one item per physical row) under MVCC visibility."""
         versioned = self.loaded.versioned
         if versioned is None:
-            return None
+            return rows
         ts = self.snapshot_ts
         if ts is None:
             ts = self.loaded.current_ts()
-        return versioned.visibility_mask(ts)
+        return compress(rows, versioned.visibility_mask(ts))
 
     # -- timing face -------------------------------------------------------------------
     def scan_segment(self, compute_ns: float = 0.0, passes: int = 1) -> List[ScanSegment]:
@@ -158,20 +167,15 @@ class FilteredEphemeralVariable(EphemeralVariable):
     operator on the paper's groundwork list.
     """
 
-    @property
-    def hw_selection(self):
-        return self.pushdown
-
-    def values(self) -> List[Tuple[Any, ...]]:
+    def values(self, columns: Optional[Sequence[str]] = None) -> List[Tuple[Any, ...]]:
         """Only the rows the hardware predicate keeps (after MVCC)."""
-        pack = self.group_schema.pack_row
-        matches = self.pushdown.matches
-        return [row for row in super().values() if matches(pack(row))]
+        kept = b"".join(filter(self.pushdown.matches, self._packed_rows()))
+        return list(self.group_schema.record(columns).rows(kept))
 
     @property
     def matched_length(self) -> int:
         """Rows in the filtered view (the engine's count register)."""
-        return len(self.values())
+        return sum(map(self.pushdown.matches, self._packed_rows()))
 
     def scan_segment(self, compute_ns: float = 0.0, passes: int = 1) -> List[ScanSegment]:
         """The packed scan over *matching* rows only."""
@@ -255,7 +259,6 @@ class HWGroupByVariable(EphemeralVariable):
 def _accumulate(var: EphemeralVariable):
     """The variable's PL accumulator, fed every stored row of its group."""
     accumulator = var.pushdown.make_accumulator()
-    pack = var.group_schema.pack_row
-    for row in var.values():
-        accumulator.feed(pack(row))
+    for row in var._packed_rows():
+        accumulator.feed(row)
     return accumulator

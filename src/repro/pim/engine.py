@@ -496,7 +496,6 @@ class BankPIM:
     def _decode(schema, raw: bytes, matched: List[int],
                 columns) -> List[Tuple[Any, ...]]:
         """The matched rows' ``columns``, read in place from the table."""
-        extractors = schema.column_extractors(columns)
+        row = schema.record(columns).row
         row_size = schema.row_size
-        return [tuple(extract(raw, r * row_size) for extract in extractors)
-                for r in matched]
+        return [row(raw, r * row_size) for r in matched]

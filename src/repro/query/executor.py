@@ -20,6 +20,7 @@ reflects the co-design's memory behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.access_path import AccessPath
@@ -403,11 +404,8 @@ class QueryExecutor:
         # Functional answer: decode only the matched rows (an indexed
         # table is never versioned, so row ids are physical rows).
         columns = query.columns()
-        extractors = loaded.schema.column_extractors(columns)
-        matched = [
-            dict(zip(columns, (extract(row, 0) for extract in extractors)))
-            for row in map(loaded.table.row_bytes, row_ids)
-        ]
+        matched = [dict(zip(columns, loaded.table.row(rid, columns)))
+                   for rid in row_ids]
         kept = ops.filter_rows(matched, query.predicate)  # residual filter
         value = self._finalize(query, kept)
         n_rows = loaded.table.n_rows
@@ -472,16 +470,15 @@ class QueryExecutor:
         var: Optional[EphemeralVariable],
     ) -> List[Dict[str, Any]]:
         if var is not None:
-            names = var.group_schema.names
-            return [dict(zip(names, row)) for row in var.values()]
-        tuples = loaded.table.project_values(list(columns))
-        rows = [dict(zip(columns, row)) for row in tuples]
-        if loaded.versioned is not None:
-            # A row-at-a-time engine checks the begin/end timestamps while
-            # scanning; only currently-valid versions contribute.
-            mask = loaded.versioned.visibility_mask(loaded.current_ts())
-            rows = [row for row, visible in zip(rows, mask) if visible]
-        return rows
+            tuples = var.values(columns)
+        else:
+            tuples = loaded.table.scan(columns)
+            if loaded.versioned is not None:
+                # A row-at-a-time engine checks the begin/end timestamps
+                # while scanning; only currently-valid versions contribute.
+                mask = loaded.versioned.visibility_mask(loaded.current_ts())
+                tuples = compress(tuples, mask)
+        return [dict(zip(columns, row)) for row in tuples]
 
     # -- fault handling ------------------------------------------------------------
     def _drain_fault_wreckage(self) -> None:
@@ -583,11 +580,9 @@ class QueryExecutor:
                        packed: bytes):
         """Evaluate the query over raw packed buffer bytes."""
         schema = var.group_schema
-        width = schema.row_size
-        rows = [
-            dict(zip(schema.names, schema.unpack_row(packed[off:off + width])))
-            for off in range(0, len(packed) - width + 1, width)
-        ]
+        whole = len(packed) - len(packed) % schema.row_size
+        rows = [dict(zip(schema.names, values))
+                for values in schema.record().rows(packed[:whole])]
         kept = ops.filter_rows(rows, query.predicate)
         return self._finalize(query, kept)
 

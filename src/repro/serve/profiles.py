@@ -107,11 +107,6 @@ class WorkloadProfile:
         values = [p.cold_service_ns for p in self.profiles.values()]
         return sum(values) / len(values)
 
-    @property
-    def mean_hot_service_ns(self) -> float:
-        values = [p.hot_ns for p in self.profiles.values()]
-        return sum(values) / len(values)
-
     def saturation_rate_qps(self) -> float:
         """The arrival rate that saturates one always-cold port.
 

@@ -80,12 +80,9 @@ class ColumnTable:
             raise SchemaError(f"unknown column {name!r}") from None
 
     def column_values(self, name: str) -> List[Any]:
-        column = self.schema.column(name)
-        data = self._columns[name]
-        return [
-            column.ctype.unpack(bytes(data[i * column.size : (i + 1) * column.size]))
-            for i in range(self._n_rows)
-        ]
+        """One column's values, decoded in one pass over its array."""
+        record = self.schema.subset_schema([name]).record()
+        return [value for (value,) in record.rows(self._columns[name])]
 
     def group_bytes(self, names: Sequence[str]) -> bytes:
         """Interleaved (row-ordered) packed bytes of a contiguous group —

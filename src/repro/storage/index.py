@@ -21,6 +21,7 @@ per node on the root-to-leaf path, plus the chained leaves of the range.
 from __future__ import annotations
 
 import bisect
+from itertools import count
 from typing import Any, List, Optional, Tuple
 
 from ..errors import QueryError, SchemaError
@@ -51,9 +52,7 @@ class BPlusTreeIndex:
         if not table.schema.column(column).ctype.is_numeric:
             raise QueryError(f"index column {column!r} must be numeric")
         index = cls(column, fanout)
-        pairs = sorted(
-            (table.value(i, column), i) for i in range(table.n_rows)
-        )
+        pairs = sorted(zip(table.column_values(column), count()))
         index._keys = [k for k, _r in pairs]
         index._rows = [r for _k, r in pairs]
         return index

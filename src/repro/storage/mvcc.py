@@ -20,6 +20,7 @@ write-conflict detection.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError, TransactionError, WriteConflictError
@@ -32,6 +33,7 @@ LIVE_TS = (1 << 63) - 1
 #: Names of the hidden versioning columns.
 BEGIN_COL = "__begin_ts"
 END_COL = "__end_ts"
+_TIMESTAMPS = (BEGIN_COL, END_COL)
 
 
 class VersionedRowTable:
@@ -113,8 +115,7 @@ class VersionedRowTable:
     # -- snapshot reads -----------------------------------------------------------
     def visible_at(self, version_idx: int, ts: int) -> bool:
         """Standard MVCC visibility: begin <= ts < end."""
-        row = self.table.row(version_idx)
-        begin, end = row[-2], row[-1]
+        begin, end = self.table.row(version_idx, _TIMESTAMPS)
         return begin <= ts < end
 
     def visible_version(self, key: Any, ts: int) -> Optional[int]:
@@ -143,24 +144,19 @@ class VersionedRowTable:
 
     def snapshot(self, ts: int) -> Iterator[Tuple[Any, ...]]:
         """User-schema tuples of every version valid at time ``ts``."""
-        for idx in range(self.table.n_rows):
-            row = self.table.row(idx)
-            begin, end = row[-2], row[-1]
-            if begin <= ts < end:
-                yield row[:-2]
+        return iter(self.snapshot_values(ts))
 
     def snapshot_values(self, ts: int) -> List[Tuple[Any, ...]]:
-        return list(self.snapshot(ts))
+        return list(compress(self.table.scan(self.user_schema.names),
+                             self.visibility_mask(ts)))
 
     def visibility_mask(self, ts: int) -> List[bool]:
         """Per physical version: valid at ``ts``? The ephemeral-variable
         layer uses this to filter the projected column group the same way
-        the hardware would while regenerating the columns."""
-        mask = []
-        for idx in range(self.table.n_rows):
-            row = self.table.row(idx)
-            mask.append(row[-2] <= ts < row[-1])
-        return mask
+        the hardware would while regenerating the columns. Reads only the
+        two timestamp fields of each row, in one pass."""
+        return [begin <= ts < end
+                for begin, end in self.table.scan(_TIMESTAMPS)]
 
 
 class Transaction:

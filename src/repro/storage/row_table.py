@@ -11,7 +11,7 @@ simulated hardware reads the same data tests can verify against.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
 from .schema import Schema
@@ -81,23 +81,22 @@ class RowTable:
         self._data[start : start + col.size] = col.ctype.pack(value)
 
     # -- reads ---------------------------------------------------------------------
-    def row_bytes(self, row_idx: int) -> bytes:
-        start = self._slot(row_idx)
-        return bytes(self._data[start : start + self.row_size])
-
-    def row(self, row_idx: int) -> Tuple[Any, ...]:
-        return self.schema.unpack_row(self.row_bytes(row_idx))
+    def row(self, row_idx: int,
+            columns: Optional[Sequence[str]] = None) -> Tuple[Any, ...]:
+        """One row's values of ``columns`` (every column by default)."""
+        return self.schema.record(columns).row(self._data, self._slot(row_idx))
 
     def value(self, row_idx: int, column: str) -> Any:
-        return self.schema.unpack_column(column, self.row_bytes(row_idx))
+        return self.row(row_idx, (column,))[0]
 
-    def scan(self) -> Iterator[Tuple[Any, ...]]:
-        for row_idx in range(self.n_rows):
-            yield self.row(row_idx)
+    def scan(self, columns: Optional[Sequence[str]] = None) -> Iterator[Tuple[Any, ...]]:
+        """Row-ordered tuples of ``columns`` (every column by default),
+        decoded lazily; the table cannot grow while a scan is open."""
+        return self.schema.record(columns).rows(self._data)
 
     def column_values(self, column: str) -> List[Any]:
         """All values of one column (a software full-column projection)."""
-        return [self.value(i, column) for i in range(self.n_rows)]
+        return [value for (value,) in self.scan((column,))]
 
     # -- projections (the software reference the RME must match) ---------------------
     def project_bytes(self, columns: Sequence[str]) -> bytes:
@@ -127,19 +126,7 @@ class RowTable:
         buffer — a narrow projection over a wide schema does not pay for
         the columns it skips.
         """
-        extractors = self.schema.column_extractors(columns)
-        data = self._data
-        row_size = self.row_size
-        if len(extractors) == 1:
-            extract = extractors[0]
-            return [
-                (extract(data, base),)
-                for base in range(0, self.n_rows * row_size, row_size)
-            ]
-        return [
-            tuple(extract(data, base) for extract in extractors)
-            for base in range(0, self.n_rows * row_size, row_size)
-        ]
+        return list(self.scan(columns))
 
     # -- raw access for the simulator -------------------------------------------------
     def raw_bytes(self) -> bytes:

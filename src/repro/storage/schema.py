@@ -1,4 +1,4 @@
-"""Column types, schemas and the byte-exact row codec.
+"""Column types, schemas and the byte-exact row decoder.
 
 A :class:`Schema` is an ordered list of typed columns; it computes the
 byte offset of every column inside a packed row (no padding — the RME
@@ -8,13 +8,20 @@ variable projects. The paper's prototype requires the requested columns to
 be contiguous ("the column of interest are assumed to be contiguous",
 Section 5) and the same constraint is enforced here, with the same remark:
 it is an implementation artifact, not fundamental.
+
+Every host-side decode of packed rows goes through one mechanism,
+:meth:`Schema.record`: one :class:`struct.Struct` exactly one row wide
+per (schema, columns), which reads only the named columns and skips the
+rest of the row as pad bytes — a narrow projection over a wide row does
+not pay for the columns it skips.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
 
@@ -111,77 +118,71 @@ class Column:
         return self.ctype.size
 
 
-class _RowCodec:
-    """A precompiled codec for one schema's packed-row layout.
+class Record:
+    """A compiled decoder for the named columns of one schema's rows.
 
-    Decoding through :meth:`ColumnType.unpack` pays a method call, a
-    length check and a format dispatch per column per row; scans decode
-    millions of columns, so the codec resolves all of that once. When
-    every column has a :mod:`struct` format (CHAR(n) folds into ``ns``),
-    the whole row decodes with a single :class:`struct.Struct`; otherwise
-    a precomputed (offset, size, unpacker) step list is walked — only the
-    arbitrary-width ``RAW_INT_FMT`` columns need the ``int.from_bytes``
-    path.
-
-    Encoding folds the same way, but only when every column is numeric:
-    ``struct``'s ``ns`` silently truncates an oversized CHAR(n) value
-    where :meth:`ColumnType.pack` raises, so ``packer`` is ``None`` for
-    any schema with a CHAR(n) or ``RAW_INT_FMT`` column.
+    One :class:`struct.Struct` exactly one row wide: ``x`` pads skip the
+    bytes the names do not cover, CHAR(n) reads as ``ns`` and an
+    arbitrary-width integer as ``ns`` then ``int.from_bytes``. Values
+    come back in the order the names were given, duplicates included.
+    Build it with :meth:`Schema.record`, which caches it per schema.
     """
 
-    __slots__ = ("row_size", "_whole", "_steps", "packer")
+    __slots__ = ("struct", "_finish")
 
-    #: Step markers for the non-foldable path.
-    _RAW_INT = None  # int.from_bytes
-    _RAW_BYTES = False  # plain slice
-
-    def __init__(self, columns: Sequence[Column], row_size: int):
-        self.row_size = row_size
-        parts: List[str] = []
-        foldable = True
-        for col in columns:
-            fmt = col.ctype.fmt
+    def __init__(self, schema: "Schema", names: Sequence[str]):
+        positions = [schema.index_of(name) for name in names]
+        wanted = set(positions)
+        fields: List[int] = []  # schema position of each struct field
+        wide = set()  # struct fields holding arbitrary-width integers
+        parts = ["<"]
+        gap = 0
+        for position, column in enumerate(schema.columns):
+            if position not in wanted:
+                gap += column.size
+                continue
+            if gap:
+                parts.append(f"{gap}x")
+                gap = 0
+            fmt = column.ctype.fmt
             if fmt == RAW_INT_FMT:
-                foldable = False
-                break
-            parts.append(fmt if fmt else f"{col.ctype.size}s")
-        if foldable:
-            self._whole = struct.Struct("<" + "".join(parts))
-            self._steps = None
-            numeric = all(col.ctype.fmt for col in columns)
-            self.packer = self._whole if numeric else None
-        else:
-            self._whole = None
-            self.packer = None
-            steps = []
-            offset = 0
-            for col in columns:
-                ctype = col.ctype
-                if ctype.fmt == RAW_INT_FMT:
-                    steps.append((offset, ctype.size, self._RAW_INT))
-                elif ctype.fmt:
-                    steps.append(
-                        (offset, ctype.size, struct.Struct("<" + ctype.fmt).unpack_from)
-                    )
-                else:
-                    steps.append((offset, ctype.size, self._RAW_BYTES))
-                offset += ctype.size
-            self._steps = steps
+                wide.add(len(fields))
+            parts.append(fmt if fmt and fmt != RAW_INT_FMT else f"{column.size}s")
+            fields.append(position)
+        if gap:
+            parts.append(f"{gap}x")
+        #: The compiled one-row :class:`struct.Struct`.
+        self.struct = struct.Struct("".join(parts))
+        order = [fields.index(position) for position in positions]
+        if wide:
+            steps = tuple((field, field in wide) for field in order)
 
-    def unpack(self, data: bytes) -> Tuple[Any, ...]:
-        if self._whole is not None:
-            return self._whole.unpack(data)
-        values = []
-        append = values.append
-        from_bytes = int.from_bytes
-        for offset, size, unpacker in self._steps:
-            if unpacker is None:
-                append(from_bytes(data[offset : offset + size], "little", signed=True))
-            elif unpacker is False:
-                append(data[offset : offset + size])
-            else:
-                append(unpacker(data, offset)[0])
-        return tuple(values)
+            def finish(values, _from_bytes=int.from_bytes):
+                return tuple(
+                    _from_bytes(values[field], "little", signed=True)
+                    if is_wide else values[field]
+                    for field, is_wide in steps
+                )
+
+            self._finish = finish
+        elif order != list(range(len(fields))):
+            # Reordered or duplicated names: two or more fields.
+            self._finish = operator.itemgetter(*order)
+        else:
+            self._finish = None
+
+    def rows(self, buffer) -> Iterator[Tuple[Any, ...]]:
+        """Decode a buffer of whole rows, lazily, with one ``iter_unpack``.
+
+        A ``bytearray`` cannot be resized while the iterator is open.
+        """
+        rows = self.struct.iter_unpack(buffer)
+        return rows if self._finish is None else map(self._finish, rows)
+
+    def row(self, buffer, base: int = 0) -> Tuple[Any, ...]:
+        """Decode the one row that starts at byte ``base`` of ``buffer``."""
+        values = self.struct.unpack_from(buffer, base)
+        return values if self._finish is None else self._finish(values)
 
 
 class Schema:
@@ -200,7 +201,10 @@ class Schema:
             self._offsets[column.name] = offset
             offset += column.size
         self.row_size = offset
-        self._codec: "_RowCodec | None" = None  # compiled lazily
+        # Compiled lazily: records by name tuple (None: the whole row),
+        # and the one-struct packer (False until resolved).
+        self._records: Dict[Optional[Tuple[str, ...]], Record] = {}
+        self._packer: "struct.Struct | None | bool" = False
 
     # -- lookups ---------------------------------------------------------------
     def __contains__(self, name: str) -> bool:
@@ -321,70 +325,82 @@ class Schema:
         return Schema([self.columns[i] for i in indices])
 
     # -- the row codec ----------------------------------------------------------------
+    def record(self, names: Optional[Sequence[str]] = None) -> Record:
+        """The compiled decoder of ``names`` (every column by default).
+
+        Built once per (schema, names) and cached. The names may come in
+        any order, with gaps and duplicates:
+
+        >>> schema = Schema([Column("k", int32()), Column("pad", int64()),
+        ...                  Column("tag", char(3)), Column("v", intn(3))])
+        >>> record = schema.record(["v", "tag", "k"])
+        >>> record.struct.format
+        '<i8x3s3s'
+        >>> data = (schema.pack_row([7, 0, b"ab", -2])
+        ...         + schema.pack_row([-1, 5, b"xyz", 9]))
+        >>> list(record.rows(data))
+        [(-2, b'ab\\x00', 7), (9, b'xyz', -1)]
+        >>> record.row(data, schema.row_size)
+        (9, b'xyz', -1)
+        """
+        key = None if names is None else tuple(names)
+        record = self._records.get(key)
+        if record is None:
+            record = self._records[key] = Record(
+                self, self.names if key is None else key
+            )
+        return record
+
+    @property
+    def packer(self) -> "struct.Struct | None":
+        """The whole-row record's Struct if every column is numeric.
+
+        ``struct``'s ``ns`` silently truncates an oversized CHAR(n) value
+        where :meth:`ColumnType.pack` raises, and an arbitrary-width
+        integer has no struct code, so a schema with either column packs
+        field by field and this is ``None``.
+        """
+        packer = self._packer
+        if packer is False:
+            numeric = all(
+                col.ctype.fmt and col.ctype.fmt != RAW_INT_FMT
+                for col in self.columns
+            )
+            packer = self._packer = self.record().struct if numeric else None
+        return packer
+
     def pack_row(self, values: Sequence[Any]) -> bytes:
         if len(values) != len(self.columns):
             raise SchemaError(
                 f"row has {len(values)} values for {len(self.columns)} columns"
             )
-        packer = self.codec.packer
+        packer = self.packer
         if packer is not None:
             return packer.pack(*values)
         return b"".join(
             col.ctype.pack(value) for col, value in zip(self.columns, values)
         )
 
-    @property
-    def codec(self) -> _RowCodec:
-        """The compiled row codec (built on first use)."""
-        codec = self._codec
-        if codec is None:
-            codec = self._codec = _RowCodec(self.columns, self.row_size)
-        return codec
-
     def __getstate__(self) -> dict:
-        # The codec holds struct.Struct objects, which do not pickle; a
-        # copy rebuilds it on first use.
+        # Records hold struct.Struct objects, which do not pickle; a copy
+        # rebuilds them on first use.
         state = self.__dict__.copy()
-        state["_codec"] = None
+        state["_records"] = {}
+        state["_packer"] = False
         return state
 
     def unpack_row(self, data: bytes) -> Tuple[Any, ...]:
+        return self.record().row(self._whole_row(data))
+
+    def unpack_column(self, name: str, row_data: bytes) -> Any:
+        return self.record((name,)).row(self._whole_row(row_data))[0]
+
+    def _whole_row(self, data: bytes) -> bytes:
         if len(data) != self.row_size:
             raise SchemaError(
                 f"row of {len(data)} bytes does not match row size {self.row_size}"
             )
-        return self.codec.unpack(data)
-
-    def column_extractors(self, names: Sequence[str]):
-        """Per-column decoders ``fn(buffer, row_base) -> value``.
-
-        Each function reads one column straight out of a packed-table
-        buffer at ``row_base + column_offset``, letting projections skip
-        decoding the columns they do not need.
-        """
-        functions = []
-        for name in names:
-            ctype = self.column(name).ctype
-            offset = self._offsets[name]
-            if ctype.fmt == RAW_INT_FMT:
-                def extract(buf, base, _o=offset, _s=ctype.size):
-                    return int.from_bytes(
-                        buf[base + _o : base + _o + _s], "little", signed=True
-                    )
-            elif ctype.fmt:
-                unpack_from = struct.Struct("<" + ctype.fmt).unpack_from
-                def extract(buf, base, _o=offset, _u=unpack_from):
-                    return _u(buf, base + _o)[0]
-            else:
-                def extract(buf, base, _o=offset, _s=ctype.size):
-                    return bytes(buf[base + _o : base + _o + _s])
-            functions.append(extract)
-        return functions
-
-    def unpack_column(self, name: str, row_data: bytes) -> Any:
-        col = self.column(name)
-        offset = self._offsets[name]
-        return col.ctype.unpack(row_data[offset : offset + col.size])
+        return data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(f"{c.name}:{c.ctype.name}" for c in self.columns)

@@ -28,6 +28,12 @@ def test_getitem_like_listing4(system, loaded):
     var = system.register_var(loaded, ["A1", "A2"])
     assert var[0] == (loaded.table.value(0, "A1"), loaded.table.value(0, "A2"))
     assert var[var.length - 1][0] == loaded.table.value(loaded.table.n_rows - 1, "A1")
+    expected = loaded.table.project_values(["A1", "A2"])
+    assert [var[i] for i in range(var.length)] == expected
+    assert [var[i] for i in range(-var.length, 0)] == expected
+    for past_the_end in (var.length, -var.length - 1):
+        with pytest.raises(IndexError):
+            var[past_the_end]
 
 
 def test_scan_segment_shape(system, loaded):

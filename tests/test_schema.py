@@ -1,14 +1,19 @@
-"""Tests for column types, schemas and the row codec."""
+"""Tests for column types, schemas, the row codec and the row decoder."""
 
 import pickle
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.storage import (
     Column,
+    RowTable,
     Schema,
+    TransactionManager,
+    VersionedRowTable,
     char,
     float64,
     int32,
@@ -128,8 +133,9 @@ def test_pack_unpack_row_roundtrip():
 
 
 def test_schema_pickles_after_using_its_codec():
-    # The compiled codec holds struct.Struct objects, which do not
-    # pickle; a table that has packed rows must still travel to a worker.
+    # The compiled records and packer hold struct.Struct objects, which
+    # do not pickle; a table that has packed rows must still travel to a
+    # worker.
     schema = Schema([Column("k", int64()), Column("v", int32())])
     rows = [(7, -5), (-(2 ** 63), 2 ** 31 - 1)]
     packed = [schema.pack_row(row) for row in rows]
@@ -169,7 +175,7 @@ _BOUNDARIES = [
                          ids=[ctype.name for ctype, _ in _BOUNDARIES])
 def test_pack_row_one_struct_matches_per_field(ctype, values):
     schema = Schema([Column(f"c{i}", ctype) for i in range(len(values))])
-    assert schema.codec.packer is not None
+    assert schema.packer is not None
     packed = schema.pack_row(values)
     assert packed == _per_field(schema, values)
     assert schema.unpack_row(packed) == tuple(values)
@@ -200,18 +206,18 @@ def test_pack_row_char_and_raw_int_schemas_pack_per_field():
     # so any schema with a CHAR(n) or arbitrary-width column keeps the
     # per-field path and its SchemaError.
     schema = Schema([Column("k", int64()), Column("t", char(4))])
-    assert schema.codec.packer is None
+    assert schema.packer is None
     assert schema.pack_row([1, b"ab"]) == _per_field(schema, [1, b"ab"])
     with pytest.raises(SchemaError):
         schema.pack_row([1, b"too long"])
     wide = Schema([Column("a", intn(3)), Column("b", int32())])
-    assert wide.codec.packer is None
+    assert wide.packer is None
     assert wide.pack_row([-5, 7]) == _per_field(wide, [-5, 7])
 
 
 def test_pack_row_arity_checked_on_the_one_struct_path():
     schema = uniform_schema(4, 4)
-    assert schema.codec.packer is not None
+    assert schema.packer is not None
     for values in ([1, 2, 3], [1, 2, 3, 4, 5]):
         with pytest.raises(SchemaError):
             schema.pack_row(values)
@@ -223,3 +229,88 @@ def test_uniform_schema_shape():
     assert schema.row_size == 64
     assert schema.names[0] == "A1" and schema.names[-1] == "A16"
     assert "A5" in schema and "B1" not in schema
+
+
+# -- the record against the per-field reference ---------------------------------------
+
+
+def _signed(ctype):
+    bound = 1 << (8 * ctype.size - 1)
+    return ctype, st.integers(-bound, bound - 1)
+
+
+_FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [-0.0, float("inf"), float("-inf"), 5e-324, -1.5e-310]
+)
+
+#: (column type, value strategy) for every type the record decodes.
+_FIELDS = st.one_of(
+    st.sampled_from([intn(1), intn(2), int32(), int64(),
+                     intn(3), intn(5), intn(7)]).map(_signed),
+    st.just((uint32(), st.integers(0, 2 ** 32 - 1))),
+    st.just((float64(), _FLOATS)),
+    st.integers(1, 9).map(lambda n: (char(n), st.binary(max_size=n))),
+)
+
+
+def _unpack_fields(schema, data, base, names):
+    """The reference decode: one ``ColumnType.unpack`` per named field."""
+    values = []
+    for name in names:
+        start = base + schema.offset_of(name)
+        column = schema.column(name)
+        values.append(column.ctype.unpack(bytes(data[start:start + column.size])))
+    return tuple(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_record_matches_the_per_field_reference(data):
+    fields = data.draw(st.lists(_FIELDS, min_size=1, max_size=12))
+    schema = Schema([Column(f"c{i}", ctype) for i, (ctype, _) in enumerate(fields)])
+    row_values = st.tuples(*(values for _ctype, values in fields))
+    rows = data.draw(st.lists(row_values, max_size=6, unique_by=lambda r: r[0]))
+    names = data.draw(st.lists(st.sampled_from(schema.names), max_size=16))
+
+    table = RowTable("t", schema)
+    table.extend(rows)
+    raw = table.raw_bytes()
+    size = schema.row_size
+    expected = [_unpack_fields(schema, raw, base, names)
+                for base in range(0, len(raw), size)]
+    record = schema.record(names)
+    assert schema.record(names) is record
+    # repr() tells -0.0 from 0.0; equality does not.
+    assert repr(list(record.rows(raw))) == repr(expected)
+    assert repr([record.row(raw, base) for base in range(0, len(raw), size)]) \
+        == repr(expected)
+
+    # MVCC visibility reads only the two timestamps; the reference decodes
+    # each whole physical row field by field.
+    versioned = VersionedRowTable("v", schema)
+    manager = TransactionManager(versioned)
+    keys = [row[0] for row in rows]
+    for row in rows:
+        manager.insert(row)
+    if keys:
+        ops = data.draw(st.lists(st.tuples(
+            st.sampled_from(["update", "delete"]),
+            st.integers(0, len(keys) - 1), row_values), max_size=8))
+        for op, pick, values in ops:
+            key = keys[pick]
+            values = (key,) + values[1:]
+            if versioned.live_version_of(key) is None:
+                manager.insert(values)
+            elif op == "delete":
+                manager.delete(key)
+            else:
+                manager.update(key, values)
+    physical = versioned.table.schema
+    raw = versioned.table.raw_bytes()
+    whole = [_unpack_fields(physical, raw, base, physical.names)
+             for base in range(0, len(raw), physical.row_size)]
+    for ts in range(manager.now_ts + 2):
+        mask = [row[-2] <= ts < row[-1] for row in whole]
+        assert versioned.visibility_mask(ts) == mask
+        assert repr(versioned.snapshot_values(ts)) == repr(
+            [row[:-2] for row, visible in zip(whole, mask) if visible])
