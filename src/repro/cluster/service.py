@@ -274,6 +274,9 @@ class ClusterSystem:
         self._slo_stats = metrics.scope("slo")
         self._fault_stats = metrics.scope("faults")
         self.nodes: List[ClusterNode] = []
+        # Bound to the profile, not to this system, so that a finished
+        # run is freed by reference counting.
+        descriptor_of = self.profile.descriptor_of
         for index in range(self.n_nodes):
             node = ClusterNode(
                 index, MetricsRegistry(f"node{index}"), self.recovery.breaker()
@@ -282,7 +285,8 @@ class ClusterSystem:
             node.wakeup = Wakeup(sim)
             node.scheduler = make_scheduler(
                 self.policy, node.ports, self.queue_depth, node.sched_stats,
-                self._descriptor_of_attempt, quantum=self.quantum,
+                lambda attempt: descriptor_of(attempt.request),
+                quantum=self.quantum,
             )
             self.nodes.append(node)
         self.records: List[Request] = []
@@ -300,10 +304,6 @@ class ClusterSystem:
                             name=f"{node.name}.port{port.index}")
         sim.run()
         return self._build_report()
-
-    def _descriptor_of_attempt(self, attempt: _Attempt) -> object:
-        request = attempt.request
-        return self.profile.profile(request.tenant, request.template).descriptor
 
     def _log(self, kind: str, *detail) -> None:
         self.events.append((self.sim.now, kind) + detail)

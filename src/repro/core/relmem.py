@@ -22,6 +22,7 @@ projection (its next access is cold again).
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -181,7 +182,9 @@ class RelationalMemorySystem:
                             buffer_capacity, n_cores=n_cores)
         self._dram_backend = DRAMBackend(self.dram)
         self._tables: Dict[str, LoadedTable] = {}
-        self._active_var: Optional[EphemeralVariable] = None
+        #: The variable the engine holds, by weak reference: a variable
+        #: refers to its system, and a dropped variable cannot be scanned.
+        self._active_ref: Optional[weakref.ref] = None
         self._names = itertools.count()
         #: Optional :class:`repro.faults.FaultInjector`; see enable_faults.
         self.faults = None
@@ -206,9 +209,10 @@ class RelationalMemorySystem:
         registry.attach("rme.monitor", self.rme.monitor.stats)
         registry.attach("rme.fetch", self.rme.fetch_pool.stats)
         registry.attach("rme.buffer", self.rme.buffer.stats)
+        rme = self.rme  # not ``self``: the registry is this system's own
         registry.attach(
             "rme.requestor",
-            lambda: self.rme.requestor.stats if self.rme.requestor else None,
+            lambda: rme.requestor.stats if rme.requestor else None,
         )
         return registry
 
@@ -300,7 +304,8 @@ class RelationalMemorySystem:
             )
         self.memory.write(loaded.region.base, data)
         loaded.loaded_rows = loaded.table.n_rows
-        if self._active_var is not None and self._active_var.loaded is loaded:
+        active = self._active_var()
+        if active is not None and active.loaded is loaded:
             self.deactivate()
 
     def load_column_group(
@@ -590,7 +595,7 @@ class RelationalMemorySystem:
         Re-activating the currently active variable is a no-op, keeping
         the reorganization buffer hot across queries on the same group.
         """
-        if self._active_var is var:
+        if self.is_active(var):
             return
         self.rme.configure(
             var.config,
@@ -600,7 +605,7 @@ class RelationalMemorySystem:
             windowed=var.windowed,
             pushdown=getattr(var, "pushdown", None),
         )
-        self._active_var = var
+        self._active_ref = weakref.ref(var)
 
     def deactivate(self) -> None:
         """Drop the active variable so its next activation reconfigures.
@@ -609,11 +614,15 @@ class RelationalMemorySystem:
         failed state is only cleared by :meth:`RMEngine.configure`, and a
         hot-buffer shortcut must not mask it.
         """
-        self._active_var = None
+        self._active_ref = None
+
+    def _active_var(self) -> Optional[EphemeralVariable]:
+        """The variable the engine holds (None once it was dropped)."""
+        return self._active_ref() if self._active_ref is not None else None
 
     def is_active(self, var: EphemeralVariable) -> bool:
         """Whether this variable's geometry is the one the engine holds."""
-        return self._active_var is var
+        return self._active_var() is var
 
     def warm_up(self, var: EphemeralVariable) -> float:
         """Activate and prefill the variable's projection; returns the ns

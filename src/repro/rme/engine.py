@@ -30,7 +30,8 @@ the paper makes by avoiding such geometries.
 from __future__ import annotations
 
 import math
-from typing import Optional
+import weakref
+from typing import Callable, Optional
 
 from ..config import PlatformConfig, RMEConfig
 from ..errors import ConfigurationError, FetchTimeoutError, MemoryMapError
@@ -44,6 +45,14 @@ from .monitor_bypass import MonitorBypass
 from .reorg_buffer import DEFAULT_DATA_CAPACITY, ReorganizationBuffer
 from .requestor import Requestor
 from .trapper import Trapper
+
+
+def _weak_hook(method: Callable) -> Callable:
+    """``method`` as a hook for the engine's own parts to hold: it does
+    not keep the engine alive, so a finished engine is freed by
+    reference counting rather than left to the cycle collector."""
+    ref = weakref.WeakMethod(method)
+    return lambda *args: ref()(*args)
 
 
 class _FetchSession:
@@ -87,8 +96,8 @@ class RMEngine:
         self.fetch_pool = FetchUnitPool(
             sim, platform, dram, self.monitor, design, f"{name}-fetch"
         )
-        self.monitor.activation_hook = self._start_current_window
-        self.fetch_pool.on_unrecoverable = self._fail
+        self.monitor.activation_hook = _weak_hook(self._start_current_window)
+        self.fetch_pool.on_unrecoverable = _weak_hook(self._fail)
         #: Optional :class:`repro.faults.FaultInjector` (None = no faults).
         self.faults = None
         #: The FaultError that killed the current configuration, if any;

@@ -12,8 +12,9 @@ layer on top of the simulator:
 * :mod:`repro.serve.scheduler` — configuration-port policies (FCFS,
   round-robin context switching, multi-port) with bounded-queue
   admission control and load shedding;
-* :mod:`repro.serve.service` — the discrete-event serving loop and the
-  per-tenant SLO report (p50/p95/p99 latency, throughput, shed rate).
+* :mod:`repro.serve.service` — the serving loop, one ``(time, seq)``
+  heap, and the per-tenant SLO report (p50/p95/p99 latency,
+  throughput, shed rate).
 
 See ``docs/serving.md`` for the model and a worked example, and
 ``python -m repro serve --help`` for the CLI.

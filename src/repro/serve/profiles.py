@@ -98,6 +98,10 @@ class WorkloadProfile:
             )
         return self.profiles[key]
 
+    def descriptor_of(self, request) -> DescriptorKey:
+        """The descriptor a request's (tenant, template) pair runs on."""
+        return self.profiles[(request.tenant, request.template)].descriptor
+
     @property
     def tenant_names(self) -> List[str]:
         return [t.name for t in self.tenants]

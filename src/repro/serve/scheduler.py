@@ -24,7 +24,8 @@ policy that multiplexes it dominates tail latency:
 All policies apply the same admission control: when the total backlog
 reaches ``queue_depth`` waiting requests, new arrivals are *shed* (the
 client gets an immediate rejection instead of an unbounded queueing
-delay).
+delay). The backlog is one running count kept by the base class, so
+reading it costs the same whatever the number of queues.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..sim import StatSet
+from ..sim import Gauge, StatSet
 from .workload import Request
 
 #: Policy names accepted by :func:`make_scheduler` and the CLI.
@@ -98,36 +99,46 @@ class SchedulerPolicy:
         self.queue_depth = queue_depth
         self.stats = stats
         self.descriptor_of = descriptor_of
+        self._backlog = 0  #: requests waiting in every queue together
+        #: Bound at the first admission: a scheduler that never admits
+        #: anything (a cluster node no request reached) has no gauge.
+        self._backlog_gauge: Optional[Gauge] = None
 
     # -- the policy surface --------------------------------------------------
     def admit(self, request: Request) -> bool:
         """Enqueue ``request`` or shed it; returns True when admitted."""
-        if self.backlog() >= self.queue_depth:
+        if self._backlog >= self.queue_depth:
             self.stats.bump("shed")
             return False
         self._enqueue(request)
+        self._backlog += 1
         self.stats.bump("admitted")
-        self._note_backlog()
+        gauge = self._backlog_gauge
+        if gauge is None:
+            gauge = self._backlog_gauge = self.stats.gauge("backlog")
+        gauge.set(self._backlog)
         return True
 
     def pop(self, port_index: int) -> Optional[Request]:
         """The next request port ``port_index`` should serve (or None)."""
+        if not self._backlog:
+            return None
         request = self._dequeue(port_index)
-        if request is not None:
-            self._note_backlog()
+        self._backlog -= 1
+        self._backlog_gauge.set(self._backlog)
         return request
 
     def backlog(self) -> int:
-        raise NotImplementedError
+        """Requests admitted and not yet popped, over every queue."""
+        return self._backlog
 
     def _enqueue(self, request: Request) -> None:
         raise NotImplementedError
 
-    def _dequeue(self, port_index: int) -> Optional[Request]:
+    def _dequeue(self, port_index: int) -> Request:
+        """Remove and return the request ``port_index`` serves next;
+        called only while the backlog is nonzero."""
         raise NotImplementedError
-
-    def _note_backlog(self) -> None:
-        self.stats.set_gauge("backlog", self.backlog())
 
 
 class FCFSScheduler(SchedulerPolicy):
@@ -139,14 +150,11 @@ class FCFSScheduler(SchedulerPolicy):
         super().__init__(*args, **kwargs)
         self._queue: Deque[Request] = deque()
 
-    def backlog(self) -> int:
-        return len(self._queue)
-
     def _enqueue(self, request: Request) -> None:
         self._queue.append(request)
 
-    def _dequeue(self, port_index: int) -> Optional[Request]:
-        return self._queue.popleft() if self._queue else None
+    def _dequeue(self, port_index: int) -> Request:
+        return self._queue.popleft()
 
 
 class CtxSwitchScheduler(SchedulerPolicy):
@@ -171,9 +179,6 @@ class CtxSwitchScheduler(SchedulerPolicy):
         self._current: Optional[object] = None
         self._used = 0  #: requests drained from the current descriptor
 
-    def backlog(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
     def _enqueue(self, request: Request) -> None:
         key = self.descriptor_of(request)
         queue = self._queues.get(key)
@@ -182,33 +187,30 @@ class CtxSwitchScheduler(SchedulerPolicy):
             self._rotation.append(key)
         queue.append(request)
 
-    def _dequeue(self, port_index: int) -> Optional[Request]:
+    def _dequeue(self, port_index: int) -> Request:
         current = self._queues.get(self._current)
         if current and self._used < self.quantum:
             self._used += 1
             return current.popleft()
         nxt = self._next_descriptor()
-        if nxt is None:
-            return None
         if nxt != self._current:
             self.stats.bump("rotations")
         self._current = nxt
         self._used = 1
         return self._queues[nxt].popleft()
 
-    def _next_descriptor(self) -> Optional[object]:
-        """The next descriptor (cyclic, after the current one) with work."""
-        if not self._rotation:
-            return None
+    def _next_descriptor(self) -> object:
+        """The next descriptor (cyclic, after the current one) with work;
+        one exists, since the backlog is nonzero."""
         start = 0
         if self._current in self._rotation:
             start = self._rotation.index(self._current) + 1
         n = len(self._rotation)
-        for step in range(n):
-            key = self._rotation[(start + step) % n]
-            if self._queues[key]:
-                return key
-        return None
+        return next(
+            key for key in (self._rotation[(start + step) % n]
+                            for step in range(n))
+            if self._queues[key]
+        )
 
 
 class MultiPortScheduler(SchedulerPolicy):
@@ -220,9 +222,6 @@ class MultiPortScheduler(SchedulerPolicy):
         super().__init__(*args, **kwargs)
         self._queues: List[Deque[Request]] = [deque() for _ in self.ports]
 
-    def backlog(self) -> int:
-        return sum(len(q) for q in self._queues)
-
     def _enqueue(self, request: Request) -> None:
         key = self.descriptor_of(request)
         matching = [
@@ -232,17 +231,15 @@ class MultiPortScheduler(SchedulerPolicy):
         best = min(candidates, key=lambda i: (len(self._queues[i]), i))
         self._queues[best].append(request)
 
-    def _dequeue(self, port_index: int) -> Optional[Request]:
+    def _dequeue(self, port_index: int) -> Request:
         own = self._queues[port_index]
         if own:
             return own.popleft()
         victim = max(
             range(len(self._queues)), key=lambda i: (len(self._queues[i]), -i)
         )
-        if self._queues[victim]:
-            self.stats.bump("steals")
-            return self._queues[victim].popleft()
-        return None
+        self.stats.bump("steals")
+        return self._queues[victim].popleft()
 
 
 def make_scheduler(

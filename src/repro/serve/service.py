@@ -3,10 +3,27 @@
 :class:`ServingSystem` closes the loop the paper leaves open: it runs a
 *stream* of queries from many tenants against the (profiled) relational
 memory engine, modelling the configuration port as the contended
-resource. The serving layer is itself a discrete-event simulation on the
-same :class:`repro.sim.Simulator` kernel the hardware models use — port
-server processes, arrival processes and closed-loop clients all cooperate
-on one deterministic clock.
+resource. Every request's cost is a profiled constant, so serving is
+pure queueing: one loop over a heap of ``(time, seq, kind, who)``
+entries, each the next step of the open-loop driver, a closed-loop
+client or a configuration port. The loop takes a sequence number
+wherever the :class:`repro.sim.Simulator` kernel would for the same
+steps written as generator processes, so entries due at one instant run
+in the order the kernel would run them:
+
+* at time 0 the driver (or each client, in client order) starts, then
+  each port, in port order;
+* the open-loop driver resumes at ``now + (at_ns - now)``: that arrival
+  comes, then every later one with no gap left, then the next gap;
+* an admitted arrival kicks the idle ports: each gets one seq, in the
+  order it began to wait;
+* a port that finishes a request (answered or failed) first resumes
+  that request's closed-loop client, then kicks the idle ports, then
+  pops its own next request in the same step, before any of them runs;
+  a shed closed-loop request resumes its client at once;
+* reconfiguration, each execution attempt, a retry's backoff plus
+  refill and a degraded CPU row-scan are each one timed step of their
+  port.
 
 Each served request's time is accounted in three separable pieces:
 
@@ -24,20 +41,33 @@ values — byte-identical to what :class:`~repro.query.executor
 Per-tenant latency histograms, throughput and shed rates land in a
 :class:`~repro.sim.MetricsRegistry` (``tenant.<name>``, ``scheduler``,
 ``slo`` scopes), which the CLI and :mod:`repro.bench.report` render.
+The per-request telemetry is committed once, when the run ends, in
+completion order, through the instruments' bulk replays, which are
+bit-identical to one call per request. The load gauges
+(``slo.queue_depth``, ``slo.shed_rate``, ``scheduler.backlog``) are set
+on every arrival and port pop, and the rare fault-path counters on
+every event.
 """
 
 from __future__ import annotations
 
+import collections
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import PlatformConfig, ZCU102
 from ..errors import ConfigurationError
 from ..faults import DEFAULT_RECOVERY, RecoveryPolicy
 from ..rme.designs import MLP, DesignParams
-from ..sim import Event, MetricsRegistry, Simulator, Wakeup
-from .profiles import PROFILE_CACHE, WorkloadProfile, profile_workload
+from ..sim import MetricsRegistry
+from .profiles import (
+    PROFILE_CACHE,
+    QueryProfile,
+    WorkloadProfile,
+    profile_workload,
+)
 from .scheduler import POLICIES, Port, SchedulerPolicy, make_scheduler
 from .workload import (
     Arrival,
@@ -48,6 +78,16 @@ from .workload import (
 )
 
 Workload = Union[OpenLoopWorkload, ClosedLoopWorkload]
+
+# Heap entry kinds: what the entry's ``who`` does when it comes due.
+_ARRIVE = 0  #: the open-loop driver; ``who`` is the arrival now due
+_CLIENT = 1  #: a client starts, or its request is done
+_SUBMIT = 2  #: a client's think time is over
+_WAKE = 3  #: a port starts, or a kick woke it
+_RECONFIGURED = 4  #: a port is programmed and its projection refilled
+_EXECUTED = 5  #: an execution attempt finished
+_BACKED_OFF = 6  #: a retry's backoff and refill are over
+_DIRECT = 7  #: a degraded CPU row-scan finished
 
 
 @dataclass(frozen=True)
@@ -269,7 +309,6 @@ class ServingSystem:
     def run(self, workload: Workload) -> ServingReport:
         """Serve the whole workload; returns the SLO report."""
         check_profiled(self.profile, workload)
-        sim = self.sim = Simulator()
         metrics = self.metrics = MetricsRegistry("serve")
         self._sched_stats = metrics.scope("scheduler")
         self._slo_stats = metrics.scope("slo")
@@ -289,15 +328,26 @@ class ServingSystem:
             spec.name: metrics.scope(f"tenant.{spec.name}")
             for spec in self.profile.tenants
         }
+        # Bound once: every arrival and every port pop sets both.
+        self._queue_depth = self._slo_stats.gauge("queue_depth")
+        self._shed_rate = self._slo_stats.gauge("shed_rate")
         self.ports = [Port(index=i) for i in range(self.n_ports)]
         self.scheduler: SchedulerPolicy = make_scheduler(
             self.policy, self.ports, self.queue_depth, self._sched_stats,
-            self._descriptor_of, quantum=self.quantum,
+            self.profile.descriptor_of, quantum=self.quantum,
         )
         self.records: List[Request] = []
+        self._answered: List[Request] = []  #: in completion order
+        self._heap: List[Tuple[float, int, int, object]] = []
+        self._seq = 0
+        self._now = 0.0
+        #: What each port serves: (request, profile) while it is busy.
+        self._serving: List[Optional[Tuple[Request, QueryProfile]]] = (
+            [None] * self.n_ports
+        )
+        self._waiters: List[int] = []  #: idle ports, in the order they waited
+        self._client_of: Dict[int, int] = {}  #: request index -> its client
         self._arrivals_done = False
-        self._wakeup = Wakeup(sim)
-        self._completions: Dict[int, Event] = {}
         self._arrivals_seen = 0
         self._sheds_seen = 0
         if self.fault_rate > 0.0:
@@ -316,108 +366,146 @@ class ServingSystem:
 
         if isinstance(workload, OpenLoopWorkload):
             arrival_kind = workload.arrival
-            sim.process(
-                self._open_loop_driver(workload.schedule()), name="arrivals"
-            )
+            self._arrivals = iter(workload.schedule())
+            self._push(0.0, _ARRIVE, None)
         else:
             arrival_kind = "closed"
             self._start_clients(workload)
         for port in self.ports:
-            sim.process(self._port_loop(port), name=f"port{port.index}")
-        sim.run()
+            self._push(0.0, _WAKE, port.index)
+        self._loop()
+        self._commit()
         return self._build_report(arrival_kind)
 
-    def _descriptor_of(self, request: Request) -> object:
-        return self.profile.profile(request.tenant, request.template).descriptor
+    def _push(self, delay: float, kind: int, who: object) -> None:
+        """Resume ``who`` at ``kind`` ``delay`` ns from now; one seq each."""
+        self._seq += 1
+        heappush(self._heap, (self._now + delay, self._seq, kind, who))
+
+    def _loop(self) -> None:
+        """Pop the heap in (time, seq) order until nothing is left to do."""
+        heap = self._heap
+        while heap:
+            self._now, _seq, kind, who = heappop(heap)
+            if kind == _EXECUTED:
+                self._executed(who)
+            elif kind == _WAKE:
+                self._serve_next(who)
+            elif kind == _ARRIVE:
+                self._drive(who)
+            elif kind == _RECONFIGURED:
+                # Programmed and refilled: the first execution attempt.
+                self._push(self._serving[who][1].hot_ns, _EXECUTED, who)
+            elif kind == _CLIENT:
+                self._client_next(who)
+            elif kind == _SUBMIT:
+                self._submit(who)
+            elif kind == _BACKED_OFF:
+                self._backed_off(who)
+            else:
+                self._direct_done(who)
 
     # -- arrival side -----------------------------------------------------------
-    def _open_loop_driver(self, schedule: List[Arrival]):
-        for arrival in schedule:
-            gap = arrival.at_ns - self.sim.now
+    def _drive(self, due: Optional[Arrival]) -> None:
+        """The open-loop driver: ``due`` arrives (nothing at the start),
+        then every later arrival with no gap left; then the next gap."""
+        if due is not None:
+            self._arrive(Request(due.index, due.tenant, due.template, self._now))
+        for arrival in self._arrivals:
+            gap = arrival.at_ns - self._now
             if gap > 0:
-                yield self.sim.timeout(gap)
+                self._push(gap, _ARRIVE, arrival)
+                return
             self._arrive(Request(
-                index=arrival.index,
-                tenant=arrival.tenant,
-                template=arrival.template,
-                arrival_ns=self.sim.now,
+                arrival.index, arrival.tenant, arrival.template, self._now
             ))
         self._arrivals_done = True
-        self._wakeup.kick()
+        self._kick()
 
     def _start_clients(self, workload: ClosedLoopWorkload) -> None:
         self._mix = workload.mix
         self._budget = workload.n_requests
         self._next_index = 0
         self._clients_left = workload.n_clients
-        for cid, rng in enumerate(workload.client_rngs()):
-            self.sim.process(
-                self._client(rng, workload.think_ns), name=f"client{cid}"
-            )
+        self._think_ns = workload.think_ns
+        self._client_rngs = workload.client_rngs()
+        for client in range(workload.n_clients):
+            self._push(0.0, _CLIENT, client)
 
-    def _client(self, rng: random.Random, think_ns: float):
-        while self._budget > 0:
-            self._budget -= 1
-            if think_ns > 0:
-                yield self.sim.timeout(rng.expovariate(1.0) * think_ns)
-            index = self._next_index
-            self._next_index += 1
-            tenant, template = self._pick(rng)
-            request = Request(
-                index=index, tenant=tenant, template=template,
-                arrival_ns=self.sim.now,
-            )
-            done = self.sim.event()
-            self._completions[index] = done
-            self._arrive(request)
-            yield done
-        self._clients_left -= 1
-        if self._clients_left == 0:
-            self._arrivals_done = True
-            self._wakeup.kick()
+    def _client_next(self, client: int) -> None:
+        """A client starts, or its last request was answered, failed or
+        shed: it takes the next request of the budget, if any is left."""
+        if self._budget <= 0:
+            self._clients_left -= 1
+            if self._clients_left == 0:
+                self._arrivals_done = True
+                self._kick()
+            return
+        self._budget -= 1
+        if self._think_ns > 0:
+            rng = self._client_rngs[client]
+            self._push(rng.expovariate(1.0) * self._think_ns, _SUBMIT, client)
+        else:
+            self._submit(client)
 
-    def _pick(self, rng: random.Random):
+    def _submit(self, client: int) -> None:
+        index = self._next_index
+        self._next_index += 1
         # Closed-loop clients sample the same weighted mix as open loop.
-        return self._mix.sample(rng)
+        tenant, template = self._mix.sample(self._client_rngs[client])
+        self._client_of[index] = client
+        self._arrive(Request(index, tenant, template, self._now))
 
     def _arrive(self, request: Request) -> None:
         self.records.append(request)
-        tstats = self._tenant_stats[request.tenant]
-        tstats.bump("arrivals")
         self._arrivals_seen += 1
         if not self.scheduler.admit(request):
             request.shed = True
-            tstats.bump("shed")
             self._sheds_seen += 1
             self._publish_load_gauges()
             self._complete(request)
             return
         self._publish_load_gauges()
-        self._wakeup.kick()
+        self._kick()
 
     def _publish_load_gauges(self) -> None:
-        """Keep the load gauges current as the run progresses, so an
-        operator sampling the registry mid-run sees live shed-rate and
-        queue-depth instead of end-of-run aggregates."""
-        self._slo_stats.set_gauge("queue_depth", self.scheduler.backlog())
-        self._slo_stats.set_gauge(
-            "shed_rate", self._sheds_seen / self._arrivals_seen
-        )
+        """Set the load gauges on every arrival and port pop, so their
+        extremes and update counts follow the queue event by event, not
+        the end-of-run aggregates."""
+        self._queue_depth.set(self.scheduler.backlog())
+        self._shed_rate.set(self._sheds_seen / self._arrivals_seen)
+
+    def _complete(self, request: Request) -> None:
+        """A closed-loop client's request is done: the client resumes."""
+        client = self._client_of.pop(request.index, None)
+        if client is not None:
+            self._push(0.0, _CLIENT, client)
+
+    def _kick(self) -> None:
+        """Wake every idle port, in the order they began to wait."""
+        if self._waiters:
+            for index in self._waiters:
+                self._push(0.0, _WAKE, index)
+            self._waiters.clear()
 
     # -- service side ------------------------------------------------------------
-    def _port_loop(self, port: Port):
+    def _serve_next(self, index: int) -> None:
+        """Port ``index`` pops and starts requests until one holds it;
+        with the queues empty it waits for a kick, or ends once no
+        arrival is left to come."""
         while True:
-            request = self.scheduler.pop(port.index)
+            request = self.scheduler.pop(index)
             if request is None:
-                if self._arrivals_done and self.scheduler.backlog() == 0:
-                    return
-                yield self._wakeup.wait()
-                continue
+                if not self._arrivals_done:
+                    self._waiters.append(index)
+                return
             self._publish_load_gauges()
-            yield from self._execute(port, request)
+            if self._start(self.ports[index], request):
+                return
 
-    def _execute(self, port: Port, request: Request):
-        """Serve one request on ``port``.
+    def _start(self, port: Port, request: Request) -> bool:
+        """Begin serving ``request`` on ``port``; False when it failed at
+        once and the port is free again.
 
         Under the request-level fault model (``fault_rate > 0``) each RME
         execution attempt is struck with probability ``fault_rate``; a
@@ -427,107 +515,140 @@ class ServingSystem:
         — answers stay byte-identical (the profiler asserted the direct
         answer equals the RME answer), only the price changes.
         """
-        sim = self.sim
-        profile = self.profile.profile(request.tenant, request.template)
+        now = self._now
+        profile = self.profile.profiles[(request.tenant, request.template)]
+        self._serving[port.index] = (request, profile)
         request.port = port.index
-        request.start_ns = sim.now
-        request.queue_ns = sim.now - request.arrival_ns
+        request.start_ns = now
+        request.queue_ns = now - request.arrival_ns
         breaker = self._breakers.get(request.tenant)
-        if breaker is not None and not breaker.allow(sim.now):
+        if breaker is not None and not breaker.allow(now):
             self._fault_stats.bump("breaker_rejects")
-            yield from self._give_up(port, request, profile)
-            return
+            return self._give_up(port, request, profile)
         if port.reconfigure(profile.descriptor, self._sched_stats):
             request.state = "cold"
             request.reconfig_ns = profile.program_ns + profile.fill_ns
         else:
             request.state = "hot"
             request.reconfig_ns = 0.0
-        if request.reconfig_ns > 0:
-            yield sim.timeout(request.reconfig_ns)
         # Assigned, not added: a fault-free run allocates no float here.
         request.exec_ns = profile.hot_ns
-        attempt = 0
-        while True:
-            yield sim.timeout(profile.hot_ns)
-            if (self._fault_rng is None
-                    or self._fault_rng.random() >= self.fault_rate):
-                if breaker is not None:
-                    breaker.record_success(sim.now)
-                self._answer(port, request, profile)
-                return
-            # A fault struck this attempt mid-scan: the time is wasted.
-            self._fault_stats.bump("fault_events")
-            if breaker is not None:
-                breaker.record_failure(sim.now)
-            attempt += 1
-            delay = self.recovery.retry_delay_ns(attempt)
-            if delay is None:
-                # Retry budget exhausted: the engine state is suspect, so
-                # the next request on this port re-programs from scratch.
-                port.descriptor = None
-                yield from self._give_up(port, request, profile)
-                return
-            request.retries += 1
-            self._fault_stats.bump("retries")
-            # Back off, then regenerate the projection before rerunning.
-            yield sim.timeout(delay + profile.fill_ns)
-            request.reconfig_ns += profile.fill_ns
-            request.exec_ns += profile.hot_ns
-
-    def _give_up(self, port: Port, request: Request, profile):
-        """The engine path is closed: degrade to the CPU row-scan when
-        the policy allows it, otherwise fail the request."""
-        if self.recovery.cpu_fallback:
-            yield from self._serve_direct(port, request, profile)
+        if request.reconfig_ns > 0:
+            self._push(request.reconfig_ns, _RECONFIGURED, port.index)
         else:
-            self._fail_request(request)
+            self._push(profile.hot_ns, _EXECUTED, port.index)
+        return True
 
-    def _serve_direct(self, port: Port, request: Request, profile):
-        """Degraded mode: answer from the base table with a CPU row-scan."""
-        request.state = "degraded"
-        request.degraded = True
-        self._fault_stats.bump("fallbacks")
-        yield self.sim.timeout(profile.direct_ns)
+    def _executed(self, index: int) -> None:
+        """An execution attempt on port ``index`` finished: answer, or
+        pay for the fault that struck it."""
+        request, profile = self._serving[index]
+        port = self.ports[index]
+        breaker = self._breakers.get(request.tenant)
+        if (self._fault_rng is None
+                or self._fault_rng.random() >= self.fault_rate):
+            if breaker is not None:
+                breaker.record_success(self._now)
+            self._answer(port, request, profile)
+            self._serve_next(index)
+            return
+        # A fault struck this attempt mid-scan: the time is wasted.
+        self._fault_stats.bump("fault_events")
+        if breaker is not None:
+            breaker.record_failure(self._now)
+        delay = self.recovery.retry_delay_ns(request.retries + 1)
+        if delay is None:
+            # Retry budget exhausted: the engine state is suspect, so
+            # the next request on this port re-programs from scratch.
+            port.descriptor = None
+            if not self._give_up(port, request, profile):
+                self._serve_next(index)
+            return
+        request.retries += 1
+        self._fault_stats.bump("retries")
+        # Back off, then regenerate the projection before rerunning.
+        self._push(delay + profile.fill_ns, _BACKED_OFF, index)
+
+    def _backed_off(self, index: int) -> None:
+        request, profile = self._serving[index]
+        request.reconfig_ns += profile.fill_ns
+        request.exec_ns += profile.hot_ns
+        self._push(profile.hot_ns, _EXECUTED, index)
+
+    def _give_up(self, port: Port, request: Request, profile) -> bool:
+        """The engine path is closed: degrade to the CPU row-scan when
+        the policy allows it (True: the port is busy with it), otherwise
+        fail the request."""
+        if self.recovery.cpu_fallback:
+            request.state = "degraded"
+            request.degraded = True
+            self._fault_stats.bump("fallbacks")
+            self._push(profile.direct_ns, _DIRECT, port.index)
+            return True
+        self._fail_request(request)
+        return False
+
+    def _direct_done(self, index: int) -> None:
+        """Degraded mode: the CPU row-scan of the base table answered."""
+        request, profile = self._serving[index]
         request.exec_ns += profile.direct_ns
         self._tenant_stats[request.tenant].bump("degraded")
-        self._answer(port, request, profile)
+        self._answer(self.ports[index], request, profile)
+        self._serve_next(index)
 
     def _answer(self, port: Port, request: Request, profile) -> None:
-        request.finish_ns = self.sim.now
+        request.finish_ns = self._now
         request.value = profile.value
         port.served += 1
-        self._observe(request)
+        self._answered.append(request)
         self._complete(request)
-        self._wakeup.kick()
+        self._kick()
 
     def _fail_request(self, request: Request) -> None:
         """Give up on a request: no answer, counted against availability."""
         request.failed = True
         request.state = "failed"
-        request.finish_ns = self.sim.now
+        request.finish_ns = self._now
         self._tenant_stats[request.tenant].bump("failed")
         self._fault_stats.bump("failed")
         self._complete(request)
-        self._wakeup.kick()
+        self._kick()
 
-    def _observe(self, request: Request) -> None:
-        tstats = self._tenant_stats[request.tenant]
-        tstats.bump("served")
-        tstats.observe("latency_ns", request.latency_ns)
-        tstats.observe("queue_ns", request.queue_ns)
-        tstats.bump("reconfig_ns", request.reconfig_ns)
-        tstats.bump("exec_ns", request.exec_ns)
-        self._slo_stats.observe("latency_ns", request.latency_ns)
+    def _commit(self) -> None:
+        """Fold the run's per-request telemetry into the registry.
 
-    def _complete(self, request: Request) -> None:
-        done = self._completions.pop(request.index, None)
-        if done is not None:
-            done.succeed(request)
+        Each instrument replays, in completion order, exactly the calls
+        one per request would have made, so every snapshot is
+        bit-identical; an instrument no request touched is not created.
+        """
+        arrivals = collections.Counter(r.tenant for r in self.records)
+        shed = collections.Counter(r.tenant for r in self.records if r.shed)
+        answered: Dict[str, List[Request]] = {}
+        for request in self._answered:
+            answered.setdefault(request.tenant, []).append(request)
+        for tenant, stats in self._tenant_stats.items():
+            if arrivals[tenant]:
+                stats.counter("arrivals").add_repeated(arrivals[tenant])
+            if shed[tenant]:
+                stats.counter("shed").add_repeated(shed[tenant])
+            done = answered.get(tenant)
+            if not done:
+                continue
+            stats.counter("served").add_repeated(len(done))
+            stats.histogram("latency_ns").observe_all(
+                [r.latency_ns for r in done]
+            )
+            stats.histogram("queue_ns").observe_all([r.queue_ns for r in done])
+            stats.counter("reconfig_ns").add_all([r.reconfig_ns for r in done])
+            stats.counter("exec_ns").add_all([r.exec_ns for r in done])
+        if self._answered:
+            self._slo_stats.histogram("latency_ns").observe_all(
+                [r.latency_ns for r in self._answered]
+            )
 
     # -- reporting ---------------------------------------------------------------
     def _build_report(self, arrival_kind: str) -> ServingReport:
-        duration = self.sim.now
+        duration = self._now
         seconds = duration / 1e9 if duration else 0.0
         tenants: List[TenantSLO] = []
         for spec in self.profile.tenants:

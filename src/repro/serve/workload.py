@@ -22,15 +22,17 @@ Two traffic shapes are supported, both fully seeded:
 Open-loop schedules are materialised up front (:meth:`OpenLoopWorkload
 .schedule`), which makes determinism trivial to test and lets the service
 loop replay the exact same arrival sequence under every scheduler policy.
-Closed-loop arrivals depend on completions, so they are driven by client
-processes inside the serving simulation instead.
+Closed-loop arrivals depend on completions, so the serving loop steps
+each client as its requests complete instead.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..query.queries import Query, q1, q2, q4
@@ -80,9 +82,12 @@ class TenantSpec:
         )
 
 
-@dataclass(frozen=True)
-class Arrival:
-    """One scheduled request: who asks what, and when."""
+class Arrival(NamedTuple):
+    """One scheduled request: who asks what, and when.
+
+    A named tuple rather than a frozen dataclass: a schedule builds one
+    per request, and a tuple is built in under half the time.
+    """
 
     index: int
     at_ns: float
@@ -90,7 +95,7 @@ class Arrival:
     template: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One request's life through the serving system (filled in as it runs)."""
 
@@ -127,10 +132,12 @@ class _Mix:
         if len(set(names)) != len(names):
             raise ConfigurationError("tenant names must be unique")
         self.tenants = list(tenants)
-        self._weights = [t.weight for t in tenants]
+        # Accumulated once: ``choices`` would re-accumulate plain weights
+        # on every draw, and draws the same from either form.
+        self._cum_weights = list(itertools.accumulate(t.weight for t in tenants))
 
     def sample(self, rng: random.Random) -> Tuple[str, str]:
-        tenant = rng.choices(self.tenants, weights=self._weights)[0]
+        tenant = rng.choices(self.tenants, cum_weights=self._cum_weights)[0]
         template, _query = tenant.templates[rng.randrange(len(tenant.templates))]
         return tenant.name, template
 
@@ -203,8 +210,8 @@ class ClosedLoopWorkload:
     """A closed-loop population: ``n_clients`` think/submit/wait loops.
 
     Each client draws exponential think times with mean ``think_ns``;
-    the shared ``n_requests`` budget bounds the run. The serving system
-    turns this description into client processes (arrivals depend on
+    the shared ``n_requests`` budget bounds the run. The serving loop
+    steps each client as its requests complete (arrivals depend on
     completions, so there is no pre-computable schedule).
     """
 
@@ -222,8 +229,10 @@ class ClosedLoopWorkload:
             raise ConfigurationError("closed loop needs at least one client")
         if n_requests <= 0:
             raise ConfigurationError("n_requests must be positive")
-        if think_ns < 0:
-            raise ConfigurationError("think time must be >= 0")
+        if not 0 <= think_ns < math.inf:
+            raise ConfigurationError(
+                f"think time must be finite and >= 0, got {think_ns}"
+            )
         self.mix = _Mix(tenants)
         self.n_clients = n_clients
         self.n_requests = n_requests

@@ -15,7 +15,7 @@ The public surface:
   slots, fetch-unit pool).
 * :class:`Store` — an unbounded FIFO queue for passing items between
   processes (e.g. request descriptors).
-* :class:`Wakeup` — a reusable idle wake-up (the serving loops' ports).
+* :class:`Wakeup` — a reusable idle wake-up (the cluster nodes' ports).
 * :class:`Counter`, :class:`Gauge`, :class:`Histogram`, :class:`StatSet`
   — cheap statistics instruments.
 * :class:`MetricsRegistry` — the hierarchical directory of every

@@ -1058,4 +1058,7 @@ def _run_scan(system, plans) -> float:
     finally:
         sim._seq = seq
         trapper._response_port_free_at = port_free
+        # The two closures name each other: break that cycle, so a
+        # finished engine is freed by reference counting.
+        adopt = foreign = None
     return elapsed[0]

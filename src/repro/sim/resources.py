@@ -4,7 +4,7 @@
 entries, outstanding AXI transaction IDs, fetch units). :class:`Store` is a
 FIFO hand-off queue between producer and consumer processes (the Requestor
 feeding descriptors to Fetch Units, for instance). :class:`Wakeup` is the
-idle wake-up of a serving loop's ports.
+idle wake-up of a cluster node's ports.
 """
 
 from __future__ import annotations

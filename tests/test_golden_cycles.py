@@ -16,6 +16,7 @@ import dataclasses
 import json
 import random
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,91 @@ def _recovery_fingerprints(platform):
     return {"xs": ["repr(fingerprint)"], "series": series}
 
 
+def _serve_run_pins(report) -> dict:
+    """A run's schedule, snapshot and gauge update counts, as CRCs.
+
+    The record CRC sees which port served each request, and when; a
+    fingerprint only sums finish times.
+    """
+    records = "".join(
+        repr((r.index, r.port, r.state, r.start_ns, r.queue_ns,
+              r.reconfig_ns, r.exec_ns, r.finish_ns, r.retries, r.shed,
+              r.degraded, r.failed))
+        for r in report.records
+    )
+    snapshot = report.metrics.as_dict()
+    gauges = {
+        f"{path}.{name}": report.metrics.statset(path).gauge(name).updates
+        for path, metrics in snapshot.items()
+        for name, fields in metrics.items()
+        if set(fields) == {"value", "min", "max"}
+    }
+    return {
+        "records": zlib.crc32(records.encode()),
+        "metrics": zlib.crc32(repr(snapshot).encode()),
+        "gauge_updates": gauges,
+        "fingerprint": repr(report.fingerprint()),
+    }
+
+
+def _serve_schedules(platform):
+    """Every policy, open-loop shape and closed-loop population under a
+    clean run, faults with default, no and a tight recovery: each run's
+    records, metrics snapshot and gauge update counts."""
+    from repro.faults import DEFAULT_RECOVERY, NO_RECOVERY, RecoveryPolicy
+    from repro.serve import (
+        ClosedLoopWorkload,
+        OpenLoopWorkload,
+        ServingSystem,
+        default_tenants,
+        profile_workload,
+    )
+    from repro.serve.scheduler import POLICIES
+
+    # Unequal weights, so the mix draws are not a uniform pick.
+    tenants = [
+        dataclasses.replace(spec, weight=weight)
+        for spec, weight in zip(
+            default_tenants(n_tenants=3, n_rows=128, seed=7), (3.0, 1.0, 0.5)
+        )
+    ]
+    profile = profile_workload(tenants, platform=platform)
+    saturation = profile.saturation_rate_qps()
+    tight = RecoveryPolicy(max_retries=1, breaker_threshold=2,
+                           breaker_cooldown_ns=50_000.0)
+    settings = {
+        "clean": (0.0, DEFAULT_RECOVERY),
+        "default": (0.25, DEFAULT_RECOVERY),
+        "none": (0.25, NO_RECOVERY),
+        "tight": (0.25, tight),
+    }
+    workloads = {
+        "poisson": lambda: OpenLoopWorkload(
+            tenants, rate_qps=1.1 * saturation, n_requests=200, seed=11),
+        "bursty": lambda: OpenLoopWorkload(
+            tenants, rate_qps=0.8 * saturation, n_requests=200,
+            arrival="bursty", seed=11),
+        "closed-think0": lambda: ClosedLoopWorkload(
+            tenants, n_clients=4, n_requests=120, think_ns=0.0, seed=5),
+        "closed-think": lambda: ClosedLoopWorkload(
+            tenants, n_clients=3, n_requests=120, think_ns=20_000.0, seed=5),
+        # More clients than queue slots: the closed loop sheds.
+        "closed-shed": lambda: ClosedLoopWorkload(
+            tenants, n_clients=24, n_requests=160, think_ns=5_000.0, seed=5),
+    }
+    series = {}
+    for policy in POLICIES:
+        for shape, build in workloads.items():
+            for name, (fault_rate, recovery) in settings.items():
+                report = ServingSystem(
+                    profile, policy=policy, queue_depth=16,
+                    fault_rate=fault_rate, recovery=recovery,
+                ).run(build())
+                series[f"{policy}/{shape}/{name}"] = _serve_run_pins(report)
+    return {"xs": ["records_crc", "metrics_crc", "gauge_updates",
+                   "fingerprint"], "series": series}
+
+
 def _pim_table(name, n_rows, n_cols, seed):
     """Int32 columns A1..An; A2 takes 8 values so GROUP BY folds."""
     rng = random.Random(seed)
@@ -365,7 +451,8 @@ def _pim_bills(platform):
 #: conflicts and packed-line completion (fig06), analytical curves
 #: (fig01), burst-length-2 straddling descriptors (fig08), window
 #: switching, multirun descriptor streams, every retry, breaker and
-#: fallback path under injected faults (recovery fingerprints), and the
+#: fallback path under injected faults (recovery fingerprints), which
+#: port served each request and when (serve schedules), and the
 #: bank-level PIM engine's bills, fault draws and estimates (PIM bills).
 SCENARIOS = {
     "fig01_projectivity.json": lambda platform: fig01_projectivity(
@@ -380,6 +467,7 @@ SCENARIOS = {
     "windowed_epoch.json": _windowed_epoch,
     "multirun_epoch.json": _multirun_epoch,
     "recovery_fingerprints.json": _recovery_fingerprints,
+    "serve_schedules.json": _serve_schedules,
     "pim_bills.json": _pim_bills,
 }
 

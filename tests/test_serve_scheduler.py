@@ -1,5 +1,7 @@
 """Unit tests for the configuration-port scheduler policies."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -63,6 +65,46 @@ def test_admission_bounds_backlog_and_sheds(policy):
     # Draining frees capacity again.
     assert sched.pop(0) is not None
     assert sched.admit(request(9))
+
+
+def queued(sched):
+    """Requests sitting in the policy's own queues, counted one by one."""
+    queues = getattr(sched, "_queues", None)
+    if queues is None:
+        return len(sched._queue)
+    if isinstance(queues, dict):
+        queues = queues.values()
+    return sum(len(queue) for queue in queues)
+
+
+@pytest.mark.parametrize("policy", ["fcfs", "ctx-switch", "multi-port"])
+def test_backlog_count_matches_queues_under_interleaving(policy):
+    # Admits (some shed), pops on every port, steals and rotations,
+    # interleaved at random: the running count never leaves the queues.
+    n_ports = 3 if policy == "multi-port" else 1
+    sched, ports, stats = build(policy, n_ports=n_ports, queue_depth=6)
+    rng = random.Random(5)
+    outstanding = 0
+    for step in range(2000):
+        if rng.random() < 0.55:
+            if sched.admit(request(step, tenant=f"t{rng.randrange(4)}")):
+                outstanding += 1
+        else:
+            port = rng.randrange(n_ports)
+            served = sched.pop(port)
+            if served is not None:
+                outstanding -= 1
+                ports[port].descriptor = served.tenant
+        assert sched.backlog() == outstanding == queued(sched)
+        if stats.count("admitted"):
+            assert stats.gauge("backlog").value == outstanding
+    assert stats.count("shed") > 0
+    if policy == "ctx-switch":
+        assert stats.count("rotations") > 0
+    if policy == "multi-port":
+        assert stats.count("steals") > 0
+    drained = sum(len(drain(sched, port)) for port in range(n_ports))
+    assert drained == outstanding and sched.backlog() == 0 == queued(sched)
 
 
 # -- fcfs ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """End-to-end tests for the serving loop: profiles, SLOs, correctness."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from repro import QueryExecutor, RelationalMemorySystem
+from repro.cluster import ClusterSystem
+from repro.config import ZCU102
 from repro.errors import ConfigurationError
 from repro.query.queries import q4
+from repro.rme.designs import MLP
 from repro.serve import (
     ClosedLoopWorkload,
     OpenLoopWorkload,
@@ -200,3 +205,35 @@ def test_serving_from_tenant_specs_directly(specs):
         OpenLoopWorkload(specs, rate_qps=20_000, n_requests=20)
     )
     assert report.served == 20
+
+
+def test_finished_runs_are_freed_by_reference_counting(specs, profile,
+                                                       monkeypatch):
+    """With the cycle collector off, a finished serving or cluster system
+    and a profiled pair's engine die at their last reference: none of
+    them holds a reference cycle (a bound method of itself handed to a
+    part, a back-pointer, a pair of closures naming each other)."""
+    from repro.serve import profiles as profiles_module
+
+    engines = []
+
+    class Recorded(RelationalMemorySystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(profiles_module, "RelationalMemorySystem", Recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        profiles_module._profile_pair(0, (tuple(specs), ZCU102, MLP, None))
+        serving = ServingSystem(profile, policy="multi-port", fault_rate=0.2)
+        serving.run(open_loop(specs, profile, factor=1.5))
+        cluster = ClusterSystem(profile, n_nodes=2)
+        cluster.run(open_loop(specs, profile))
+        systems = [weakref.ref(serving), weakref.ref(cluster)]
+        del serving, cluster
+        assert len(engines) == 1 and engines[0]() is None
+        assert [ref() for ref in systems] == [None, None]
+    finally:
+        gc.enable()

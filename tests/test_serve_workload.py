@@ -1,10 +1,14 @@
 """Tests for the serving workload generator (open and closed loop)."""
 
+import math
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.query.queries import q1, q4
 from repro.serve import ClosedLoopWorkload, OpenLoopWorkload, TenantSpec, default_tenants
+from repro.serve.workload import _Mix
 
 
 def tenants(n=2):
@@ -117,6 +121,25 @@ def test_mix_respects_tenant_weights():
     assert counts["heavy"] > 5 * counts["light"]
 
 
+def test_mix_draws_as_with_plain_weights():
+    # The mix accumulates its weights once; over one seeded stream it
+    # must draw exactly what ``choices`` draws from the plain weights.
+    base = tenants(4)
+    specs = [
+        TenantSpec(name=spec.name, table=spec.table,
+                   templates=spec.templates, weight=weight)
+        for spec, weight in zip(base, (0.3, 2.5, 1.0, 7.25))
+    ]
+    weights = [spec.weight for spec in specs]
+    mix, ours, reference = _Mix(specs), random.Random(9), random.Random(9)
+    for _ in range(5000):
+        spec = reference.choices(specs, weights=weights)[0]
+        template, _query = spec.templates[
+            reference.randrange(len(spec.templates))
+        ]
+        assert mix.sample(ours) == (spec.name, template)
+
+
 def test_schedule_draws_only_known_templates():
     specs = tenants()
     names = {spec.name: set(spec.template_names()) for spec in specs}
@@ -137,6 +160,10 @@ def test_closed_loop_rejects_bad_parameters():
         ClosedLoopWorkload(specs, n_clients=2, n_requests=0)
     with pytest.raises(ConfigurationError):
         ClosedLoopWorkload(specs, n_clients=2, n_requests=10, think_ns=-1)
+    for think_ns in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            ClosedLoopWorkload(specs, n_clients=2, n_requests=10,
+                               think_ns=think_ns)
 
 
 def test_closed_loop_client_streams_deterministic_and_distinct():
