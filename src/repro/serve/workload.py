@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -60,9 +61,10 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.templates:
             raise ConfigurationError(f"tenant {self.name!r} has no templates")
-        if self.weight <= 0:
+        if not (0 < self.weight < math.inf):  # NaN fails both tests
             raise ConfigurationError(
-                f"tenant {self.name!r} weight must be positive, got {self.weight}"
+                f"tenant {self.name!r} weight must be positive and finite, "
+                f"got {self.weight}"
             )
         names = [name for name, _query in self.templates]
         if len(set(names)) != len(names):
@@ -135,9 +137,18 @@ class _Mix:
         # Accumulated once: ``choices`` would re-accumulate plain weights
         # on every draw, and draws the same from either form.
         self._cum_weights = list(itertools.accumulate(t.weight for t in tenants))
+        self._total = self._cum_weights[-1] + 0.0
+        if not math.isfinite(self._total):
+            raise ConfigurationError(
+                f"tenant weights must sum to a finite total, got {self._total}"
+            )
+        self._last = len(self.tenants) - 1
 
     def sample(self, rng: random.Random) -> Tuple[str, str]:
-        tenant = rng.choices(self.tenants, cum_weights=self._cum_weights)[0]
+        # CPython's own formula for ``rng.choices(tenants,
+        # cum_weights=...)[0]``, without its per-call checks and list.
+        tenant = self.tenants[bisect_right(
+            self._cum_weights, rng.random() * self._total, 0, self._last)]
         template, _query = tenant.templates[rng.randrange(len(tenant.templates))]
         return tenant.name, template
 

@@ -68,14 +68,39 @@ event kernel: ``ScanDriver._run_segment`` -> ``MemoryHierarchy.load_line``
 or ``DRAM.access``, and the write-backs of dirty victims. Each actor —
 the demand stream, one per prefetch fill, one per write-back — is one
 flat generator with its backend inlined, stepping on a local
-``(time, seq)`` heap. Cache, prefetcher, DRAM, trapper and monitor state
-and every instrument are committed by the real model code
-(``Cache.lookup``/``fill``, ``StreamPrefetcher.observe``, ``StatSet``,
-``DRAM.access``/``write``, ``MonitorBypass.line_ready``,
-``ReorganizationBuffer.read_line``), called in the kernel's order. No
-step is folded into arithmetic; the saving is the kernel's per-step
-cost and the nested ``yield from`` chain. Its correctness rests on these
-rules:
+``(time, seq)`` heap. Like :func:`compute_epoch`, the ladder is a
+transcription: its per-line steps call no model object and touch no
+instrument. It transcribes ``Cache.lookup``, ``contains`` and ``fill`` on
+both levels, ``StreamPrefetcher.observe``, ``Trapper.read_line``,
+``MonitorBypass.line_ready``/``wait_line``,
+``ReorganizationBuffer.read_line`` and ``DRAM.access``, reading and
+writing the state those methods keep (``Cache._sets``, the prefetcher's
+stream, ``MonitorBypass._ff_schedule``, the buffer's fill and target
+lists, the DRAM banks and bus) and copying no line bytes. Only
+``DRAM.write`` (a dirty write-back) and the engine's activation run
+model code. Its instruments keep these rules:
+
+* *tallies*: each counter the ladder bumps is a local integer, committed
+  once when the scan ends; integer sums are exact, so any order gives
+  the same bits. Each float it records (fill, stall and trapped-read
+  latencies, DRAM service times) goes to a local list in event order,
+  committed through ``Counter.add_all``/``Histogram.observe_all``, which
+  keep that order. The lists are flushed before foreign code that may
+  add to the same instrument runs: the engine's activation (its epoch
+  commit adds to DRAM's ``service_ns``) and every adopted callback;
+* *no new instruments*: a zero tally creates no counter or histogram,
+  as the event path creates none it never bumps;
+* *the same sets*: a probe, presence test or fill of an absent cache set
+  creates it empty, as ``Cache._set_for`` does;
+* *state written back*: the prefetcher's stream and each cache's
+  ``last_victim_dirty`` return to their objects when the scan ends;
+* *the same errors*: the DRAM guard and the buffer's range and readiness
+  checks raise with the event path's text. The plan refuses the tracers
+  and faults that the rest of ``DRAM.access`` serves, and sends a DRAM
+  region whose line reads ``PhysicalMemory`` would refuse to the event
+  path.
+
+Its timing rests on these rules:
 
 * *one order*: the kernel's heap plus same-time deque pops entries in
   ``(time, seq)`` order, and the ladder's heap is keyed the same way.
@@ -84,11 +109,13 @@ rules:
   event wakes (a merged demand, an MSHR hand-off, a stalled trapped
   read), and every yield of an event that already fired (a free MSHR's
   acquire). Timestamps use the kernel's expression, ``now + delay``;
-  ``sim.now`` follows the ladder's clock, since ``line_ready``,
-  ``DRAM.access`` and the epoch activation read it;
+  ``sim.now`` is set to the ladder's clock before foreign code runs
+  (the activation, an adopted callback, a write-back's step) and when
+  the scan ends;
 * *direct resumption*: an actor whose new entry no queued entry
   precedes (none is due at or before its time) resumes at once — the
-  kernel would pop that entry next, its seq being the newest;
+  kernel would pop that entry next, its seq being the newest. The demand
+  stream makes that test itself after an L1 hit or a compute step;
 * *a quiet start*: a scan is forwarded only with no pending event, no
   line in flight, no MSHR held, one core, no tracer and no fault plan,
   so the ladder's actors are the only ones. The first trapped read of a
@@ -114,7 +141,7 @@ runs the event path uncounted, which raises the addressing error.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from heapq import heappop, heappush, heappushpop
 from operator import add, sub
 from typing import Dict, List, Optional, Tuple
@@ -726,6 +753,11 @@ def _scan_plan(system, segments):
                 return "epoch", None
             plans.append((segment, True))
         elif type(backend) is DRAMBackend:
+            # The ladder reads no line bytes: a region the event path's
+            # 64-byte line reads would leave (or find unbacked) goes there.
+            last_line = region.limit - 1 - (region.limit - 1) % line
+            if region.backing is None or last_line + 64 > region.limit:
+                return "", None
             plans.append((segment, False))
         else:
             return "", None
@@ -749,6 +781,44 @@ def forward_scan(system, segments) -> Optional[float]:
     return _run_scan(system, plans)
 
 
+def _add_total(stats, name: str, n: int, total: int) -> None:
+    """Commit ``n`` bumps of counter ``name`` that sum to ``total``.
+
+    The ladder's counters only ever accumulate integers, whose float sums
+    are exact below 2**53, so one add equals the per-event bumps in any
+    order. A zero tally creates no counter, as no bump would have.
+    """
+    if n:
+        counter = stats.counter(name)
+        counter.count += n
+        counter.total += total
+
+
+def _add_counts(stats, counts: Dict[str, int]) -> None:
+    """Commit ``counts[name]`` bumps of one for each counter."""
+    for name, n in counts.items():
+        _add_total(stats, name, n, n)
+
+
+def _commit_cache(stats, demand_hits: int, demand_misses: int,
+                  prefetch_hits: int, prefetch_misses: int,
+                  repeat_hits: int = 0) -> None:
+    """Commit one level's probe tallies under the counter names of
+    ``Cache.lookup`` (``demand=False`` probes count as prefetch ones) and
+    ``Cache.note_repeat_hits`` (``repeat_hits``, demand hits)."""
+    demand = demand_hits + demand_misses + repeat_hits
+    prefetch = prefetch_hits + prefetch_misses
+    _add_counts(stats, {
+        "requests": demand + prefetch,
+        "requests_demand": demand,
+        "requests_prefetch": prefetch,
+        "hits": demand_hits + prefetch_hits + repeat_hits,
+        "misses": demand_misses + prefetch_misses,
+        "misses_demand": demand_misses,
+        "misses_prefetch": prefetch_misses,
+    })
+
+
 def _run_scan(system, plans) -> float:
     """The ladder proper: ScanDriver -> load_line -> prefetch fills ->
     MSHRs -> L2 -> trapper or DRAM, as flat actors on one local queue.
@@ -758,8 +828,8 @@ def _run_scan(system, plans) -> float:
     in (an event: an in-flight fill, the MSHR queue, a stalled line). A
     dict entry is a fast-forward completion instant, ``{line: waiters}``;
     popping it wakes the waiters one sequence number each, as
-    ``Event.succeed`` does. See the module docstring for the ordering
-    rules.
+    ``Event.succeed`` does. See the module docstring for the ordering,
+    transcription and commit rules.
     """
     from ..errors import MemoryMapError, SimulationError
 
@@ -771,35 +841,55 @@ def _run_scan(system, plans) -> float:
     monitor = rme.monitor
     buffer = rme.buffer
     dram = system.dram
+    prefetcher = hierarchy.prefetcher
 
     line = hierarchy.line_size
-    l1 = hierarchy.l1
-    l2 = hierarchy.l2
-    l1_lookup = l1.lookup
-    l2_lookup = l2.lookup
-    l1_contains = l1.contains
-    l1_fill = l1.fill
-    l2_fill = l2.fill
-    l1_bump = l1.stats.bump
-    note_repeat_hits = l1.note_repeat_hits
-    observe = hierarchy.prefetcher.observe
-    prefetch_bump = hierarchy.prefetcher.stats.bump
-    cpu_observe = hierarchy.stats.observe
     route = hierarchy.route
     mshr_capacity = hierarchy.mshrs.capacity
     l1_hit = platform.l1_hit_ns
     l1_miss_issue = platform.l1_miss_issue_ns
     l2_hit = platform.l2_hit_ns
-    dram_access = dram.access
 
-    rme_bump = rme.stats.bump
+    # Cache._set_for, minus its alignment check: every probe is a line base.
+    l1 = hierarchy.l1
+    l2 = hierarchy.l2
+    l1_sets = l1._sets
+    l2_sets = l2._sets
+    l1_line = l1.line_size
+    l2_line = l2.line_size
+    l1_n_sets = l1.n_sets
+    l2_n_sets = l2.n_sets
+    l1_assoc = l1.assoc
+    l2_assoc = l2.assoc
+    l1_victim_dirty = l1.last_victim_dirty
+    l2_victim_dirty = l2.last_victim_dirty
+
+    # StreamPrefetcher: the stream lives in locals until the scan ends.
+    pf_degree = prefetcher.degree
+    pf_threshold = prefetcher.CONFIDENCE_THRESHOLD
+    pf_reach = prefetcher.max_stride_lines * prefetcher.line_size
+    pf_ahead = range(1, pf_degree + 1)
+    pf_last = prefetcher._last_line
+    pf_stride = prefetcher._stride
+    pf_confidence = prefetcher._confidence
+
+    # DRAM.access: timings, and the banks it reserves in place.
+    timings = dram.t
+    banks = dram._banks
+    t_controller = timings.t_controller
+    t_cas = timings.t_cas
+    t_rcd = timings.t_rcd
+    t_rp = timings.t_rp
+    t_ccd = timings.t_ccd
+    occupancy_empty = t_rcd + t_ccd
+    occupancy_miss = t_rp + t_rcd + t_ccd
+    t_beat = timings.t_beat
+    dram_bus = timings.bus_bytes
+    row_buffer_bytes = timings.row_buffer_bytes
+    n_banks = timings.n_banks
+
+    # RMEngine.read_line and Trapper.read_line.
     eph_base = rme.ephemeral_base
-    trapper_bump = trapper.stats.bump
-    trapper_observe = trapper.stats.observe
-    monitor_bump = monitor.stats.bump
-    line_ready = monitor.line_ready
-    buffer_line_ready = buffer.line_ready
-    buffer_read_line = buffer.read_line
     pl_cycle = trapper.pl_clock.cycle_ns
     cdc_sync = trapper._cdc_sync_ns
     txn = trapper._txn_overhead_ns
@@ -811,12 +901,54 @@ def _run_scan(system, plans) -> float:
     heap: List[tuple] = []
     seq = sim._seq
     now = sim.now
+    elapsed = 0.0
     port_free = trapper._response_port_free_at
     mshr_in_use = 0
     mshr_queue: deque = deque()
     inflight: Dict[int, list] = {}
     stalls: Dict[float, Dict[int, list]] = {}
-    elapsed = [0.0]
+    activated = monitor._activated
+    ff_schedule = monitor._ff_schedule
+    ff_armed = monitor._ff_armed
+    fill_counts = buffer._fill
+    fill_targets = buffer._target
+
+    # Integer tallies, committed when the scan ends.
+    l1_demand_hits = l1_demand_misses = l1_repeat_hits = 0
+    l1_prefetch_hits = l1_prefetch_misses = 0
+    l1_merged = l1_fills = l1_evictions = l1_writebacks = 0
+    l2_demand_hits = l2_demand_misses = 0
+    l2_prefetch_hits = l2_prefetch_misses = 0
+    l2_fills = l2_evictions = l2_writebacks = 0
+    streams_followed = prefetches_issued = 0
+    reads_cpu = reads_prefetch = 0
+    trap_requests = trap_hits = trap_misses = trap_responses = 0
+    lookups_hit = lookups_miss = stalled_requests = buffer_reads = 0
+    row_hits = row_empty = row_misses = 0
+    dram_cpu = dram_prefetch = dram_beats = 0
+    # Float observations, in event order: a float sum depends on it.
+    fill_ns: List[float] = []
+    stall_ns: List[float] = []
+    latency_ns: List[float] = []
+    service_ns: List[float] = []
+
+    def flush() -> None:
+        """Commit the float observations so far, before foreign code that
+        may add to the same instruments (an epoch commit adds to DRAM's
+        ``service_ns``) runs."""
+        if fill_ns:
+            hierarchy.stats.histogram("fill_ns").observe_all(fill_ns)
+            fill_ns.clear()
+        if stall_ns:
+            trapper.stats.histogram("stall_ns").observe_all(stall_ns)
+            stall_ns.clear()
+        if latency_ns:
+            trapper.stats.histogram("latency_ns").observe_all(latency_ns)
+            latency_ns.clear()
+        if service_ns:
+            dram.stats.counter("service_ns").add_all(service_ns)
+            dram.stats.histogram("service_latency_ns").observe_all(service_ns)
+            service_ns.clear()
 
     def adopt() -> None:
         """Move whatever real code scheduled on the kernel into the local
@@ -832,6 +964,8 @@ def _run_scan(system, plans) -> float:
 
     def foreign(callback, arg):
         """A callback the real kernel holds, run at its turn."""
+        flush()
+        sim.now = now
         sim._seq = seq
         callback(arg)
         adopt()
@@ -840,14 +974,90 @@ def _run_scan(system, plans) -> float:
 
     def drive(process):
         """A kernel process that only sleeps (DRAM.write), step by step."""
-        for timeout in process:
+        while True:
+            sim.now = now
+            timeout = next(process, None)
+            if timeout is None:
+                return
             yield now + timeout.delay
 
+    def visible(line_idx: int) -> bool:
+        """MonitorBypass.line_ready: resident, and past its completion
+        instant under a fast-forward schedule."""
+        nonlocal lookups_hit, lookups_miss
+        if not 0 <= line_idx < len(fill_counts):
+            raise SimulationError(
+                f"packed line {line_idx} out of range "
+                f"[0, {len(fill_counts)})")
+        ready = fill_counts[line_idx] == fill_targets[line_idx]
+        if ready and ff_schedule is not None:
+            completes_at = ff_schedule.get(line_idx)
+            if completes_at is not None and completes_at > now:
+                ready = False  # physically present, not yet visible
+        if ready:
+            lookups_hit += 1
+        else:
+            lookups_miss += 1
+        return ready
+
+    def l1_probe(line_base: int) -> bool:
+        """``Cache.lookup(line_base, demand=False)`` on the L1."""
+        nonlocal l1_prefetch_hits, l1_prefetch_misses
+        index = line_base // l1_line % l1_n_sets
+        cache_set = l1_sets.get(index)
+        if cache_set is None:
+            cache_set = l1_sets[index] = OrderedDict()
+        if line_base in cache_set:
+            cache_set.move_to_end(line_base)
+            l1_prefetch_hits += 1
+            return True
+        l1_prefetch_misses += 1
+        return False
+
+    def l2_probe(line_base: int, demand: bool) -> bool:
+        """``Cache.lookup(line_base, demand=demand)`` on the L2."""
+        nonlocal l2_demand_hits, l2_demand_misses
+        nonlocal l2_prefetch_hits, l2_prefetch_misses
+        index = line_base // l2_line % l2_n_sets
+        cache_set = l2_sets.get(index)
+        if cache_set is None:
+            cache_set = l2_sets[index] = OrderedDict()
+        if line_base in cache_set:
+            cache_set.move_to_end(line_base)
+            if demand:
+                l2_demand_hits += 1
+            else:
+                l2_prefetch_hits += 1
+            return True
+        if demand:
+            l2_demand_misses += 1
+        else:
+            l2_prefetch_misses += 1
+        return False
+
     def fill_l2(line_base: int, dirty: bool = False) -> None:
-        # MemoryHierarchy._fill_l2 with _issue_writeback transcribed.
-        nonlocal seq
-        victim = l2_fill(line_base, dirty)
-        if victim is not None and l2.last_victim_dirty:
+        """``Cache.fill`` on the L2, then ``_issue_writeback`` for a dirty
+        victim (MemoryHierarchy._fill_l2)."""
+        nonlocal seq, l2_victim_dirty, l2_fills, l2_evictions, l2_writebacks
+        index = line_base // l2_line % l2_n_sets
+        cache_set = l2_sets.get(index)
+        if cache_set is None:
+            cache_set = l2_sets[index] = OrderedDict()
+        l2_victim_dirty = False
+        if line_base in cache_set:
+            cache_set[line_base] = cache_set[line_base] or dirty
+            cache_set.move_to_end(line_base)
+            return
+        victim = None
+        if len(cache_set) >= l2_assoc:
+            victim, victim_dirty = cache_set.popitem(last=False)
+            l2_evictions += 1
+            if victim_dirty:
+                l2_writebacks += 1
+                l2_victim_dirty = True
+        cache_set[line_base] = dirty
+        l2_fills += 1
+        if l2_victim_dirty:
             try:
                 backend = route(victim)
             except MemoryMapError:
@@ -860,23 +1070,46 @@ def _run_scan(system, plans) -> float:
                 victim_dram.write(victim, line, source="writeback"))))
 
     def fill_l1(line_base: int) -> None:
-        victim = l1_fill(line_base)
+        """``Cache.fill`` on the L1; its victim falls into the L2
+        (MemoryHierarchy._fill_l1)."""
+        nonlocal l1_victim_dirty, l1_fills, l1_evictions, l1_writebacks
+        index = line_base // l1_line % l1_n_sets
+        cache_set = l1_sets.get(index)
+        if cache_set is None:
+            cache_set = l1_sets[index] = OrderedDict()
+        l1_victim_dirty = False
+        if line_base in cache_set:
+            cache_set.move_to_end(line_base)  # a clean fill keeps the bit
+            return
+        victim = None
+        if len(cache_set) >= l1_assoc:
+            victim, victim_dirty = cache_set.popitem(last=False)
+            l1_evictions += 1
+            if victim_dirty:
+                l1_writebacks += 1
+                l1_victim_dirty = True
+        cache_set[line_base] = False
+        l1_fills += 1
         if victim is not None:
-            fill_l2(victim, l1.last_victim_dirty)
+            fill_l2(victim, l1_victim_dirty)
 
     def fill(line_base: int, demand: bool, trapped: bool):
         """``MemoryHierarchy.load_line`` past a demand's L1 miss, or a
         whole prefetch fill, with the backend inlined."""
-        nonlocal seq, port_free, mshr_in_use
+        nonlocal seq, port_free, mshr_in_use, activated, ff_schedule
+        nonlocal l1_merged, reads_cpu, reads_prefetch, trap_requests
+        nonlocal trap_hits, trap_misses, trap_responses, stalled_requests
+        nonlocal buffer_reads, row_hits, row_empty, row_misses, dram_cpu
+        nonlocal dram_prefetch, dram_beats
         if demand:
             yield now + l1_miss_issue
-        elif l1_lookup(line_base, demand=False):
+        elif l1_probe(line_base):
             return
         waiters = inflight.get(line_base)
         if waiters is not None:
             # Merge with the fill already on its way (always filled: the
             # ladder never runs a windowed engine, the only one declining).
-            l1_bump("misses_merged")
+            l1_merged += 1
             yield waiters
             if demand:
                 yield now + l1_hit
@@ -889,9 +1122,9 @@ def _run_scan(system, plans) -> float:
             yield now
         else:
             yield mshr_queue
-        if l1_lookup(line_base, demand=False):
+        if l1_probe(line_base):
             pass  # filled while we waited for an MSHR slot
-        elif l2_lookup(line_base, demand=demand):
+        elif l2_probe(line_base, demand):
             yield now + l2_hit
             fill_l1(line_base)
         else:
@@ -899,63 +1132,118 @@ def _run_scan(system, plans) -> float:
             yield now + (l1_hit + l2_hit)
             if trapped:
                 # RMEngine.read_line -> _serve_line -> Trapper.read_line.
-                rme_bump("reads_cpu" if demand else "reads_prefetch")
+                if demand:
+                    reads_cpu += 1
+                else:
+                    reads_prefetch += 1
                 line_idx = (line_base - eph_base) // line
                 arrival = now
-                trapper_bump("requests")
-                if not monitor._activated:
+                trap_requests += 1
+                if not activated:
                     # The first trapped read activates the engine: its
                     # epoch is fast-forwarded here, at this instant.
+                    flush()
+                    sim.now = now
                     sim._seq = seq
                     monitor.notice_access()
                     adopt()
+                    activated = True
+                    ff_schedule = monitor._ff_schedule  # installed just now
                 # Trapper.read_line, one step per timeout.
                 remainder = now % pl_cycle
                 align = 0.0 if remainder < 1e-9 else pl_cycle - remainder
                 yield now + (align + cdc_sync)
                 yield now + txn
-                if line_ready(line_idx):
-                    trapper_bump("buffer_hits")
+                if visible(line_idx):
+                    trap_hits += 1
                 else:
                     stall_start = now
-                    trapper_bump("buffer_misses")
+                    trap_misses += 1
                     # MonitorBypass.wait_line: a resident line that is not
                     # visible yet becomes visible at its completion instant.
-                    if not buffer_line_ready(line_idx):
+                    if fill_counts[line_idx] != fill_targets[line_idx]:
                         raise SimulationError(
                             f"scan ladder: packed line {line_idx} is "
                             "not resident; its epoch is not forwarded")
-                    completes_at = monitor._ff_schedule[line_idx]
+                    completes_at = ff_schedule[line_idx]
                     instant = stalls.get(completes_at)
                     if instant is None:
                         instant = stalls[completes_at] = {}
                     line_waiters = instant.get(line_idx)
                     if line_waiters is None:
                         line_waiters = instant[line_idx] = []
-                    monitor_bump("stalled_requests")
-                    if completes_at not in monitor._ff_armed:
-                        monitor._ff_armed.add(completes_at)
+                    stalled_requests += 1
+                    if completes_at not in ff_armed:
+                        ff_armed.add(completes_at)
                         seq += 1
                         heappush(heap, (completes_at, seq, instant))
                     yield line_waiters
-                    trapper_observe("stall_ns", now - stall_start)
-                    line_ready(line_idx)  # the re-probe after the wake
+                    stall_ns.append(now - stall_start)
+                    visible(line_idx)  # the re-probe after the wake
                 yield now + bram
                 start = now if now >= port_free else port_free
                 end = start + transfer
                 port_free = end
-                trapper_bump("response_beats", beats)
+                trap_responses += 1
                 yield now + (end - now)
                 yield now + cdc_ns
-                trapper_observe("latency_ns", now - arrival)
-                buffer_read_line(line_idx)
+                latency_ns.append(now - arrival)
+                # ReorganizationBuffer.read_line; nobody reads the bytes.
+                if fill_counts[line_idx] != fill_targets[line_idx]:
+                    raise SimulationError(
+                        f"packed line {line_idx} read before completion")
+                buffer_reads += 1
             else:
-                # DRAMBackend.read_line: the real DRAM.access process.
-                access = dram_access(line_base, 64,
-                                     "cpu" if demand else "prefetch")
-                yield now + next(access).delay
-                next(access, None)
-            cpu_observe("fill_ns", now - fill_start)
+                # DRAMBackend.read_line -> DRAM.access; nobody reads the
+                # bytes, and the plan refuses the faults its tail handles.
+                if now < dram.guard_until:
+                    source = "cpu" if demand else "prefetch"
+                    raise SimulationError(
+                        f"DRAM access from {source!r} at t={now} during a "
+                        "fast-forwarded epoch (guarded until "
+                        f"t={dram.guard_until}); the fast path's "
+                        "no-cross-traffic premise was violated"
+                    )
+                block = line_base // row_buffer_bytes
+                bank = banks[block % n_banks]
+                row_id = block // n_banks
+                n_beats = ((line_base + 63) // dram_bus
+                           - line_base // dram_bus + 1)
+                arrive = now + t_controller
+                ready_at = bank.ready_at
+                start = arrive if arrive >= ready_at else ready_at
+                open_row = bank.open_row
+                if open_row == row_id:
+                    first_beat_ready = start + t_cas
+                    occupancy = t_ccd
+                    row_hits += 1
+                elif open_row < 0:
+                    first_beat_ready = start + t_rcd + t_cas
+                    occupancy = occupancy_empty
+                    row_empty += 1
+                else:
+                    first_beat_ready = start + t_rp + t_rcd + t_cas
+                    occupancy = occupancy_miss
+                    row_misses += 1
+                bank.open_row = row_id
+                transfer_start = dram._bus_free_at
+                if first_beat_ready > transfer_start:
+                    transfer_start = first_beat_ready
+                transfer_end = transfer_start + n_beats * t_beat
+                dram._bus_free_at = transfer_end
+                command_done = start + occupancy
+                bus_tail = transfer_end - n_beats * t_beat
+                bank.ready_at = (command_done
+                                 if command_done >= bus_tail else bus_tail)
+                if demand:
+                    dram_cpu += 1
+                else:
+                    dram_prefetch += 1
+                dram_beats += n_beats
+                service = transfer_end - now
+                service_ns.append(service)
+                yield now + service
+            fill_ns.append(now - fill_start)
             fill_l2(line_base)
             fill_l1(line_base)
         # The finally clause: release the MSHR (handing it to the oldest
@@ -975,7 +1263,9 @@ def _run_scan(system, plans) -> float:
     def driver():
         """ScanDriver.run over every segment, the demand half of
         ``load_line`` (prefetcher, issue, L1 probe) inlined."""
-        nonlocal seq
+        nonlocal seq, now, elapsed, pf_last, pf_stride, pf_confidence
+        nonlocal streams_followed, prefetches_issued
+        nonlocal l1_demand_hits, l1_demand_misses, l1_repeat_hits
         start_time = now
         for segment, trapped in plans:
             n_elems = segment.n_elems
@@ -983,9 +1273,12 @@ def _run_scan(system, plans) -> float:
             elem_size = segment.elem_size
             compute_ns = segment.compute_ns
             seg_start = segment.start
-            # The home region of every prefetch: each line of the segment
-            # lies in it.
-            region = hierarchy._region_of(seg_start) if n_elems else None
+            if n_elems:
+                # The home region of every prefetch: each line of the
+                # segment lies in it.
+                region = hierarchy._region_of(seg_start)
+                home_base = region.base
+                home_limit = region.limit
             index = 0
             while index < n_elems:
                 addr = seg_start + index * stride
@@ -998,35 +1291,76 @@ def _run_scan(system, plans) -> float:
                     batch = max(1, min(n_elems - index, in_line))
                 load = line_base
                 while True:
-                    targets = observe(load)
-                    if targets:
-                        # MemoryHierarchy._issue_prefetches.
-                        for target in targets:
+                    # StreamPrefetcher.observe.
+                    confident = False
+                    if pf_degree:
+                        new_line = load != pf_last
+                        if new_line:
+                            if pf_last >= 0:
+                                if load - pf_last == pf_stride:
+                                    pf_confidence += 1
+                                else:
+                                    pf_stride = load - pf_last
+                                    pf_confidence = 1
+                            pf_last = load
+                        confident = (pf_stride != 0
+                                     and pf_confidence >= pf_threshold
+                                     and abs(pf_stride) <= pf_reach)
+                        if confident and new_line:
+                            streams_followed += 1
+                    if confident:
+                        # MemoryHierarchy._issue_prefetches, with the
+                        # L1 presence test (Cache.contains) inlined.
+                        for ahead in pf_ahead:
+                            target = load + pf_stride * ahead
                             if target < 0 or target in inflight:
                                 continue
-                            if l1_contains(target):
+                            set_index = target // l1_line % l1_n_sets
+                            cache_set = l1_sets.get(set_index)
+                            if cache_set is None:
+                                l1_sets[set_index] = OrderedDict()
+                            elif target in cache_set:
                                 continue
-                            if not region.base <= target < region.limit:
+                            if not home_base <= target < home_limit:
                                 continue
-                            prefetch_bump("issued")
+                            prefetches_issued += 1
                             seq += 1
                             heappush(heap, (now, seq,
                                             fill(target, False, trapped)))
-                    if l1_lookup(load, demand=True):
-                        yield now + l1_hit
+                    # The demand L1 probe (Cache.lookup); a hit resumes
+                    # at once unless a queued entry is due first.
+                    set_index = load // l1_line % l1_n_sets
+                    cache_set = l1_sets.get(set_index)
+                    if cache_set is None:
+                        cache_set = l1_sets[set_index] = OrderedDict()
+                    if load in cache_set:
+                        cache_set.move_to_end(load)
+                        l1_demand_hits += 1
+                        wake = now + l1_hit
+                        if heap and heap[0][0] <= wake:
+                            yield wake
+                        else:
+                            seq += 1
+                            now = wake
                     else:
+                        l1_demand_misses += 1
                         yield from fill(load, True, trapped)
                     if load != line_base:
                         break
-                    note_repeat_hits(batch - 1)
+                    l1_repeat_hits += batch - 1  # Cache.note_repeat_hits
                     if addr + (batch - 1) * stride + elem_size <= load + line:
                         break
                     # The batch's last element straddles into the next line.
                     load = line_base + line
                 if compute_ns:
-                    yield now + batch * compute_ns
+                    wake = now + batch * compute_ns
+                    if heap and heap[0][0] <= wake:
+                        yield wake
+                    else:
+                        seq += 1
+                        now = wake
                 index += batch
-        elapsed[0] = now - start_time
+        elapsed = now - start_time
 
     # The scan process starts like any other: one sequence number at now.
     seq += 1
@@ -1034,7 +1368,6 @@ def _run_scan(system, plans) -> float:
     try:
         while heap:
             now, _seq, actor = heappop(heap)
-            sim.now = now
             if actor.__class__ is dict:
                 # MonitorBypass._ff_fire: lines in order, waiters in order.
                 del stalls[now]
@@ -1051,14 +1384,52 @@ def _run_scan(system, plans) -> float:
                         break
                     # Nothing is due before it: resume at once.
                     now = wake
-                    sim.now = wake
                 else:
                     wake.append(actor)
                     break
     finally:
+        sim.now = now
         sim._seq = seq
         trapper._response_port_free_at = port_free
-        # The two closures name each other: break that cycle, so a
-        # finished engine is freed by reference counting.
+        prefetcher._last_line = pf_last
+        prefetcher._stride = pf_stride
+        prefetcher._confidence = pf_confidence
+        l1.last_victim_dirty = l1_victim_dirty
+        l2.last_victim_dirty = l2_victim_dirty
+        flush()
+        _commit_cache(l1.stats, l1_demand_hits, l1_demand_misses,
+                      l1_prefetch_hits, l1_prefetch_misses, l1_repeat_hits)
+        _commit_cache(l2.stats, l2_demand_hits, l2_demand_misses,
+                      l2_prefetch_hits, l2_prefetch_misses)
+        _add_counts(l1.stats, {
+            "misses_merged": l1_merged, "fills": l1_fills,
+            "evictions": l1_evictions, "writebacks": l1_writebacks})
+        _add_counts(l2.stats, {
+            "fills": l2_fills, "evictions": l2_evictions,
+            "writebacks": l2_writebacks})
+        _add_counts(prefetcher.stats, {
+            "streams_followed": streams_followed,
+            "issued": prefetches_issued})
+        _add_counts(rme.stats, {
+            "reads_cpu": reads_cpu, "reads_prefetch": reads_prefetch})
+        _add_counts(trapper.stats, {
+            "requests": trap_requests, "buffer_hits": trap_hits,
+            "buffer_misses": trap_misses})
+        _add_total(trapper.stats, "response_beats", trap_responses,
+                   trap_responses * beats)
+        _add_counts(monitor.stats, {
+            "lookups_hit": lookups_hit, "lookups_miss": lookups_miss,
+            "stalled_requests": stalled_requests})
+        _add_counts(buffer.stats, {"reads": buffer_reads})
+        _add_counts(dram.stats, {
+            "row_hits": row_hits, "row_empty": row_empty,
+            "row_misses": row_misses, "requests_cpu": dram_cpu,
+            "requests_prefetch": dram_prefetch})
+        _add_total(dram.stats, "bytes_cpu", dram_cpu, 64 * dram_cpu)
+        _add_total(dram.stats, "bytes_prefetch", dram_prefetch,
+                   64 * dram_prefetch)
+        _add_total(dram.stats, "beats", dram_cpu + dram_prefetch, dram_beats)
+        # The closures name each other: break that cycle, so a finished
+        # engine is freed by reference counting.
         adopt = foreign = None
-    return elapsed[0]
+    return elapsed

@@ -11,6 +11,8 @@ simulated hardware reads the same data tests can verify against.
 
 from __future__ import annotations
 
+import struct
+from itertools import chain
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
@@ -105,19 +107,18 @@ class RowTable:
         Non-contiguous groups are packed run by run within each row (the
         layout of Listing 2's ephemeral struct). This is the golden
         reference the RME's reorganization buffer is compared against in
-        the functional tests.
+        the functional tests. One pass over the rows: a row-wide
+        ``struct.Struct`` holds one ``Ns`` field per run, with ``x`` pads
+        over the bytes between runs.
         """
-        runs = self.schema.column_runs(columns)
-        width = sum(w for _o, w in runs)
-        out = bytearray(width * self.n_rows)
-        for row_idx in range(self.n_rows):
-            slot = self._slot(row_idx)
-            cursor = row_idx * width
-            for offset, run_width in runs:
-                start = slot + offset
-                out[cursor : cursor + run_width] = self._data[start : start + run_width]
-                cursor += run_width
-        return bytes(out)
+        fields = ["<"]
+        cursor = 0
+        for offset, width in self.schema.column_runs(columns):
+            fields.append(f"{offset - cursor}x{width}s")
+            cursor = offset + width
+        fields.append(f"{self.row_size - cursor}x")
+        row = struct.Struct("".join(fields))
+        return b"".join(chain.from_iterable(row.iter_unpack(self._data)))
 
     def project_values(self, columns: Sequence[str]) -> List[Tuple[Any, ...]]:
         """Row-ordered tuples of the requested columns (any order).

@@ -4,8 +4,9 @@ Hypothesis drives randomized mixes of fetch epochs and CPU scans —
 projection / windowed / multirun (including a group whose writes reach
 the port out of emission order) / pushdown epochs across designs, cold
 and hot, plus direct and columnar scans over 16–256 B rows, 28 B rows
-whose int64 elements straddle lines, two-pass Q7, and ``flush=False``
-sequences such as a join's right side — and asserts that the fast path
+whose int64 elements straddle lines, two-pass Q7, ``flush=False``
+sequences such as a join's right side, and one scan over a DRAM segment
+then a cold trapped one — and asserts that the fast path
 (epoch replay plus the scan ladder) produces *exactly* the simulated
 observables of the cycle-level run: elapsed nanoseconds, query answers,
 final simulation time, every instrument of every StatSet in
@@ -28,11 +29,13 @@ back to the event path.
 
 import dataclasses
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import QueryExecutor, RelationalMemorySystem, RowTable
 from repro.config import ZCU102
+from repro.memsys.cpu import ScanSegment
 from repro.query.queries import Query, q1, q2, q7
 from repro.rme.designs import BSL, MLP, PCK
 from repro.sim import fastpath
@@ -227,6 +230,12 @@ def _check(run, case, windowed=False):
          group=MULTIRUN_GROUPS[1])
 @example(kind="project", design=MLP, n_rows=256, hot=False,
          group=MULTIRUN_GROUPS[0])
+# At scale: a wide group's 88 KB of packed lines overflow the L1, cold
+# (the epoch opens and closes DRAM pages) and hot.
+@example(kind="multirun", design=MLP, n_rows=2048, hot=False,
+         group=MULTIRUN_GROUPS[1])
+@example(kind="multirun", design=PCK, n_rows=2048, hot=True,
+         group=MULTIRUN_GROUPS[1])
 def test_batched_replay_bit_identical(kind, design, n_rows, hot, group):
     case = dict(kind=kind, design=design, n_rows=n_rows, hot=hot,
                 group=group)
@@ -243,7 +252,32 @@ def test_batched_replay_bit_identical(kind, design, n_rows, hot, group):
 )
 @example(kind="direct", row_bytes=28, n_rows=160, query="q7", flush=False)
 @example(kind="columnar", row_bytes=256, n_rows=96, query="q2", flush=True)
+# At scale: the L1 evicts and the scans cross DRAM pages; the columnar
+# copy's lines also evict the table's from the L2.
+@example(kind="direct", row_bytes=256, n_rows=2048, query="q2", flush=False)
+@example(kind="columnar", row_bytes=256, n_rows=4096, query="q2", flush=True)
 def test_scan_ladder_bit_identical(kind, row_bytes, n_rows, query, flush):
     case = dict(kind=kind, row_bytes=row_bytes, n_rows=n_rows, query=query,
                 flush=flush)
     _check(_execute_scan, case)
+
+
+def _execute_mixed(platform, *, design, n_rows, compute_ns):
+    """One measure() over a DRAM segment, then a cold trapped one: the
+    engine activates on the DRAM banks, bus and statistics the first
+    segment left behind."""
+    system = RelationalMemorySystem(platform, design)
+    loaded = system.load_table(build_relation(n_rows=n_rows))
+    var = system.register_var(loaded, ["A2", "A3"])
+    direct = ScanSegment(loaded.base_addr + 4, n_rows, 4,
+                         loaded.schema.row_size, compute_ns)
+    elapsed = system.measure([direct] + var.scan_segment(compute_ns))
+    return (elapsed, system.rme.packed_bytes()), system
+
+
+@pytest.mark.parametrize("design", [BSL, MLP], ids=["bsl", "mlp"])
+def test_mixed_segments_bit_identical(design):
+    # A compute cost off the dyadic grid makes DRAM service times inexact
+    # floats, so their sums depend on the order they are committed in.
+    _check(_execute_mixed, dict(design=design, n_rows=512,
+                                compute_ns=1.0 / 3.0))

@@ -54,12 +54,62 @@ def test_column_values():
     assert table.column_values("A2") == [0, 10, 20, 30]
 
 
-def test_project_bytes_equals_manual_slicing():
-    table = make_table(8)
-    packed = table.project_bytes(["A2", "A3"])
+def char_table(n):
+    """A CHAR column between numeric ones, and one at the row's end."""
+    schema = Schema([Column("key", int64()), Column("txt", char(8)),
+                     Column("num", int32()), Column("tag", char(3))])
+    table = RowTable("chars", schema)
+    for i in range(n):
+        table.append([i - 3, b"row%d" % i, i * 7, b"t%d" % (i % 10)])
+    return table
+
+
+def wide_int_table(n):
+    """28-B rows, int32 and int64 fields: elements off the 8-B grid."""
+    schema = Schema([Column("A1", int32()), Column("A2", int64()),
+                     Column("A3", int32()), Column("A4", int64()),
+                     Column("A5", int32())])
+    table = RowTable("m", schema)
+    for i in range(n):
+        table.append([i * 7 - 500, i * 13 - 2**40, -i, i * 3, i % 11])
+    return table
+
+
+#: name -> (table, a contiguous group, a group of two or more runs).
+PROJECTIONS = {
+    "uniform": (lambda: make_table(8), ["A2", "A3"], ["A1", "A3"]),
+    "char": (lambda: char_table(6), ["txt", "num"], ["key", "num", "tag"]),
+    "int64-28B": (lambda: wide_int_table(9), ["A2", "A3", "A4"],
+                  ["A2", "A4"]),
+    "one-row": (lambda: make_table(1), ["A4"], ["A1", "A4"]),
+    "empty": (lambda: make_table(0), ["A1", "A2"], ["A2", "A4"]),
+}
+
+
+def manual_projection(table, columns):
+    """Each row's requested fields, sliced one by one in schema order."""
     raw = table.raw_bytes()
-    manual = b"".join(raw[i * 16 + 4 : i * 16 + 12] for i in range(8))
-    assert packed == manual
+    fields = [(table.schema.offset_of(col.name), col.size)
+              for col in table.schema.columns if col.name in columns]
+    return b"".join(
+        raw[row * table.row_size + offset:][:size]
+        for row in range(table.n_rows) for offset, size in fields
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTIONS))
+def test_project_bytes_equals_manual_slicing(name):
+    build, group, _runs = PROJECTIONS[name]
+    table = build()
+    assert len(table.schema.column_runs(group)) == 1
+    packed = table.project_bytes(group)
+    assert packed == manual_projection(table, group)
+    width = sum(table.schema.column(c).size for c in group)
+    assert len(packed) == width * table.n_rows
+    if name == "uniform":
+        raw = table.raw_bytes()
+        assert packed == b"".join(raw[i * 16 + 4 : i * 16 + 12]
+                                  for i in range(8))
 
 
 def test_project_values_any_order():
@@ -67,15 +117,18 @@ def test_project_values_any_order():
     assert table.project_values(["A3", "A1"]) == [(0, 0), (-1, 1), (-2, 2)]
 
 
-def test_project_bytes_noncontiguous_packs_runs():
-    table = make_table(4)
-    packed = table.project_bytes(["A1", "A3"])
-    raw = table.raw_bytes()
-    manual = b"".join(
-        raw[i * 16 : i * 16 + 4] + raw[i * 16 + 8 : i * 16 + 12]
-        for i in range(4)
-    )
-    assert packed == manual
+@pytest.mark.parametrize("name", sorted(PROJECTIONS))
+def test_project_bytes_noncontiguous_packs_runs(name):
+    build, _group, group = PROJECTIONS[name]
+    table = build()
+    assert len(table.schema.column_runs(group)) >= 2
+    assert table.project_bytes(group) == manual_projection(table, group)
+    if name == "uniform":
+        raw = table.raw_bytes()
+        assert table.project_bytes(group) == b"".join(
+            raw[i * 16 : i * 16 + 4] + raw[i * 16 + 8 : i * 16 + 12]
+            for i in range(8)
+        )
 
 
 def test_mixed_schema_listing1_style():

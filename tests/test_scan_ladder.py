@@ -1,4 +1,4 @@
-"""The scan ladder: fallback reasons, write-backs and region routing.
+"""The scan ladder: fallback reasons, write-backs, traffic and routing.
 
 ``RelationalMemorySystem.measure`` runs an eligible scan on the scan
 ladder of :mod:`repro.sim.fastpath` and every other one on the
@@ -6,7 +6,9 @@ event-driven ``ScanDriver``. Each fallback reason is exercised here: its
 ``scan_fallback_<reason>`` counter must move, and the result must be
 bit-identical to the cycle-level reference. Dirty write-backs, which
 start a DRAM write in the middle of a scan, must order exactly as the
-kernel orders them. Region routing bisects a table shared by every core.
+kernel orders them. A forwarded scan calls no model object per line, so
+its instrument and model calls do not grow with the rows it scans. Region
+routing bisects a table shared by every core.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ from repro import QueryExecutor, RelationalMemorySystem
 from repro.config import ZCU102, CacheGeometry
 from repro.errors import MemoryMapError
 from repro.faults import FaultPlan
+from repro.memsys.cache import Cache
 from repro.memsys.cpu import ScanSegment
 from repro.memsys.dram import DRAM
 from repro.memsys.hierarchy import DRAMBackend, MemoryHierarchy
@@ -25,6 +28,7 @@ from repro.query.queries import q1, q4
 from repro.rme.designs import MLP
 from repro.sim import Simulator
 from repro.sim.fastpath import FASTPATH_STATS
+from repro.sim.stats import Histogram, StatSet
 from tests.conftest import build_relation
 from tests.test_replay_property import _registry_snapshot
 
@@ -138,6 +142,24 @@ def test_unmapped_segment_raises_as_the_event_path_does():
     assert not any(name.startswith("scan") for name in moved), moved
 
 
+def test_unpadded_dram_region_raises_as_the_event_path_does():
+    # The ladder reads no line bytes, so a region whose last line read
+    # leaves it must run on the event path, which raises.
+    def run(platform):
+        system = RelationalMemorySystem(platform, MLP)
+        region = system.memmap.map("unpadded", 100)
+        system.hierarchy.add_backend(region, system._dram_backend)
+        with pytest.raises(MemoryMapError) as excinfo:
+            system.measure([ScanSegment(region.base, 25, 4, 4)])
+        return str(excinfo.value)
+
+    reference, _ = _moved(run, CYCLE_LEVEL)
+    fast, moved = _moved(run, FASTPATH)
+    assert fast == reference
+    assert "crosses out of region" in fast
+    assert not any(name.startswith("scan") for name in moved), moved
+
+
 def test_dirty_write_backs_order_as_the_kernel_does():
     # Small caches so stored lines fall out of L2 during the next scan:
     # each dirty victim starts a DRAM write-back process mid-scan.
@@ -162,6 +184,50 @@ def test_dirty_write_backs_order_as_the_kernel_does():
     assert fast[1] > 0  # the scan started from dirty lines
     writebacks = fast[2][("dram", "counter", "writes_writeback")]
     assert writebacks[0] > 0  # and evicted some of them
+
+
+# -- traffic ------------------------------------------------------------------
+
+#: The per-event calls the event path makes for every scanned line.
+PER_LINE_CALLS = ((StatSet, "bump"), (Histogram, "observe"),
+                  (Cache, "lookup"), (DRAM, "access"))
+
+
+def _scan_traffic(monkeypatch, kind, n_rows):
+    """Calls of each ``PER_LINE_CALLS`` method during one forwarded scan."""
+    system = RelationalMemorySystem(FASTPATH, MLP)
+    loaded = system.load_table(build_relation(n_rows=n_rows))
+    if kind == "direct":
+        segments = [ScanSegment(loaded.base_addr + 4, n_rows, 4,
+                                loaded.schema.row_size, 1.0)]
+    else:
+        var = system.register_var(loaded, ["A2", "A3"])
+        if kind == "hot":
+            system.warm_up(var)
+            system.flush_caches()
+        segments = var.scan_segment(1.0)
+    calls = {}
+    for owner, name in PER_LINE_CALLS:
+        method = getattr(owner, name)
+
+        def counted(*args, _key=(owner.__name__, name), _method=method,
+                    **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    scans = FASTPATH_STATS.count("scans")
+    system.measure(segments)
+    monkeypatch.undo()
+    assert FASTPATH_STATS.count("scans") == scans + 1
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["direct", "cold", "hot"])
+def test_forwarded_scan_traffic_does_not_grow_with_rows(monkeypatch, kind):
+    small = _scan_traffic(monkeypatch, kind, 1024)
+    large = _scan_traffic(monkeypatch, kind, 4096)
+    assert small == large
 
 
 # -- region routing ---------------------------------------------------------

@@ -25,9 +25,23 @@ def test_tenant_spec_validation():
     with pytest.raises(ConfigurationError):
         TenantSpec(name="t", table=table,
                    templates=(("a", q4()),), weight=0)
+    for weight in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            TenantSpec(name="t", table=table,
+                       templates=(("a", q4()),), weight=weight)
     with pytest.raises(ConfigurationError):
         TenantSpec(name="t", table=table,
                    templates=(("a", q4()), ("a", q1())))
+
+
+def test_mix_refuses_weights_summing_past_the_float_range():
+    # Each weight is finite, their total is not: ``choices`` would refuse
+    # every draw, so the mix refuses at construction.
+    specs = [TenantSpec(name=spec.name, table=spec.table,
+                        templates=spec.templates, weight=1e308)
+             for spec in tenants(2)]
+    with pytest.raises(ConfigurationError, match="finite total"):
+        _Mix(specs)
 
 
 def test_tenant_template_lookup():
