@@ -52,7 +52,7 @@ def sweep_selectivity(n_rows):
         assert via_index.value == via_direct.value == via_rme.value
         choice = choose_access_path(query, loaded,
                                     selectivity=via_index.selectivity,
-                                    rme_hot=True, index=index.index)
+                                    rme_hot=True, index=index)
         # The in-bank PIM fold may take the overall win for an aggregate;
         # the crossover this benchmark is about plays out among the paths
         # that stream rows (or index probes) to the CPU.

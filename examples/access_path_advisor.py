@@ -80,7 +80,7 @@ def main() -> None:
         )
         measured = executor.run_index(query, loaded, index)
         choice = choose_access_path(
-            query, loaded, selectivity=measured.selectivity, index=index.index
+            query, loaded, selectivity=measured.selectivity, index=index
         )
         sweep_rows.append([
             f"{measured.selectivity:.2%}",

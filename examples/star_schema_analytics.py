@@ -161,7 +161,7 @@ def main() -> None:
     index = system.load_index(loaded, "order_id")
     lookup = parse_query("SELECT SUM(unit_price) FROM orders WHERE order_id < 16")
     choice = choose_access_path(lookup, loaded, selectivity=16 / N_ORDERS,
-                                index=index.index)
+                                index=index)
     measured = executor.run_index(lookup, loaded, index)
     print(f"\nselective lookup: optimizer picks {choice.best.value} "
           f"({measured.elapsed_ns:,.0f} ns via the index, "

@@ -596,7 +596,7 @@ def _adhoc_relation(args, out, prog: str):
 
 
 def _cmd_query(args, out) -> int:
-    from .pim import supports_query
+    from .pim import pim_refusal
 
     adhoc = _adhoc_relation(args, out, "repro query")
     if adhoc is None:
@@ -627,7 +627,7 @@ def _cmd_query(args, out) -> int:
         ["RME cold", round(cold.elapsed_ns), cold.elapsed_ns / direct.elapsed_ns],
         ["RME hot", round(hot.elapsed_ns), hot.elapsed_ns / direct.elapsed_ns],
     ]
-    reason = supports_query(query)
+    reason = pim_refusal(query, loaded)
     if not reason:
         pim = executor.run_pim(query, loaded)
         rows.append(["PIM pushdown", round(pim.elapsed_ns),

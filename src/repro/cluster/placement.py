@@ -26,6 +26,10 @@ from typing import Dict, List, Sequence, Tuple, Type
 from ..errors import ConfigurationError
 
 
+#: Virtual nodes each node places on the consistent-hash ring.
+VNODES = 64
+
+
 def _crc(text: str) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
@@ -68,13 +72,11 @@ class ConsistentHashPlacement(Placement):
     name = "consistent-hash"
 
     def __init__(self, tenants: Sequence[str], n_nodes: int,
-                 replication: int, vnodes: int = 64):
+                 replication: int):
         super().__init__(tenants, n_nodes, replication)
-        if vnodes < 1:
-            raise ConfigurationError(f"vnodes must be >= 1, got {vnodes}")
         ring: List[Tuple[int, int]] = []
         for node in range(n_nodes):
-            for v in range(vnodes):
+            for v in range(VNODES):
                 ring.append((_crc(f"node{node}#vnode{v}"), node))
         ring.sort()
         self._ring = ring

@@ -15,7 +15,7 @@ node-level faults:
   the deadline, the router dispatches a second copy to a replica; first
   answer wins, the loser is abandoned (counted as wasted work).
 * **health-check failover** — a crashed node is marked down after
-  ``health_fail_threshold`` missed probes and routed around until a
+  :data:`HEALTH_FAIL_THRESHOLD` missed probes and routed around until a
   probe after recovery sees it up; per-node circuit breakers fail fast
   on nodes that keep eating the retry budget.
 * **graceful degradation** — when no RME replica can answer, the request
@@ -66,6 +66,15 @@ from .placement import Placement, make_placement
 
 #: request.node value for answers served by the CPU snapshot replica.
 CPU_REPLICA = -1
+
+#: A request's deadline, in mean cold service times of the profile.
+DEADLINE_FACTOR = 6.0
+#: Simulated ns between two health probes of a node.
+HEALTH_INTERVAL_NS = 25_000.0
+#: Missed probes after which the router marks a node down.
+HEALTH_FAIL_THRESHOLD = 2
+#: Simulated ns between two replication syncs of a replica.
+SYNC_INTERVAL_NS = 50_000.0
 
 
 @dataclass
@@ -195,31 +204,17 @@ class ClusterSystem:
         policy: str = "fcfs",
         n_ports: Optional[int] = None,
         queue_depth: int = 64,
-        quantum: int = 8,
         platform: PlatformConfig = ZCU102,
         design: DesignParams = MLP,
         fault_plan: Optional[FaultPlan] = None,
         recovery: Optional[RecoveryPolicy] = None,
         failover: bool = True,
         hedging: bool = True,
-        deadline_ns: Optional[float] = None,
-        deadline_factor: float = 6.0,
-        health_interval_ns: float = 25_000.0,
-        health_fail_threshold: int = 2,
-        sync_interval_ns: float = 50_000.0,
         hedge_min_samples: int = 16,
     ):
         check_policy(policy)
         if n_nodes < 1:
             raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
-        if deadline_factor <= 0:
-            raise ConfigurationError("deadline_factor must be positive")
-        if health_interval_ns <= 0 or sync_interval_ns <= 0:
-            raise ConfigurationError(
-                "health and sync intervals must be positive"
-            )
-        if health_fail_threshold < 1:
-            raise ConfigurationError("health_fail_threshold must be >= 1")
         if hedge_min_samples < 1:
             raise ConfigurationError("hedge_min_samples must be >= 1")
         self.profile = resolve_profile(workload_profile, platform, design)
@@ -242,18 +237,11 @@ class ClusterSystem:
         self.policy = policy
         self.n_ports = n_ports
         self.queue_depth = queue_depth
-        self.quantum = quantum
         self.fault_plan = fault_plan
         self.recovery = recovery if recovery is not None else DEFAULT_RECOVERY
         self.failover = failover
         self.hedging = hedging
-        self.deadline_ns = (
-            deadline_ns if deadline_ns is not None
-            else deadline_factor * self.profile.mean_cold_service_ns
-        )
-        self.health_interval_ns = health_interval_ns
-        self.health_fail_threshold = health_fail_threshold
-        self.sync_interval_ns = sync_interval_ns
+        self.deadline_ns = DEADLINE_FACTOR * self.profile.mean_cold_service_ns
         self.hedge_min_samples = hedge_min_samples
         self.placement: Placement = make_placement(
             routing, self.profile.tenant_names, n_nodes, self.replication
@@ -286,7 +274,6 @@ class ClusterSystem:
             node.scheduler = make_scheduler(
                 self.policy, node.ports, self.queue_depth, node.sched_stats,
                 lambda attempt: descriptor_of(attempt.request),
-                quantum=self.quantum,
             )
             self.nodes.append(node)
         self.records: List[Request] = []
@@ -576,7 +563,7 @@ class ClusterSystem:
         if winner_index != primary:
             # A replica answered: the read carries its replication
             # watermark — the measured staleness bound.
-            staleness = node.staleness_at(now, self.sync_interval_ns)
+            staleness = node.staleness_at(now, SYNC_INTERVAL_NS)
             node.slo_stats.bump("stale_serves")
             node.slo_stats.observe("staleness_ns", staleness)
             self._slo_stats.observe("staleness_ns", staleness)
@@ -591,7 +578,7 @@ class ClusterSystem:
         request.finish_ns = now
         request.value = profile.value
         request.port = CPU_REPLICA
-        staleness = now - (now // self.sync_interval_ns) * self.sync_interval_ns
+        staleness = now - (now // SYNC_INTERVAL_NS) * SYNC_INTERVAL_NS
         self._router_stats.bump("degraded")
         self._slo_stats.bump("served")
         self._slo_stats.observe("latency_ns", request.latency_ns)
@@ -635,14 +622,14 @@ class ClusterSystem:
 
     def _health_watch(self, node: ClusterNode, crash_start: float):
         """Mark a crashed node down after missed probes, up after recovery."""
-        detection = self.health_interval_ns * self.health_fail_threshold
+        detection = HEALTH_INTERVAL_NS * HEALTH_FAIL_THRESHOLD
         yield self.sim.timeout(detection)
         if not node.is_down(self.sim.now) or node.crash_started != crash_start:
             return  # recovered before detection, or a newer watch owns it
         node.marked_down = True
         self._router_stats.bump("health_downs")
         self._log("health_down", node.index)
-        wait = node.down_until - self.sim.now + self.health_interval_ns
+        wait = node.down_until - self.sim.now + HEALTH_INTERVAL_NS
         yield self.sim.timeout(max(0.0, wait))
         if not node.is_down(self.sim.now):
             node.marked_down = False

@@ -158,8 +158,6 @@ class PlatformConfig:
     pl_txn_overhead_cycles: float = 2.0
     #: PL cycles for the column extractor to shift/pack one chunk.
     extractor_cycles: float = 1.0
-    #: PL cycles for one BRAM (scratch-pad) write.
-    bram_write_cycles: float = 1.0
     #: PL cycles for one BRAM read (used when answering buffer hits).
     bram_read_cycles: float = 1.0
     #: PL cycles the reader occupies the PL-side DRAM issue port per request.

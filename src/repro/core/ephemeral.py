@@ -35,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class EphemeralVariable:
     """A packed, never-materialised view of a column group."""
 
+    #: Scan segment name pattern and element bytes (None: the row width).
+    _SEGMENT: Tuple[str, Optional[int]] = ("scan:{}", None)
+
     def __init__(
         self,
         system: "RelationalMemorySystem",
@@ -140,13 +143,21 @@ class EphemeralVariable:
     # -- timing face -------------------------------------------------------------------
     def scan_segment(self, compute_ns: float = 0.0, passes: int = 1) -> List[ScanSegment]:
         """The packed scan the CPU performs over this view."""
+        return self._segments(self.length, compute_ns, passes)
+
+    def _segments(self, n_elems: int, compute_ns: float = 0.0,
+                  passes: int = 1) -> List[ScanSegment]:
+        """``passes`` scans of ``n_elems`` elements of this view; a caller
+        that already holds the view's rows sizes the scan from them."""
+        name, elem_size = self._SEGMENT
+        elem_size = elem_size or self.width
         segment = ScanSegment(
             start=self.region.base,
-            n_elems=self.length,
-            elem_size=self.width,
-            stride=self.width,
+            n_elems=n_elems,
+            elem_size=elem_size,
+            stride=elem_size,
             compute_ns=compute_ns,
-            name=f"scan:{self.name}",
+            name=name.format(self.name),
         )
         return [segment] * passes
 
@@ -167,6 +178,8 @@ class FilteredEphemeralVariable(EphemeralVariable):
     operator on the paper's groundwork list.
     """
 
+    _SEGMENT = ("scan:{}:filtered", None)
+
     def values(self, columns: Optional[Sequence[str]] = None) -> List[Tuple[Any, ...]]:
         """Only the rows the hardware predicate keeps (after MVCC)."""
         kept = b"".join(filter(self.pushdown.matches, self._packed_rows()))
@@ -179,15 +192,7 @@ class FilteredEphemeralVariable(EphemeralVariable):
 
     def scan_segment(self, compute_ns: float = 0.0, passes: int = 1) -> List[ScanSegment]:
         """The packed scan over *matching* rows only."""
-        segment = ScanSegment(
-            start=self.region.base,
-            n_elems=self.matched_length,
-            elem_size=self.width,
-            stride=self.width,
-            compute_ns=compute_ns,
-            name=f"scan:{self.name}:filtered",
-        )
-        return [segment] * passes
+        return self._segments(self.matched_length, compute_ns, passes)
 
 
 class HWAggregateVariable(EphemeralVariable):
@@ -197,6 +202,8 @@ class HWAggregateVariable(EphemeralVariable):
     toward the CPU is a single cache line, available once the engine's
     fetch stream drains.
     """
+
+    _SEGMENT = ("read:{}:register", 8)
 
     @property
     def hw_aggregation(self):
@@ -212,15 +219,7 @@ class HWAggregateVariable(EphemeralVariable):
 
     def scan_segment(self, compute_ns: float = 0.0, passes: int = 1) -> List[ScanSegment]:
         """One 8-byte register read per pass."""
-        segment = ScanSegment(
-            start=self.region.base,
-            n_elems=1,
-            elem_size=8,
-            stride=8,
-            compute_ns=compute_ns,
-            name=f"read:{self.name}:register",
-        )
-        return [segment] * passes
+        return self._segments(1, compute_ns, passes)
 
 
 class HWGroupByVariable(EphemeralVariable):
@@ -230,6 +229,8 @@ class HWGroupByVariable(EphemeralVariable):
     the CPU reads ``n_groups`` 16-byte entries — data movement scales
     with the group cardinality, not the row count.
     """
+
+    _SEGMENT = ("read:{}:groups", 16)
 
     @property
     def hw_group_by(self):
@@ -245,15 +246,7 @@ class HWGroupByVariable(EphemeralVariable):
 
     def scan_segment(self, compute_ns: float = 0.0, passes: int = 1) -> List[ScanSegment]:
         """Read the emitted group entries (16 bytes each)."""
-        segment = ScanSegment(
-            start=self.region.base,
-            n_elems=max(1, self.n_groups),
-            elem_size=16,
-            stride=16,
-            compute_ns=compute_ns,
-            name=f"read:{self.name}:groups",
-        )
-        return [segment] * passes
+        return self._segments(max(1, self.n_groups), compute_ns, passes)
 
 
 def _accumulate(var: EphemeralVariable):

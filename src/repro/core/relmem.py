@@ -41,8 +41,8 @@ from ..storage.row_table import RowTable
 from ..storage.schema import Schema
 from .ephemeral import EphemeralVariable
 
-#: Padding appended to every table region so bus-aligned RME bursts at the
-#: last row never cross out of the mapped region.
+#: Least padding appended to every table region so bus-aligned RME bursts
+#: at the last row, and a line filled past it, never cross out of it.
 _REGION_PAD = 64
 
 
@@ -180,7 +180,7 @@ class RelationalMemorySystem:
             )
         self.rme = RMEngine(self.sim, platform, self.dram, design,
                             buffer_capacity, n_cores=n_cores)
-        self._dram_backend = DRAMBackend(self.dram)
+        self._dram_backend = DRAMBackend(self.dram, platform.cache_line)
         self._tables: Dict[str, LoadedTable] = {}
         #: The variable the engine holds, by weak reference: a variable
         #: refers to its system, and a dropped variable cannot be scanned.
@@ -285,7 +285,7 @@ class RelationalMemorySystem:
         """Region size for ``nbytes`` of data: line-aligned plus slack, so
         both cache-line fills and bus-aligned RME bursts stay in-region."""
         line = self.platform.cache_line
-        return -(-nbytes // line) * line + _REGION_PAD
+        return -(-nbytes // line) * line + max(_REGION_PAD, line)
 
     def sync_table(self, loaded: LoadedTable) -> None:
         """Re-copy a table's bytes after in-place writes or appends.
@@ -297,7 +297,7 @@ class RelationalMemorySystem:
         cold.
         """
         data = loaded.table.raw_bytes()
-        if len(data) + _REGION_PAD > loaded.region.size:
+        if self._padded(len(data)) > loaded.region.size:
             raise CapacityError(
                 f"table {loaded.name!r} grew past its mapped region; "
                 "reload it into a fresh system"

@@ -43,14 +43,16 @@ class LineBackend:
 
 
 class DRAMBackend(LineBackend):
-    """Adapter exposing the DRAM model as a line-fill backend."""
+    """Adapter exposing the DRAM model as a line-fill backend: each fill
+    reads one ``line_size``-byte cache line."""
 
-    def __init__(self, dram):
+    def __init__(self, dram, line_size: int):
         self.dram = dram
+        self.line_size = line_size
 
     def read_line(self, line_base: int, source: str = "cpu"):
         if self.dram.faults is None:
-            return self.dram.access(line_base, 64, source=source)
+            return self.dram.access(line_base, self.line_size, source=source)
         return self._read_with_ecc(line_base, source)
 
     def _read_with_ecc(self, line_base: int, source: str):
@@ -67,7 +69,8 @@ class DRAMBackend(LineBackend):
         policy = self.dram.faults.recovery
         attempt = 0
         while True:
-            data = yield from self.dram.access(line_base, 64, source=source)
+            data = yield from self.dram.access(line_base, self.line_size,
+                                               source=source)
             if data is not POISONED:
                 return data
             attempt += 1

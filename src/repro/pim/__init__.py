@@ -24,7 +24,8 @@ from .cost import (
     estimate_query_ns,
     expected_pages_touched,
 )
-from .engine import BankPIM, PIMExecution, PIMJoinExecution
+from .engine import (BankPIM, PIMExecution, PIMJoinExecution,
+                     pim_join_refusal, pim_refusal)
 from .predicate import (
     PimUnsupportedError,
     PredicateProgram,
@@ -52,6 +53,8 @@ __all__ = [
     "BankPIM",
     "PIMExecution",
     "PIMJoinExecution",
+    "pim_join_refusal",
+    "pim_refusal",
     "PimUnsupportedError",
     "PredicateProgram",
     "PredicateSpec",

@@ -222,7 +222,7 @@ def estimate_query_ns(
 
     Raises :class:`~repro.pim.predicate.PimUnsupportedError` (via the
     spec pass) when the query cannot be lowered; callers gate on
-    :func:`repro.pim.predicate.supports_query` first.
+    :func:`repro.pim.engine.pim_refusal` first.
     """
     model = model or PIMCostModel()
     d = model.dram

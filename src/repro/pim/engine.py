@@ -55,11 +55,57 @@ from .cost import (
     PIMCostModel,
 )
 from .predicate import (
+    PimUnsupportedError,
     PredicateProgram,
+    bank_fields,
     predicate_spec,
     supports_join,
     supports_query,
 )
+
+
+def pim_refusal(query, loaded) -> str:
+    """Why the banks cannot run ``query`` over ``loaded``, or ``""``: the
+    PIM engine's one eligibility check. The query's shape must lower
+    onto the comparators and accumulators
+    (:func:`~repro.pim.predicate.supports_query`) and the table must be
+    a plain one whose bank fields the datapath reads."""
+    reason = (supports_query(query)
+              or _table_refusal(query, loaded, bank_fields(query)))
+    return f"{query.name}: not PIM-evaluable: {reason}" if reason else ""
+
+
+def pim_join_refusal(on: str, lhs_query, lhs_loaded,
+                     rhs_query, rhs_loaded) -> str:
+    """Why the banks cannot join the sides on ``on``, or ``""``: the
+    join's shape (:func:`~repro.pim.predicate.supports_join`), then each
+    side's table as :func:`pim_refusal` checks it, key included."""
+    reason = supports_join(on, lhs_query, rhs_query)
+    for query, loaded in ((lhs_query, lhs_loaded), (rhs_query, rhs_loaded)):
+        reason = reason or _table_refusal(query, loaded,
+                                          (on, *bank_fields(query)))
+    return f"join not PIM-evaluable: {reason}" if reason else ""
+
+
+def _table_refusal(query, loaded, fields) -> str:
+    """Why ``loaded`` cannot feed ``query``'s bank ``fields`` to the
+    banks: versioned, lacking a column, or a field unreadable or too
+    wide for the comparator; else ``""``."""
+    if loaded.versioned is not None:
+        return (f"table {loaded.name!r} is versioned; the banks scan "
+                "physical rows and cannot apply MVCC visibility")
+    schema = loaded.schema
+    missing = [c for c in query.columns() if c not in schema]
+    if missing:
+        return f"table {loaded.name!r} lacks columns {missing}"
+    reason = unreadable_field(schema, *fields)
+    if reason or query.predicate is None:
+        return reason
+    try:
+        predicate_spec(query.predicate).bind(schema)
+    except PimUnsupportedError as error:
+        return str(error)
+    return ""
 
 
 @dataclass(frozen=True)
@@ -119,28 +165,6 @@ class BankPIM:
         self.last_wasted_ns = 0.0
 
     # -- plumbing ----------------------------------------------------------------
-    @staticmethod
-    def _check_table(label: str, query, loaded) -> None:
-        """Refuse MVCC tables and columns the table does not have."""
-        if loaded.versioned is not None:
-            raise QueryError(
-                f"{label}: PIM scans physical rows and cannot apply "
-                "MVCC visibility; versioned tables are not PIM-eligible"
-            )
-        schema = loaded.schema
-        for column in query.columns():
-            if column not in schema:
-                raise QueryError(
-                    f"{label}: unknown column {column!r} "
-                    f"(table has {schema.names})"
-                )
-
-    def _field_of(self, schema, column: str) -> Tuple[int, int]:
-        reason = unreadable_field(schema, column)
-        if reason:
-            raise QueryError(reason)
-        return schema.offset_of(column), schema.column(column).size
-
     def _draw_fault(self, bank: int, table_name: str, wasted_ns: float) -> None:
         faults = self.system.faults
         if faults is None:
@@ -221,11 +245,11 @@ class BankPIM:
 
     # -- the scan ----------------------------------------------------------------
     def run(self, query, loaded) -> PIMExecution:
-        """Execute one eligible query entirely at the banks."""
-        reason = supports_query(query)
+        """Execute one query entirely at the banks (or raise its
+        :func:`pim_refusal` before any simulated time passes)."""
+        reason = pim_refusal(query, loaded)
         if reason:
-            raise QueryError(f"{query.name}: not PIM-evaluable: {reason}")
-        self._check_table(query.name, query, loaded)
+            raise QueryError(reason)
         self.last_wasted_ns = 0.0
         schema = loaded.schema
         row_size = schema.row_size
@@ -234,10 +258,10 @@ class BankPIM:
 
         agg_field: Optional[Tuple[int, int]] = None
         if query.aggregate not in (None, "count"):
-            agg_field = self._field_of(schema, query.agg_expr.name)
+            agg_field = schema.covering_group((query.agg_expr.name,))
         group_field: Optional[Tuple[int, int]] = None
         if query.group_by is not None:
-            group_field = self._field_of(schema, query.group_by)
+            group_field = schema.covering_group((query.group_by,))
 
         local_tables: List[Dict[int, Any]] = []
 
@@ -310,12 +334,10 @@ class BankPIM:
         row order) so the output is byte-identical to the CPU path
         regardless of which side the cost model builds from.
         """
-        reason = supports_join(on, lhs_query, rhs_query)
+        reason = pim_join_refusal(on, lhs_query, lhs_loaded,
+                                  rhs_query, rhs_loaded)
         if reason:
-            raise QueryError(f"join not PIM-evaluable: {reason}")
-        for query, loaded in ((lhs_query, lhs_loaded), (rhs_query, rhs_loaded)):
-            self._check_table(loaded.name, query, loaded)
-            self._field_of(loaded.schema, on)  # the key must be an integer field
+            raise QueryError(reason)
         self.last_wasted_ns = 0.0
 
         setup = 2 * self.model.setup_ns()  # both sides' scans are programmed

@@ -18,8 +18,8 @@ tree into that program:
    1/2/4/8-byte width constraints are enforced) and return a runnable
    :class:`PredicateProgram`.
 
-The split lets the planner test eligibility cheaply (and the CLI report
-ineligibility as a one-line usage error) before any table exists.
+The split lets :func:`supports_query` judge a query's shape before any
+table exists; :func:`repro.pim.engine.pim_refusal` adds the table.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import repeat
 from typing import List, Tuple, Union
 
 from ..errors import ConfigurationError, QueryError
-from ..rme.pushdown import AGG_FUNCS, CMP_OPS, HWSelection, unreadable_field
+from ..rme.pushdown import AGG_FUNCS, CMP_OPS, HWSelection
 from .bitmap import SelectionBitmap
 
 #: ``struct`` codes of the comparator's signed 1/2/4/8-byte fields.
@@ -94,13 +94,6 @@ class PredicateSpec:
         """Resolve columns to offsets/widths and validate the comparators."""
         comparators = []
         for leaf in self.leaves:
-            if leaf.column not in schema:
-                raise PimUnsupportedError(
-                    f"predicate references unknown column {leaf.column!r}"
-                )
-            reason = unreadable_field(schema, leaf.column)
-            if reason:
-                raise PimUnsupportedError(reason)
             comparator = HWSelection(
                 field_offset=schema.offset_of(leaf.column),
                 field_width=schema.column(leaf.column).size,

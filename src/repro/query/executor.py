@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.access_path import AccessPath
 from ..core.ephemeral import EphemeralVariable
@@ -39,6 +39,33 @@ from .queries import HASH_BUILD_NS, HASH_PROBE_NS, Query
 
 #: CPU cost (ns) of the binary search inside one B+-tree node.
 _NODE_SEARCH_NS = 2.7
+
+
+def columnar_refusal(query: Query, columnar: LoadedColumnGroup) -> str:
+    """Why the copy cannot serve ``query`` (it lacks a column the query
+    reads), or ``""``: the columnar engine's one eligibility check."""
+    missing = [c for c in query.columns() if c not in columnar.columns]
+    if missing:
+        return f"columnar copy {columnar.name!r} lacks columns {missing}"
+    return ""
+
+
+def index_refusal(query: Query, loaded: LoadedTable,
+                  loaded_index: LoadedIndex) -> str:
+    """Why the index cannot serve ``query`` over ``loaded`` (built over
+    another table, or no range on its column), or ``""``: the index
+    engine's one eligibility check."""
+    column = loaded_index.index.column
+    if loaded_index.table is not loaded:
+        return (f"the index on {column!r} was built over table "
+                f"{loaded_index.table.name!r}, not over the bound "
+                f"{loaded.name!r}")
+    if query.predicate is None:
+        return "the index path needs a selective predicate"
+    if key_range(query.predicate, column) is None:
+        return (f"predicate {query.predicate!r} does not impose a range on "
+                f"indexed column {column!r}")
+    return ""
 
 
 @dataclass
@@ -110,12 +137,9 @@ class QueryExecutor:
         flush: bool = True,
     ) -> QueryResult:
         """Scan a materialised columnar copy (the Columnar baseline)."""
-        needed = query.columns()
-        missing = [c for c in needed if c not in columnar.columns]
-        if missing:
-            raise QueryError(
-                f"columnar copy {columnar.name!r} lacks columns {missing}"
-            )
+        reason = columnar_refusal(query, columnar)
+        if reason:
+            raise QueryError(reason)
         value, selectivity, n_rows = self._answer(query, loaded)
         compute = query.row_compute_ns(selectivity)
         segment = ScanSegment(
@@ -191,9 +215,7 @@ class QueryExecutor:
         from ..pim import BankPIM
 
         device = BankPIM(self.system)
-        if flush:
-            self.system.flush_caches()
-        self.system.reset_stats()
+        self._reset(flush)
         try:
             execution = device.run(query, loaded)
         except FaultError as error:
@@ -260,9 +282,7 @@ class QueryExecutor:
         from ..pim import BankPIM
 
         device = BankPIM(self.system)
-        if flush:
-            self.system.flush_caches()
-        self.system.reset_stats()
+        self._reset(flush)
         try:
             execution = device.run_join(on, lhs_query, lhs_loaded,
                                         rhs_query, rhs_loaded)
@@ -319,14 +339,14 @@ class QueryExecutor:
         state = "hot" if var.is_hot else "cold"
         # Functional: the view is pre-filtered; apply any residual predicate
         # for safety (a no-op when it matches the hardware comparator).
-        names = var.group_schema.names
-        rows = [dict(zip(names, row)) for row in var.values()]
-        kept = ops.filter_rows(rows, query.predicate)
-        value = self._finalize(query, kept)
+        # One packed view serves the answer and the timing's row count.
+        rows = var.values()
         n_rows = var.loaded.table.n_rows
-        selectivity = len(kept) / n_rows if n_rows else 0.0
+        value, selectivity = self._evaluate(query, var.group_schema.names,
+                                            rows, n_rows)
         # Timing: matching rows only, and no predicate cost on the CPU.
-        segments = var.scan_segment(query.work_cost_ns(), query.passes)
+        segments = var._segments(len(rows), query.work_cost_ns(),
+                                 query.passes)
         elapsed = self._measure(segments, flush)
         return self._result(query, AccessPath.RME, value, elapsed,
                             n_rows, selectivity, state)
@@ -365,7 +385,7 @@ class QueryExecutor:
         self.system.activate(var)
         state = "hot" if self.system.rme.pushdown_done and self.system.is_active(var) else "cold"
         value = var.expected_result()
-        elapsed = self._measure(var.scan_segment(), flush)
+        elapsed = self._measure(var._segments(max(1, len(value))), flush)
         cfg = var.hw_group_by
         n_rows = var.loaded.table.n_rows
         return self._result(
@@ -384,37 +404,30 @@ class QueryExecutor:
     ) -> QueryResult:
         """Probe a B+-tree and fetch only the qualifying rows.
 
-        The query's predicate must impose a simple range on the indexed
-        column; the index narrows the scan to matching rows (a point
-        access per match), which wins only for very selective queries —
-        the trade-off Section 4 describes.
+        The index narrows the scan to matching rows (a point access per
+        match), which wins only for very selective queries — the
+        trade-off Section 4 describes.
         """
+        reason = index_refusal(query, loaded, loaded_index)
+        if reason:
+            raise QueryError(reason)
         index = loaded_index.index
-        if query.predicate is None:
-            raise QueryError("the index path needs a selective predicate")
-        bounds = key_range(query.predicate, index.column)
-        if bounds is None:
-            raise QueryError(
-                f"predicate {query.predicate!r} does not impose a range on "
-                f"indexed column {index.column!r}"
-            )
-        low, high, inclusive = bounds
+        low, high, inclusive = key_range(query.predicate, index.column)
         row_ids = index.range(low, high, inclusive)
 
-        # Functional answer: decode only the matched rows (an indexed
-        # table is never versioned, so row ids are physical rows).
+        # Functional answer: decode only the matched rows, in row order
+        # like every other engine (an indexed table is never versioned,
+        # so row ids are physical rows).
         columns = query.columns()
-        matched = [dict(zip(columns, loaded.table.row(rid, columns)))
-                   for rid in row_ids]
-        kept = ops.filter_rows(matched, query.predicate)  # residual filter
-        value = self._finalize(query, kept)
         n_rows = loaded.table.n_rows
-        selectivity = len(kept) / n_rows if n_rows else 0.0
+        value, selectivity = self._evaluate(
+            query, columns,
+            [loaded.table.row(rid, columns) for rid in sorted(row_ids)],
+            n_rows)
 
-        # Timing: root-to-leaf probe + leaf chain + one row touch per match.
-        if flush:
-            self.system.flush_caches()
-        self.system.reset_stats()
+        # Timing: root-to-leaf probe + leaf chain + one row touch per
+        # match, fetched in key order.
+        self._reset(flush)
         probe = loaded_index.probe_points(low if low is not None else high)
         leaves = loaded_index.leaf_points(low, high)
         offset, width = loaded.schema.covering_group(columns)
@@ -445,11 +458,28 @@ class QueryExecutor:
         regenerates for ephemeral variables.
         """
         columns = query.columns()
-        rows = self._rows(loaded, columns, var)
+        if var is not None:
+            tuples = var.values(columns)
+        else:
+            tuples = loaded.table.scan(columns)
+            if loaded.versioned is not None:
+                # A row-at-a-time engine checks the begin/end timestamps
+                # while scanning; only currently-valid versions contribute.
+                mask = loaded.versioned.visibility_mask(loaded.current_ts())
+                tuples = compress(tuples, mask)
         n_rows = loaded.table.n_rows
+        value, selectivity = self._evaluate(query, columns, tuples, n_rows)
+        return value, selectivity, n_rows
+
+    @classmethod
+    def _evaluate(cls, query: Query, columns: Sequence[str],
+                  tuples: Iterable[Tuple[Any, ...]], n_rows: int):
+        """Filter and finalise ``tuples``, rows of ``columns``: returns
+        ``(value, selectivity)``, the kept share of ``n_rows``."""
+        rows = [dict(zip(columns, row)) for row in tuples]
         kept = ops.filter_rows(rows, query.predicate)
-        selectivity = len(kept) / n_rows if n_rows else 0.0
-        return self._finalize(query, kept), selectivity, n_rows
+        return (cls._finalize(query, kept),
+                len(kept) / n_rows if n_rows else 0.0)
 
     @staticmethod
     def _finalize(query: Query, kept: List[Dict[str, Any]]) -> Any:
@@ -462,23 +492,6 @@ class QueryExecutor:
             values = [query.agg_expr.eval(row) for row in kept]
             return ops.aggregate(query.aggregate, values)
         return ops.project(kept, query.select)
-
-    @staticmethod
-    def _rows(
-        loaded: LoadedTable,
-        columns: Sequence[str],
-        var: Optional[EphemeralVariable],
-    ) -> List[Dict[str, Any]]:
-        if var is not None:
-            tuples = var.values(columns)
-        else:
-            tuples = loaded.table.scan(columns)
-            if loaded.versioned is not None:
-                # A row-at-a-time engine checks the begin/end timestamps
-                # while scanning; only currently-valid versions contribute.
-                mask = loaded.versioned.visibility_mask(loaded.current_ts())
-                tuples = compress(tuples, mask)
-        return [dict(zip(columns, row)) for row in tuples]
 
     # -- fault handling ------------------------------------------------------------
     def _drain_fault_wreckage(self) -> None:
@@ -572,26 +585,24 @@ class QueryExecutor:
         # corrupted bytes. Decode what the buffer holds and answer from
         # that — wrong on purpose, flagged for the chaos harness.
         faults.stats.bump("silent_corruptions")
-        corrupted = self._decode_packed(query, var, actual)
+        schema = var.group_schema
+        whole = len(actual) - len(actual) % schema.row_size
+        corrupted, _ = self._evaluate(query, schema.names,
+                                      schema.record().rows(actual[:whole]),
+                                      n_rows)
         return self._result(query, AccessPath.RME, corrupted, elapsed,
                             n_rows, selectivity, "corrupt")
 
-    def _decode_packed(self, query: Query, var: EphemeralVariable,
-                       packed: bytes):
-        """Evaluate the query over raw packed buffer bytes."""
-        schema = var.group_schema
-        whole = len(packed) - len(packed) % schema.row_size
-        rows = [dict(zip(schema.names, values))
-                for values in schema.record().rows(packed[:whole])]
-        kept = ops.filter_rows(rows, query.predicate)
-        return self._finalize(query, kept)
-
     # -- timing ------------------------------------------------------------------------
     def _measure(self, segments: Sequence[ScanSegment], flush: bool) -> float:
+        self._reset(flush)
+        return self.system.measure(segments)
+
+    def _reset(self, flush: bool) -> None:
+        """Cold caches when ``flush``, and zeroed counters, before a run."""
         if flush:
             self.system.flush_caches()
         self.system.reset_stats()
-        return self.system.measure(segments)
 
     def _result(self, query, path, value, elapsed, n_rows, selectivity, state):
         return QueryResult(

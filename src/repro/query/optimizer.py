@@ -18,11 +18,13 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.access_path import AccessPath
-from ..core.relmem import LoadedTable
+from ..core.relmem import LoadedColumnGroup, LoadedIndex, LoadedTable
 from ..errors import QueryError
 from ..model.analytical import AnalyticalModel
+from ..pim import (estimate_join_ns, estimate_query_ns, pim_join_refusal,
+                   pim_refusal)
 from ..rme.designs import DesignParams, MLP
-from ..rme.pushdown import unreadable_field
+from .executor import columnar_refusal, index_refusal
 from .queries import HASH_BUILD_NS, HASH_PROBE_NS, Query
 
 
@@ -46,24 +48,22 @@ def choose_access_path(
     query: Query,
     loaded: LoadedTable,
     design: DesignParams = MLP,
-    has_columnar_copy: bool = False,
+    columnar: Optional[LoadedColumnGroup] = None,
     rme_hot: bool = False,
     selectivity: float = 1.0,
-    index=None,
+    index: Optional[LoadedIndex] = None,
     model: Optional[AnalyticalModel] = None,
 ) -> AccessPathChoice:
     """Pick the cheapest access path for a scan query.
 
-    ``has_columnar_copy`` only enables the columnar estimate — the copy
-    costs storage and maintenance the optimizer does not price here.
-    ``rme_hot`` prices the RME path with the projection already buffered
-    (e.g. a repeated query on the same column group). ``index`` enables
-    the B+-tree estimate when the predicate imposes a range on the
-    indexed column; with a selective predicate the index wins, otherwise
-    the packed scans do — the per-query alternation Section 4 sketches.
+    Prices exactly the engines whose eligibility check passes: the CPU
+    row scan and RME always, the ``columnar`` copy, the ``index`` and
+    the banks when their ``*_refusal`` check returns ``""`` (the copy's
+    storage and maintenance are not priced). ``rme_hot`` prices the RME
+    path with the projection already buffered (e.g. a repeated query on
+    the same column group). With a selective predicate the index wins,
+    otherwise the packed scans do — the alternation Section 4 sketches.
     """
-    from .expr import key_range
-
     model = model or AnalyticalModel()
     schema = loaded.schema
     offset, width = schema.covering_group(query.columns())
@@ -78,7 +78,7 @@ def choose_access_path(
         + (passes - 1)
         * model.direct_repeat_ns(schema.row_size, width, n_rows, compute)
     }
-    if has_columnar_copy:
+    if columnar is not None and not columnar_refusal(query, columnar):
         estimates[AccessPath.COLUMNAR] = passes * model.columnar_ns(
             width, n_rows, compute
         )
@@ -92,29 +92,18 @@ def choose_access_path(
         hot = model.rme_hot_ns(width, n_rows, compute)
         estimates[AccessPath.RME] = cold + (passes - 1) * hot
 
-    if (
-        index is not None
-        and query.predicate is not None
-        and key_range(query.predicate, index.column) is not None
-    ):
+    if index is not None and not index_refusal(query, loaded, index):
+        tree = index.index
         matches = max(1, int(round(selectivity * n_rows)))
-        touched_leaves = max(1, -(-matches // index.fanout))
         estimates[AccessPath.INDEX] = passes * model.index_ns(
-            index.height, touched_leaves, matches, index.node_bytes
+            tree.height, max(1, -(-matches // tree.fanout)), matches,
+            tree.node_bytes)
+
+    # Bank-level PIM: closed-form, same constants as the executed scan.
+    if not pim_refusal(query, loaded):
+        estimates[AccessPath.PIM] = estimate_query_ns(
+            query, schema, n_rows, selectivity
         )
-
-    # Bank-level PIM: only for queries the in-bank datapath can evaluate
-    # on fields it can read, and only over plain physical tables (the
-    # banks cannot apply MVCC visibility). Closed-form, same constants
-    # as the executed scan.
-    if loaded.versioned is None:
-        from ..pim import bank_fields, estimate_query_ns, supports_query
-
-        if not (supports_query(query)
-                or unreadable_field(schema, *bank_fields(query))):
-            estimates[AccessPath.PIM] = estimate_query_ns(
-                query, schema, n_rows, selectivity
-            )
 
     best = min(estimates, key=estimates.get)
     reason = _explain(query, best, width, schema.row_size)
@@ -134,12 +123,11 @@ def choose_join_path(
     """Pick the cheapest engine for a two-table equi-join on ``on``.
 
     The CPU path prices two measured row scans plus a per-row hash
-    build/probe surcharge; the PIM path (only for joins the banks can
-    evaluate — integer keys, projected on both sides, no MVCC) prices
-    the in-bank partitioned build and probe with only matched row-id
-    pairs crossing the AXI boundary. The two candidates mirror exactly
-    what :meth:`repro.query.processor.Processor.plan_join` would
-    execute.
+    build/probe surcharge; the PIM path (only for joins
+    :func:`~repro.pim.engine.pim_join_refusal` passes) prices the
+    in-bank partitioned build and probe with only matched row-id pairs
+    crossing the AXI boundary. The two candidates mirror exactly what
+    :meth:`repro.query.processor.Processor.plan_join` would execute.
     """
     model = model or AnalyticalModel()
     sides = (
@@ -159,20 +147,14 @@ def choose_join_path(
     cpu_ns += HASH_BUILD_NS * lhs_kept + HASH_PROBE_NS * rhs_kept
     estimates: Dict[AccessPath, float] = {AccessPath.DIRECT_ROW: cpu_ns}
 
-    if lhs_loaded.versioned is None and rhs_loaded.versioned is None:
-        from ..pim import bank_fields, estimate_join_ns, supports_join
-
-        if not (supports_join(on, lhs_query, rhs_query) or any(
-            unreadable_field(loaded.schema, on, *bank_fields(query))
-            for query, loaded, _sel in sides
-        )):
-            estimates[AccessPath.PIM] = estimate_join_ns(
-                on,
-                lhs_query, lhs_loaded.schema, lhs_loaded.table.n_rows,
-                rhs_query, rhs_loaded.schema, rhs_loaded.table.n_rows,
-                lhs_selectivity=lhs_selectivity,
-                rhs_selectivity=rhs_selectivity,
-            )
+    if not pim_join_refusal(on, lhs_query, lhs_loaded, rhs_query, rhs_loaded):
+        estimates[AccessPath.PIM] = estimate_join_ns(
+            on,
+            lhs_query, lhs_loaded.schema, lhs_loaded.table.n_rows,
+            rhs_query, rhs_loaded.schema, rhs_loaded.table.n_rows,
+            lhs_selectivity=lhs_selectivity,
+            rhs_selectivity=rhs_selectivity,
+        )
 
     best = min(estimates, key=estimates.get)
     if best is AccessPath.PIM:

@@ -57,6 +57,7 @@ from ..core.relmem import (
     RelationalMemorySystem,
 )
 from ..errors import QueryError
+from ..pim import pim_join_refusal, pim_refusal
 from . import ops
 from .engines import (
     ALL_ENGINES,
@@ -68,7 +69,8 @@ from .engines import (
     RME,
     Engine,
 )
-from .executor import QueryExecutor, QueryResult
+from .executor import (QueryExecutor, QueryResult, columnar_refusal,
+                       index_refusal)
 from .optimizer import AccessPathChoice, choose_access_path, choose_join_path
 from .queries import Query
 from .relation import (
@@ -118,9 +120,8 @@ def relation_from_query(
     selection and aggregation happen inside the DRAM banks, so the
     ``σ``/``γ`` operators sit below the ``Transfer[pim → cpu]`` — the
     bank boundary — and only the output projection stays on the CPU.
-    Queries the banks cannot evaluate (see
-    :func:`repro.pim.predicate.supports_query`) raise ``QueryError``
-    when pinned there.
+    The tree is built whatever the engine; whether the engine can run
+    the query on given storage is :meth:`Processor.plan`'s question.
 
     >>> from repro.query.queries import q4
     >>> print(relation_from_query(q4()))
@@ -146,11 +147,6 @@ def relation_from_query(
     source: Relation = leaf.transfer(engine)
     fetch: Relation = Projection(target=source, projected=fetched)
     if engine == PIM:
-        from ..pim import supports_query
-
-        reason = supports_query(query)
-        if reason:
-            raise QueryError(f"{query.name}: not PIM-evaluable: {reason}")
         body = fetch
         if query.predicate is not None:
             body = body.select(query.predicate)
@@ -220,9 +216,8 @@ def join_relation(
     ``Transfer`` brings the result back to the CPU when the join ran
     elsewhere. For the PIM engine the side filters, the hash build and
     the probe all happen at the banks — only matched row-id pairs cross
-    the ``Transfer[pim → cpu]`` boundary — so joins the banks cannot
-    evaluate (see :func:`repro.pim.predicate.supports_join`) raise
-    ``QueryError`` when pinned there.
+    the ``Transfer[pim → cpu]`` boundary; :meth:`Processor.plan_join`
+    refuses joins the banks cannot run.
 
     >>> from repro.query.queries import Query
     >>> lhs = Query(name="dim", sql="", select=("K", "D1"))
@@ -230,12 +225,6 @@ def join_relation(
     >>> print(join_relation("K", lhs, rhs))
     dim⋈fact:(π[K,D1](R) ⋈[K] π[K,A1](T))
     """
-    if engine == PIM:
-        from ..pim import supports_join
-
-        reason = supports_join(on, lhs_query, rhs_query)
-        if reason:
-            raise QueryError(f"join not PIM-evaluable: {reason}")
     tree = _join_side(lhs_query, lhs_table, lhs_schema_columns, engine).join(
         _join_side(rhs_query, rhs_table, rhs_schema_columns, engine), on=on
     )
@@ -533,11 +522,12 @@ class Processor:
     ) -> ExecutionPlan:
         """Choose an engine for the fetch and build the placed tree.
 
-        With ``engine`` given, placement is pinned (no costing); else
-        the cost model prices every available engine — the CPU row scan
-        always, the columnar copy and the index only when supplied,
-        RME always (cold first pass unless ``hot``) — and the cheapest
-        wins the fetch subtree.
+        With ``engine`` given, placement is pinned (no costing), and the
+        engine's eligibility check refusing the query on the bindings
+        given raises its reason as a ``QueryError``. Else the cost model
+        prices every engine whose check passes — the CPU row scan and
+        RME (cold first pass unless ``hot``) always, the columnar copy
+        and the index only when supplied — and the cheapest wins.
         """
         choice = None
         if engine is None:
@@ -545,12 +535,14 @@ class Processor:
                 query,
                 loaded,
                 design=self.system.design,
-                has_columnar_copy=columnar is not None,
+                columnar=columnar,
                 rme_hot=hot,
                 selectivity=selectivity,
-                index=index.index if index is not None else None,
+                index=index,
             )
             engine = _ENGINE_OF_PATH[choice.best]
+        else:
+            _check_pinned(engine, query, loaded, columnar, index)
         relation = relation_from_query(
             query,
             engine=engine,
@@ -575,7 +567,9 @@ class Processor:
     ) -> ExecutionPlan:
         """Choose an engine for a two-table equi-join and build its tree.
 
-        With ``engine`` given, placement is pinned (no costing); else
+        With ``engine`` given, placement is pinned (no costing; a PIM
+        join :func:`~repro.pim.engine.pim_join_refusal` refuses raises
+        its reason as a ``QueryError``); else
         :func:`~repro.query.optimizer.choose_join_path` prices the CPU
         hash join against the in-bank partitioned join and the cheapest
         wins. Execute the plan with ``tables={leaf: loaded, ...}``
@@ -589,6 +583,11 @@ class Processor:
                 rhs_selectivity=rhs_selectivity,
             )
             engine = _ENGINE_OF_PATH[choice.best]
+        elif engine == PIM:
+            reason = pim_join_refusal(on, lhs_query, lhs_loaded,
+                                      rhs_query, rhs_loaded)
+            if reason:
+                raise QueryError(reason)
         relation = join_relation(
             on, lhs_query, rhs_query, engine=engine,
             lhs_table=lhs_loaded.name, rhs_table=rhs_loaded.name,
@@ -728,6 +727,22 @@ class Processor:
                                  f"binding for leaf {name!r}")
             inputs.append((compiled.query, tables[name]))
         return inputs
+
+
+def _check_pinned(engine: Engine, query: Query, loaded: LoadedTable,
+                  columnar: Optional[LoadedColumnGroup],
+                  index: Optional[LoadedIndex]) -> None:
+    """Raise ``engine``'s refusal of ``query`` on the bindings given (a
+    binding not given is checked when the tree executes)."""
+    reason = ""
+    if engine == PIM:
+        reason = pim_refusal(query, loaded)
+    elif engine == COLUMNAR and columnar is not None:
+        reason = columnar_refusal(query, columnar)
+    elif engine == INDEX and index is not None:
+        reason = index_refusal(query, loaded, index)
+    if reason:
+        raise QueryError(reason)
 
 
 def explain_placement(query: Query, engine: Engine = RME,

@@ -79,6 +79,9 @@ from .workload import (
 
 Workload = Union[OpenLoopWorkload, ClosedLoopWorkload]
 
+#: Seed of the request-level fault draws (see ``fault_rate``).
+FAULT_SEED = 1234
+
 # Heap entry kinds: what the entry's ``who`` does when it comes due.
 _ARRIVE = 0  #: the open-loop driver; ``who`` is the arrival now due
 _CLIENT = 1  #: a client starts, or its request is done
@@ -276,7 +279,6 @@ class ServingSystem:
         design: DesignParams = MLP,
         fault_rate: float = 0.0,
         recovery: Optional[RecoveryPolicy] = None,
-        fault_seed: int = 1234,
         cache_snapshot: Optional[Tuple[int, int]] = None,
     ):
         # Per-run profile-cache accounting: the report's hit-rate gauge
@@ -301,7 +303,6 @@ class ServingSystem:
         #: attempt is struck by a hardware fault mid-scan.
         self.fault_rate = fault_rate
         self.recovery = recovery if recovery is not None else DEFAULT_RECOVERY
-        self.fault_seed = fault_seed
         #: The last run's registry (also returned inside the report).
         self.metrics: Optional[MetricsRegistry] = None
 
@@ -352,7 +353,7 @@ class ServingSystem:
         self._sheds_seen = 0
         if self.fault_rate > 0.0:
             self._fault_rng: Optional[random.Random] = random.Random(
-                self.fault_seed
+                FAULT_SEED
             )
             self._fault_stats = metrics.scope("faults")
             self._breakers = {

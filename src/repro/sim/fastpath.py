@@ -754,9 +754,9 @@ def _scan_plan(system, segments):
             plans.append((segment, True))
         elif type(backend) is DRAMBackend:
             # The ladder reads no line bytes: a region the event path's
-            # 64-byte line reads would leave (or find unbacked) goes there.
+            # line reads would leave (or find unbacked) goes there.
             last_line = region.limit - 1 - (region.limit - 1) % line
-            if region.backing is None or last_line + 64 > region.limit:
+            if region.backing is None or last_line + line > region.limit:
                 return "", None
             plans.append((segment, False))
         else:
@@ -1207,7 +1207,7 @@ def _run_scan(system, plans) -> float:
                 block = line_base // row_buffer_bytes
                 bank = banks[block % n_banks]
                 row_id = block // n_banks
-                n_beats = ((line_base + 63) // dram_bus
+                n_beats = ((line_base + line - 1) // dram_bus
                            - line_base // dram_bus + 1)
                 arrive = now + t_controller
                 ready_at = bank.ready_at
@@ -1425,9 +1425,9 @@ def _run_scan(system, plans) -> float:
             "row_hits": row_hits, "row_empty": row_empty,
             "row_misses": row_misses, "requests_cpu": dram_cpu,
             "requests_prefetch": dram_prefetch})
-        _add_total(dram.stats, "bytes_cpu", dram_cpu, 64 * dram_cpu)
+        _add_total(dram.stats, "bytes_cpu", dram_cpu, line * dram_cpu)
         _add_total(dram.stats, "bytes_prefetch", dram_prefetch,
-                   64 * dram_prefetch)
+                   line * dram_prefetch)
         _add_total(dram.stats, "beats", dram_cpu + dram_prefetch, dram_beats)
         # The closures name each other: break that cycle, so a finished
         # engine is freed by reference counting.

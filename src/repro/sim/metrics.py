@@ -130,36 +130,17 @@ class MetricsRegistry:
         for path, stats in other:
             self.scope(path).merge(stats)
 
-    def absorb_shard(self, shard: "MetricsRegistry", namespace: str) -> None:
-        """Attach every set of ``shard`` by reference under ``namespace``.
-
-        ``shard0.tenant.a`` style paths keep per-shard telemetry
-        addressable next to the merged view; the shard's sets stay live,
-        they are not copied.
-        """
-        if not namespace:
-            raise SimulationError("absorb_shard needs a non-empty namespace")
-        for path, stats in shard:
-            self.attach(f"{namespace}.{path}", stats)
-
     @classmethod
     def merged(
         cls,
         shards: "List[MetricsRegistry]",
         name: str = "merged",
-        keep_shards: bool = False,
     ) -> "MetricsRegistry":
-        """One registry combining ``shards`` deterministically.
-
-        Every instrument is folded per path in shard-index order; with
-        ``keep_shards`` the inputs additionally stay addressable under
-        ``shard<i>.<path>``.
-        """
+        """One registry combining ``shards`` deterministically: every
+        instrument is folded per path in shard-index order."""
         out = cls(name)
-        for index, shard in enumerate(shards):
+        for shard in shards:
             out.merge(shard)
-            if keep_shards:
-                out.absorb_shard(shard, f"shard{index}")
         return out
 
     # -- lifecycle ------------------------------------------------------------

@@ -198,7 +198,7 @@ def test_replica_lag_bounds_staleness(profile):
         FaultEvent(kind="replica_lag", at_ns=10_000.0, target=1,
                    duration_ns=400_000.0),
     ))
-    report = run_cluster(profile, fault_plan=plan, sync_interval_ns=50_000.0)
+    report = run_cluster(profile, fault_plan=plan)
     lagged = report.node(1)
     if lagged.stale_serves:
         # Staleness is measured from the frozen replication watermark,

@@ -324,7 +324,8 @@ def test_unmapped_address_error_names_nearest_region():
     region = mm.map("data", 1 << 20)
     hier = MemoryHierarchy(sim, ZCU102)
     hier.add_backend(
-        region, DRAMBackend(DRAM(sim, ZCU102.dram, PhysicalMemory(mm)))
+        region, DRAMBackend(DRAM(sim, ZCU102.dram, PhysicalMemory(mm)),
+                            hier.line_size)
     )
     with pytest.raises(MemoryMapError) as excinfo:
         hier.route(region.limit + (1 << 30))

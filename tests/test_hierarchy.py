@@ -15,7 +15,7 @@ def build(sim, platform=ZCU102, region_size=1 << 20):
     mem = PhysicalMemory(mm)
     dram = DRAM(sim, platform.dram, mem)
     hier = MemoryHierarchy(sim, platform)
-    hier.add_backend(region, DRAMBackend(dram))
+    hier.add_backend(region, DRAMBackend(dram, hier.line_size))
     return hier, region, dram
 
 

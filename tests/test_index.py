@@ -216,9 +216,9 @@ def test_index_requires_indexable_predicate(indexed_env):
 def test_optimizer_alternates_with_selectivity(indexed_env):
     table, system, loaded, index = indexed_env
     selective = choose_access_path(selective_query(-990), loaded,
-                                   selectivity=0.005, index=index.index)
+                                   selectivity=0.005, index=index)
     broad = choose_access_path(selective_query(990), loaded,
-                               selectivity=0.95, index=index.index)
+                               selectivity=0.95, index=index)
     # Few matches: a point-access path (the index probe, or the in-bank
     # PIM fold, which reads out one register line regardless) beats the
     # streaming scans.

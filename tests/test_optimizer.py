@@ -9,10 +9,22 @@ from tests.conftest import build_relation
 
 
 @pytest.fixture(scope="module")
-def loaded_wide():
+def wide_system():
     """A 64-byte-row relation: low projectivity for single columns."""
     system = RelationalMemorySystem()
-    return system.load_table(build_relation(n_rows=512, n_cols=16))
+    return system, system.load_table(build_relation(n_rows=512, n_cols=16))
+
+
+@pytest.fixture(scope="module")
+def loaded_wide(wide_system):
+    return wide_system[1]
+
+
+@pytest.fixture(scope="module")
+def copy_a1(wide_system):
+    """A columnar copy of the wide relation's A1 alone."""
+    system, loaded = wide_system
+    return system.load_column_group(loaded.table, ["A1"])
 
 
 @pytest.fixture(scope="module")
@@ -43,15 +55,18 @@ def test_full_row_projection_prefers_direct(loaded_narrow):
     assert choice.best is AccessPath.DIRECT_ROW
 
 
-def test_columnar_estimate_only_when_copy_exists(loaded_wide):
+def test_columnar_estimate_only_when_copy_exists(loaded_wide, copy_a1):
     without = choose_access_path(q1(), loaded_wide)
     assert AccessPath.COLUMNAR not in without.estimates_ns
-    with_copy = choose_access_path(q1(), loaded_wide, has_columnar_copy=True)
+    with_copy = choose_access_path(q1(), loaded_wide, columnar=copy_a1)
     assert AccessPath.COLUMNAR in with_copy.estimates_ns
+    # A copy that lacks a column the query reads is never priced.
+    uncovered = choose_access_path(q1("A2"), loaded_wide, columnar=copy_a1)
+    assert AccessPath.COLUMNAR not in uncovered.estimates_ns
 
 
-def test_hot_rme_beats_columnar_estimate(loaded_wide):
-    choice = choose_access_path(q1(), loaded_wide, has_columnar_copy=True,
+def test_hot_rme_beats_columnar_estimate(loaded_wide, copy_a1):
+    choice = choose_access_path(q1(), loaded_wide, columnar=copy_a1,
                                 rme_hot=True)
     assert choice.best in (AccessPath.RME, AccessPath.COLUMNAR)
     ratio = (choice.estimates_ns[AccessPath.RME]
@@ -80,6 +95,6 @@ def test_speedup_vs_unestimated_path_raises(loaded_wide):
         choice.speedup_vs(AccessPath.COLUMNAR)
 
 
-def test_estimates_are_positive(loaded_wide):
-    choice = choose_access_path(q4(), loaded_wide, has_columnar_copy=True)
+def test_estimates_are_positive(loaded_wide, copy_a1):
+    choice = choose_access_path(q4(), loaded_wide, columnar=copy_a1)
     assert all(v > 0 for v in choice.estimates_ns.values())

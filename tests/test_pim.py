@@ -602,9 +602,12 @@ def test_pim_join_plan_shows_bank_boundary():
 
 
 def test_pim_join_rejects_ineligible_sides():
+    dim, fact = make_join_pair()
+    system = RelationalMemorySystem()
+    ld, lf = system.load_table(dim), system.load_table(fact)
     no_key = Query(name="nokey", sql="", select=("D1",))
     with pytest.raises(QueryError, match="not PIM-evaluable"):
-        join_relation("K", no_key, FACT_Q, engine=PIM)
+        Processor(system).plan_join("K", no_key, ld, FACT_Q, lf, engine=PIM)
 
 
 def test_join_optimizer_prefers_pim_at_low_selectivity():

@@ -15,6 +15,7 @@ from repro import (
 )
 from repro.errors import ConfigurationError, QueryError
 from repro.rme.pushdown import AggregateAccumulator
+from repro.storage.row_table import RowTable
 from tests.conftest import build_mixed_relation, build_relation
 
 
@@ -124,6 +125,27 @@ def test_pushdown_query_agrees_with_software_paths(env):
     again = executor.run_rme_pushdown(query, fvar)
     assert again.state == "hot"
     assert again.elapsed_ns < hw.elapsed_ns
+
+
+def test_each_pushdown_scan_builds_its_packed_view_once(env, monkeypatch):
+    """The answer and the timing's row count come from one packed view."""
+    table, system, loaded, executor = env
+    builds = []
+    project_bytes = RowTable.project_bytes
+
+    def counted(self, *args, **kwargs):
+        builds.append(self.name)
+        return project_bytes(self, *args, **kwargs)
+
+    monkeypatch.setattr(RowTable, "project_bytes", counted)
+    fvar = system.register_filtered_var(loaded, ["A1", "A2"], "A2", ">", 0)
+    gvar = system.register_hw_group_by(loaded, "A1", "A2", max_groups=4096)
+    for scan in (lambda: executor.run_rme_pushdown(sum_where_query(), fvar),
+                 lambda: executor.run_rme_hw_group_by(gvar)):
+        for state in ("cold", "hot"):
+            builds.clear()
+            assert scan().state == state
+            assert len(builds) == 1
 
 
 def test_hot_pushdown_beats_software_selection(env):

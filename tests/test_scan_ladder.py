@@ -251,7 +251,8 @@ def _two_region_hierarchy():
     mm.map("gap", 4096)
     high = mm.map("high", 4096)
     hier = MemoryHierarchy(sim, ZCU102)
-    backend = DRAMBackend(DRAM(sim, ZCU102.dram, PhysicalMemory(mm)))
+    backend = DRAMBackend(DRAM(sim, ZCU102.dram, PhysicalMemory(mm)),
+                          hier.line_size)
     hier.add_backend(low, backend)
     hier.add_backend(high, backend)
     return hier, low, high
@@ -278,7 +279,8 @@ def test_addresses_below_every_region_name_the_first():
     region = mm.map("data", 4096)
     hier = MemoryHierarchy(sim, ZCU102)
     hier.add_backend(
-        region, DRAMBackend(DRAM(sim, ZCU102.dram, PhysicalMemory(mm))))
+        region, DRAMBackend(DRAM(sim, ZCU102.dram, PhysicalMemory(mm)),
+                            hier.line_size))
     with pytest.raises(MemoryMapError) as excinfo:
         hier.route(16)
     assert str(excinfo.value) == (
@@ -288,3 +290,25 @@ def test_addresses_below_every_region_name_the_first():
     assert mm.find(region.base) is region
     with pytest.raises(MemoryMapError, match="address 0x2000 is not mapped"):
         mm.find(region.limit)
+
+
+def test_dram_fills_move_whole_lines_on_wide_line_platforms():
+    """With 128-byte cache lines every DRAM line fill moves 128 bytes, on
+    the scan ladder and on the cycle-level reference alike."""
+    runs = []
+    for fast in (True, False):
+        platform = dataclasses.replace(
+            ZCU102, cache_line=128, l1=CacheGeometry(32 * 1024, 4, 128),
+            l2=CacheGeometry(1 << 20, 16, 128), fastpath=fast)
+        system = RelationalMemorySystem(platform)
+        loaded = system.load_table(build_relation(1024, n_cols=32))
+        result = QueryExecutor(system).run_direct(q1("A2"), loaded)
+        stats = system.dram.stats
+        fills = stats.total("requests_cpu") + stats.total("requests_prefetch")
+        moved = stats.total("bytes_cpu") + stats.total("bytes_prefetch")
+        assert fills == 1025  # every 128-byte row, plus one prefetch past
+        assert moved == 128 * fills
+        assert stats.total("beats") == fills * 128 // platform.dram.bus_bytes
+        runs.append((result.elapsed_ns, result.value,
+                     _registry_snapshot(system)))
+    assert runs[0] == runs[1]

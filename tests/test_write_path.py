@@ -16,7 +16,7 @@ def build(sim, region_size=8 << 20):
     mem = PhysicalMemory(mm)
     dram = DRAM(sim, ZCU102.dram, mem)
     hier = MemoryHierarchy(sim, ZCU102)
-    hier.add_backend(region, DRAMBackend(dram))
+    hier.add_backend(region, DRAMBackend(dram, hier.line_size))
     return hier, region, dram
 
 
