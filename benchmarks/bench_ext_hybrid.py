@@ -38,13 +38,13 @@ def sweep_selectivity(n_rows):
     table = make_relation(n_rows)
     system = RelationalMemorySystem()
     loaded = system.load_table(table)
-    index = system.load_index(loaded, "A1")
+    system.load_index(loaded, "A1")
     var = system.register_var(loaded, ["A1", "A2"])
     executor = QueryExecutor(system)
     rows = []
     for cut, _approx in CUTS:
         query = query_for(cut)
-        via_index = executor.run_index(query, loaded, index)
+        via_index = executor.run_index(query, loaded)
         via_direct = executor.run_direct(query, loaded)
         system.warm_up(var)
         system.flush_caches()
@@ -52,7 +52,7 @@ def sweep_selectivity(n_rows):
         assert via_index.value == via_direct.value == via_rme.value
         choice = choose_access_path(query, loaded,
                                     selectivity=via_index.selectivity,
-                                    rme_hot=True, index=index)
+                                    rme_hot=True)
         # The in-bank PIM fold may take the overall win for an aggregate;
         # the crossover this benchmark is about plays out among the paths
         # that stream rows (or index probes) to the CPU.

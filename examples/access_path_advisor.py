@@ -70,7 +70,7 @@ def main() -> None:
 
     # --- part two: index vs. columns, alternating by selectivity ------------
     print("\nWith a B+-tree on A1, the optimizer alternates per query:")
-    index = system.load_index(loaded, "A1")
+    system.load_index(loaded, "A1")
     sweep_rows = []
     for cut in (-995_000, -900_000, -500_000, 500_000):
         query = Query(
@@ -78,10 +78,9 @@ def main() -> None:
             select=(), aggregate="sum", agg_expr=Col("A2"),
             predicate=Col("A1") < cut,
         )
-        measured = executor.run_index(query, loaded, index)
-        choice = choose_access_path(
-            query, loaded, selectivity=measured.selectivity, index=index
-        )
+        measured = executor.run_index(query, loaded)
+        choice = choose_access_path(query, loaded,
+                                    selectivity=measured.selectivity)
         sweep_rows.append([
             f"{measured.selectivity:.2%}",
             round(measured.elapsed_ns),

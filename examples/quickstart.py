@@ -54,10 +54,10 @@ def main() -> None:
 
     executor = QueryExecutor(system)
     direct = executor.run_direct(query, loaded)
-    columnar_copy = system.load_column_group(
-        table, ["num_fld1", "num_fld2", "num_fld3", "num_fld4"]
+    system.load_column_group(
+        loaded, ["num_fld1", "num_fld2", "num_fld3", "num_fld4"]
     )
-    columnar = executor.run_columnar(query, loaded, columnar_copy)
+    columnar = executor.run_columnar(query, loaded)
     rme_cold = executor.run_rme(query, cg)
     rme_hot = executor.run_rme(query, cg)
 

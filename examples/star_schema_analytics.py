@@ -158,11 +158,10 @@ def main() -> None:
     # advisor weighs the B+-tree probe against the rank-parallel in-bank
     # fold, and at this table size the banks answer without moving a row.
     # The index stays the cheapest path that *materializes* the rows.
-    index = system.load_index(loaded, "order_id")
+    system.load_index(loaded, "order_id")
     lookup = parse_query("SELECT SUM(unit_price) FROM orders WHERE order_id < 16")
-    choice = choose_access_path(lookup, loaded, selectivity=16 / N_ORDERS,
-                                index=index)
-    measured = executor.run_index(lookup, loaded, index)
+    choice = choose_access_path(lookup, loaded, selectivity=16 / N_ORDERS)
+    measured = executor.run_index(lookup, loaded)
     print(f"\nselective lookup: optimizer picks {choice.best.value} "
           f"({measured.elapsed_ns:,.0f} ns via the index, "
           f"{measured.selectivity:.2%} selective)")

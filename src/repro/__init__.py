@@ -16,7 +16,7 @@ Quick start::
     )
 
     schema = Schema([Column(f"A{i+1}", int32()) for i in range(16)])
-    table = RowTable("s", schema)
+    table = RowTable("S", schema)
     for i in range(8192):
         table.append([i] * 16)
 

@@ -4,7 +4,7 @@ Like :mod:`repro.bench.figures` for the paper's own evaluation, each
 driver here returns a :class:`~repro.bench.runner.FigureResult` for one
 of the extension studies (DESIGN.md §8); the ``benchmarks/bench_ext_*``
 files run them with assertions, and the CLI exposes them as
-``python -m repro figures ext-...``.
+``python -m repro bench ext-...``.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def ext_hybrid_crossover(
     table = make_relation(n_rows)
     system = _system(platform)
     loaded = system.load_table(table)
-    index = system.load_index(loaded, "A1")
+    system.load_index(loaded, "A1")
     var = system.register_var(loaded, ["A1", "A2"])
     executor = QueryExecutor(system)
     xs: List[float] = []
@@ -150,7 +150,7 @@ def ext_hybrid_crossover(
             select=(), aggregate="sum", agg_expr=Col("A2"),
             predicate=Col("A1") < cut,
         )
-        via_index = executor.run_index(query, loaded, index)
+        via_index = executor.run_index(query, loaded)
         xs.append(round(via_index.selectivity, 4))
         series["Index"].append(via_index.elapsed_ns)
         series["Direct"].append(executor.run_direct(query, loaded).elapsed_ns)
@@ -373,9 +373,7 @@ def _ext_pim_join_point(
         ld, lf = system.load_table(dim), system.load_table(fact)
         processor = Processor(system)
         plan = processor.plan_join("K", lhs, ld, rhs, lf, engine=engine)
-        results[engine.name] = processor.execute(
-            plan.relation, tables={"D": ld, "F": lf}
-        )
+        results[engine.name] = processor.execute(plan.relation)
     if results["cpu"].value != results["pim"].value:
         raise AssertionError(f"join answers diverge at sel={target_sel}")
     return (results["cpu"].elapsed_ns, results["pim"].elapsed_ns,

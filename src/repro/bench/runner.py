@@ -32,18 +32,6 @@ class PathTimes:
     direct_cache: Dict[str, Dict[str, float]] = field(default_factory=dict)
     rme_cache: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
-    def normalized_to_direct(self) -> Dict[str, float]:
-        """Every series divided by the direct time (Figure 6's y-axis)."""
-        base = self.direct_ns or 1.0
-        out = {"Direct": 1.0}
-        if self.columnar_ns:
-            out["Columnar"] = self.columnar_ns / base
-        for name, value in self.cold_ns.items():
-            out[f"{name} cold"] = value / base
-        for name, value in self.hot_ns.items():
-            out[f"{name} hot"] = value / base
-        return out
-
 
 @dataclass
 class FigureResult:
@@ -105,7 +93,7 @@ class ExperimentRunner:
         loaded = system.load_table(table)
         processor = Processor(system)
         plan = processor.plan(query, loaded, engine=CPU)
-        return processor.execute(plan.relation, loaded=loaded)
+        return processor.execute(plan.relation)
 
     def time_columnar(
         self, table: RowTable, query: Query, group_columns: Optional[Sequence[str]] = None
@@ -118,12 +106,11 @@ class ExperimentRunner:
         columns = list(group_columns or query.columns())
         system = self._system(MLP)
         loaded = system.load_table(table)
-        columnar = system.load_column_group(table, columns)
+        system.load_column_group(loaded, columns)
         processor = Processor(system)
         plan = processor.plan(query, loaded, engine=COLUMNAR,
                               fetch_columns=columns)
-        return processor.execute(plan.relation, loaded=loaded,
-                                 columnar=columnar)
+        return processor.execute(plan.relation)
 
     def time_rme(
         self,

@@ -35,7 +35,7 @@ def make_relation(
     n_cols: int = 16,
     col_width: int = 4,
     seed: int = 42,
-    name: str = "s",
+    name: str = "S",
 ) -> RowTable:
     """The relation S: ``n_cols`` columns of ``col_width`` bytes each."""
     if n_rows <= 0 or n_cols <= 0:
@@ -59,7 +59,7 @@ def make_relation_for_row_size(
     row_size: int,
     col_width: int = 4,
     seed: int = 42,
-    name: str = "s",
+    name: str = "S",
 ) -> RowTable:
     """A relation with a target row size (the Figure 10/12 sweeps)."""
     if row_size % col_width:

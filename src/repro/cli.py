@@ -2,9 +2,9 @@
 
 The subcommands cover the common workflows without writing Python:
 
-* ``figures`` — regenerate the paper's figures/tables (all or a subset);
-* ``bench`` — run one shardable sweep across ``--jobs N`` worker
-  processes (``repro.parallel``); output is bit-identical to ``--jobs 1``;
+* ``bench`` — regenerate the paper's figures and the extension sweeps
+  (all, or the named ones); a sweep that shards runs across ``--jobs N``
+  worker processes (``repro.parallel``), bit-identical to ``--jobs 1``;
 * ``query`` — run an ad-hoc SQL query over a generated benchmark relation
   on every access path and compare;
 * ``serve`` — run a concurrent multi-tenant query workload through the
@@ -79,11 +79,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(f"{self.prog}: {message}")
 
-#: sweep name -> (driver, rows -> driver kwargs). ``repro figures`` runs
-#: every sweep; a sweep is shardable by ``repro bench`` when its driver
-#: takes ``jobs``, and has a CI-sized ``--smoke`` grid when it takes
-#: ``smoke``. One row scaling per sweep, so ``repro bench NAME --jobs 1``
-#: matches ``repro figures NAME`` point for point.
+#: sweep name -> (driver, rows -> driver kwargs). ``repro bench`` runs
+#: every sweep, or the named ones; a sweep shards across ``--jobs`` when
+#: its driver takes ``jobs``, and has a CI-sized ``--smoke`` grid when it
+#: takes ``smoke``.
 _SWEEPS: Dict[str, Tuple[Callable, Callable[[int], dict]]] = {
     "fig01": (figure_drivers.fig01_projectivity, lambda rows: {}),
     "fig06": (figure_drivers.fig06_q1_designs, lambda rows: {"n_rows": rows}),
@@ -137,33 +136,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     commands = parser.add_subparsers(dest="command")
 
-    figures = commands.add_parser("figures", help="regenerate paper figures")
-    figures.add_argument(
-        "names", nargs="*",
-        help=f"figures to run (default: all of {', '.join(_SWEEPS)})",
-    )
-    figures.add_argument("--rows", type=int, default=1024,
-                         help="rows per experiment point (default 1024)")
-    figures.add_argument("--csv", metavar="DIR", default=None,
-                         help="also write each figure's series as CSV into DIR")
-
     bench = commands.add_parser(
-        "bench", help="run one shardable sweep across worker processes")
+        "bench", help="regenerate paper figures and extension sweeps")
     bench.add_argument(
-        "name",
-        help=f"sweep to run (one of {', '.join(_PARALLEL_FIGURES)})",
+        "names", nargs="*", metavar="NAME",
+        help=f"sweeps to run (default: all of {', '.join(_SWEEPS)})",
     )
-    bench.add_argument("--jobs", type=int, default=1,
+    bench.add_argument("--jobs", type=int, default=None,
                        help="worker processes; output is bit-identical to "
-                            "--jobs 1 (default 1)")
+                            "--jobs 1 (default 1; supported by "
+                            f"{', '.join(_PARALLEL_FIGURES)})")
     bench.add_argument("--rows", type=int, default=1024,
                        help="rows per experiment point (default 1024)")
-    bench.add_argument("--csv", metavar="PATH", default=None,
-                       help="also write the series as CSV to PATH")
+    bench.add_argument("--csv", metavar="DIR", default=None,
+                       help="also write each sweep's series as DIR/NAME.csv")
     bench.add_argument("--json", dest="json_path", metavar="PATH",
                        default=None,
-                       help="also write xs/series as sorted JSON to PATH "
-                            "(byte-comparable across --jobs values)")
+                       help="also write one sweep's xs/series as sorted "
+                            "JSON to PATH (byte-comparable across --jobs "
+                            "values)")
     bench.add_argument("--smoke", action="store_true",
                        help="run the sweep's CI-sized smoke grid "
                             f"(supported by {', '.join(_SMOKE_FIGURES)})")
@@ -385,34 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_figures(args, out) -> int:
-    import pathlib
-
-    from .bench.report import to_csv
-
-    names = args.names or list(_SWEEPS)
-    unknown = [n for n in names if n not in _SWEEPS]
-    if unknown:
-        print(f"unknown figures: {', '.join(unknown)} "
-              f"(choose from {', '.join(_SWEEPS)})", file=out)
-        return 2
-    csv_dir = None
-    if args.csv is not None:
-        csv_dir = pathlib.Path(args.csv)
-        csv_dir.mkdir(parents=True, exist_ok=True)
-    for name in names:
-        driver, kwargs = _SWEEPS[name]
-        result = driver(**kwargs(args.rows))
-        normalize = "Direct" if name == "fig06" else ""
-        print(render_figure(result, normalized_to=normalize), file=out)
-        print(file=out)
-        if csv_dir is not None:
-            path = csv_dir / f"{name}.csv"
-            path.write_text(to_csv(result) + "\n")
-            print(f"wrote {path}", file=out)
-    return 0
-
-
 def _parse_sql_or_usage(sql: str, prog: str):
     """Parse ad-hoc SQL, reporting mistakes as one-line usage errors.
 
@@ -463,7 +426,7 @@ def _bench_explain_queries(name: str):
     return [(name, q1())]
 
 
-def _bench_explain_join(args, out) -> int:
+def _bench_explain_join(name, args, out) -> None:
     """``repro bench ext-pim-join --explain``: print the join's IR plan."""
     from .bench.workloads import make_join_tables
     from .query.expr import Col
@@ -487,27 +450,26 @@ def _bench_explain_join(args, out) -> int:
         )
     except QueryError as exc:
         raise _UsageError(f"repro bench: {exc}")
-    print(f"IR plans for sweep {args.name!r} (nothing is executed):", file=out)
+    print(f"IR plans for sweep {name!r} (nothing is executed):", file=out)
     reason = (plan.choice.reason if plan.choice is not None
               else f"pinned via --engine {args.engine}")
     print(f"\n[join] engine={plan.engine.name}: {reason}", file=out)
     print(plan.explain(), file=out)
-    return 0
 
 
-def _cmd_bench_explain(args, out) -> int:
+def _bench_explain(name, args, out) -> None:
     """``repro bench NAME --explain``: print IR plans, execute nothing."""
     from .query.processor import Processor
 
-    if args.name == "ext-pim-join" and args.sql is None:
-        return _bench_explain_join(args, out)
+    if name == "ext-pim-join" and args.sql is None:
+        return _bench_explain_join(name, args, out)
     engine = None
     if args.engine is not None:
         engine = _engine_or_usage(args.engine, "repro bench")
     if args.sql is not None:
         queries = [("adhoc", _parse_sql_or_usage(args.sql, "repro bench"))]
     else:
-        queries = _bench_explain_queries(args.name)
+        queries = _bench_explain_queries(name)
     table = make_relation(max(128, min(args.rows, 1024)), seed=42)
     for _label, query in queries:
         missing = [c for c in query.columns() if c not in table.schema]
@@ -525,13 +487,12 @@ def _cmd_bench_explain(args, out) -> int:
             plans.append((label, processor.plan(query, loaded, engine=engine)))
         except QueryError as exc:
             raise _UsageError(f"repro bench: {exc}")
-    print(f"IR plans for sweep {args.name!r} (nothing is executed):", file=out)
+    print(f"IR plans for sweep {name!r} (nothing is executed):", file=out)
     for label, plan in plans:
         reason = (plan.choice.reason if plan.choice is not None
                   else f"pinned via --engine {args.engine}")
         print(f"\n[{label}] engine={plan.engine.name}: {reason}", file=out)
         print(plan.explain(), file=out)
-    return 0
 
 
 def _cmd_bench(args, out) -> int:
@@ -541,39 +502,57 @@ def _cmd_bench(args, out) -> int:
     from .bench.report import to_csv
     from .parallel import resolve_jobs
 
-    if args.name not in _PARALLEL_FIGURES:
-        print(f"unknown sweep: {args.name!r} "
-              f"(choose from {', '.join(_PARALLEL_FIGURES)}; "
-              f"--explain previews any sweep's IR plan)", file=out)
+    names = args.names or list(_SWEEPS)
+    unknown = [name for name in names if name not in _SWEEPS]
+    if unknown:
+        print(f"unknown sweeps: {', '.join(unknown)} "
+              f"(choose from {', '.join(_SWEEPS)})", file=out)
         return 2
     if args.explain:
-        return _cmd_bench_explain(args, out)
+        for name in names:
+            _bench_explain(name, args, out)
+        return 0
     if args.engine is not None or args.sql is not None:
         raise _UsageError(
             "repro bench: --engine/--sql only apply with --explain"
         )
-    if args.smoke and args.name not in _SMOKE_FIGURES:
-        raise _UsageError(
-            f"repro bench: --smoke is only supported for "
-            f"{', '.join(_SMOKE_FIGURES)}"
-        )
-    jobs = resolve_jobs(args.jobs)
-    driver, kwargs = _SWEEPS[args.name]
-    extra = {"smoke": True} if args.smoke else {}
-    result = driver(**kwargs(args.rows), jobs=jobs, **extra)
-    normalize = "Direct" if args.name == "fig06" else ""
-    print(render_figure(result, normalized_to=normalize), file=out)
-    print(f"jobs: {jobs}  shards: {len(result.xs)}", file=out)
+    for flag, given, supported in (("--smoke", args.smoke, _SMOKE_FIGURES),
+                                   ("--jobs", args.jobs is not None,
+                                    _PARALLEL_FIGURES)):
+        if given and any(name not in supported for name in names):
+            raise _UsageError(f"repro bench: {flag} is only supported for "
+                              f"{', '.join(supported)}")
+    if args.json_path is not None and len(names) != 1:
+        raise _UsageError("repro bench: --json writes one sweep's series; "
+                          "name exactly one sweep")
+    jobs = resolve_jobs(1 if args.jobs is None else args.jobs)
+    csv_dir = None
     if args.csv is not None:
-        path = pathlib.Path(args.csv)
-        path.write_text(to_csv(result) + "\n")
-        print(f"wrote {path}", file=out)
-    if args.json_path is not None:
-        path = pathlib.Path(args.json_path)
-        payload = {"fig_id": result.fig_id, "xs": result.xs,
-                   "series": result.series}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}", file=out)
+        csv_dir = pathlib.Path(args.csv)
+        csv_dir.mkdir(parents=True, exist_ok=True)
+    for index, name in enumerate(names):
+        if index:
+            print(file=out)
+        driver, kwargs = _SWEEPS[name]
+        extra = {"smoke": True} if args.smoke else {}
+        if name in _PARALLEL_FIGURES:
+            extra["jobs"] = jobs
+        result = driver(**kwargs(args.rows), **extra)
+        normalize = "Direct" if name == "fig06" else ""
+        print(render_figure(result, normalized_to=normalize), file=out)
+        if name in _PARALLEL_FIGURES:
+            print(f"jobs: {jobs}  shards: {len(result.xs)}", file=out)
+        if csv_dir is not None:
+            path = csv_dir / f"{name}.csv"
+            path.write_text(to_csv(result) + "\n")
+            print(f"wrote {path}", file=out)
+        if args.json_path is not None:
+            path = pathlib.Path(args.json_path)
+            payload = {"fig_id": result.fig_id, "xs": result.xs,
+                       "series": result.series}
+            path.write_text(json.dumps(payload, indent=2, sort_keys=True)
+                            + "\n")
+            print(f"wrote {path}", file=out)
     return 0
 
 
@@ -607,10 +586,9 @@ def _cmd_query(args, out) -> int:
     executor = QueryExecutor(system)
 
     direct = executor.run_direct(query, loaded)
-    columnar = executor.run_columnar(
-        query, loaded,
-        system.load_column_group(table, table.schema.covering_columns(query.columns())),
-    )
+    system.load_column_group(loaded,
+                             table.schema.covering_columns(query.columns()))
+    columnar = executor.run_columnar(query, loaded)
     var = system.register_var(
         loaded, query.columns(), allow_noncontiguous=True
     )
@@ -1135,7 +1113,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         parser.print_help(file=out)
         return 2
     handler = {
-        "figures": _cmd_figures,
         "bench": _cmd_bench,
         "query": _cmd_query,
         "serve": _cmd_serve,

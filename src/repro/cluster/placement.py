@@ -61,10 +61,6 @@ class Placement:
     def primary_for(self, tenant: str) -> int:
         return self.replicas_for(tenant)[0]
 
-    def assignment(self) -> Dict[str, List[int]]:
-        """Every tenant's replica set (stable iteration order)."""
-        return {t: self.replicas_for(t) for t in self.tenants}
-
 
 class ConsistentHashPlacement(Placement):
     """CRC32 ring with virtual nodes; replicas walk clockwise."""

@@ -222,11 +222,6 @@ class PlatformConfig:
 
     # Convenience clock helpers ------------------------------------------------
     @property
-    def ps_cycle_ns(self) -> float:
-        """Duration of one processing-system clock cycle in ns."""
-        return 1000.0 / self.ps_freq_mhz
-
-    @property
     def pl_cycle_ns(self) -> float:
         """Duration of one programmable-logic clock cycle in ns."""
         return 1000.0 / self.pl_freq_mhz

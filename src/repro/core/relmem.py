@@ -4,7 +4,8 @@
 against. It owns one simulated platform instance and provides:
 
 * ``load_table`` — place a row-store in simulated DRAM;
-* ``load_column_group`` — materialise a columnar copy (baseline only);
+* ``load_column_group`` / ``load_index`` — a columnar copy (baseline
+  only) or a B+-tree, recorded on the table ``table(name)`` returns;
 * ``register_var`` — create an ephemeral variable over a column group
   (the paper's ``register_var`` of Listing 4), contiguous unless the
   caller allows several runs;
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import PlatformConfig, RMEConfig, ZCU102
-from ..errors import CapacityError, ConfigurationError
+from ..errors import CapacityError, ConfigurationError, QueryError
 from ..memsys.cpu import ScanDriver, ScanSegment
 from ..memsys.dram import DRAM
 from ..memsys.hierarchy import DRAMBackend, MemoryHierarchy
@@ -79,13 +80,18 @@ def _hw_selection(group: Schema, predicate_column, op, constant):
 
 @dataclass
 class LoadedTable:
-    """A row table resident in simulated DRAM."""
+    """A row table resident in simulated DRAM, with the columnar copies
+    and indexes built over it (in load order)."""
 
     table: RowTable
     region: Region
     versioned: Optional[VersionedRowTable] = None
     manager: Any = None  #: TransactionManager when versioned
     loaded_rows: int = 0
+    copies: List["LoadedColumnGroup"] = field(
+        default_factory=list, repr=False, compare=False)
+    indexes: List["LoadedIndex"] = field(
+        default_factory=list, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -111,36 +117,27 @@ class LoadedIndex:
     region: Region
     table: "LoadedTable"
 
-    @property
-    def base_addr(self) -> int:
-        return self.region.base
-
     def probe_points(self, key) -> List[Tuple[int, int]]:
         """(addr, nbytes) touches of a root-to-leaf probe."""
         node = self.index.node_bytes
-        return [(self.base_addr + off, node) for off in self.index.probe_offsets(key)]
+        return [(self.region.base + off, node)
+                for off in self.index.probe_offsets(key)]
 
     def leaf_points(self, low, high) -> List[Tuple[int, int]]:
         node = self.index.node_bytes
-        return [
-            (self.base_addr + off, node)
-            for off in self.index.leaf_offsets_for_range(low, high)
-        ]
+        return [(self.region.base + off, node)
+                for off in self.index.leaf_offsets_for_range(low, high)]
 
 
 @dataclass
 class LoadedColumnGroup:
     """A materialised columnar copy of one column group (baseline)."""
 
-    name: str
+    table: LoadedTable
     columns: List[str]
     region: Region
     width: int
     n_rows: int
-
-    @property
-    def base_addr(self) -> int:
-        return self.region.base
 
 
 class RelationalMemorySystem:
@@ -281,6 +278,13 @@ class RelationalMemorySystem:
         self._tables[physical.name] = loaded
         return loaded
 
+    def _own(self, loaded: LoadedTable) -> LoadedTable:
+        """``loaded``, refused unless this system loaded it."""
+        if self._tables.get(loaded.name) is not loaded:
+            raise ConfigurationError(
+                f"table {loaded.name!r} was not loaded into this system")
+        return loaded
+
     def _padded(self, nbytes: int) -> int:
         """Region size for ``nbytes`` of data: line-aligned plus slack, so
         both cache-line fills and bus-aligned RME bursts stay in-region."""
@@ -309,31 +313,32 @@ class RelationalMemorySystem:
             self.deactivate()
 
     def load_column_group(
-        self, table: RowTable, columns: Sequence[str], name: str = ""
+        self, loaded: LoadedTable, columns: Sequence[str]
     ) -> LoadedColumnGroup:
-        """Materialise a columnar copy of a group (the Columnar baseline).
+        """Materialise a columnar copy of a group (the Columnar baseline)
+        and record it on ``loaded``, where the columnar engine finds it.
 
         This is the copy HTAP systems maintain in software; the RME makes
         it unnecessary, but the benchmarks need it for comparison.
         """
+        table = self._own(loaded).table
         packed = table.project_bytes(columns)
         _offset, width = table.schema.column_group(columns)
-        label = name or f"columnar:{table.name}:{'+'.join(columns)}:{next(self._names)}"
+        label = f"columnar:{table.name}:{'+'.join(columns)}:{next(self._names)}"
         region = self.memmap.map(label, self._padded(len(packed)))
         self.memory.write(region.base, packed)
         self.hierarchy.add_backend(region, self._dram_backend)
-        return LoadedColumnGroup(
-            name=label,
-            columns=list(columns),
-            region=region,
-            width=width,
-            n_rows=table.n_rows,
-        )
+        copy = LoadedColumnGroup(table=loaded, columns=list(columns),
+                                 region=region, width=width,
+                                 n_rows=table.n_rows)
+        loaded.copies.append(copy)
+        return copy
 
     def load_index(
         self, loaded: LoadedTable, column: str, fanout: int = 16
     ) -> LoadedIndex:
-        """Build a B+-tree over a key column and map its nodes into DRAM.
+        """Build a B+-tree over a key column, map its nodes into DRAM and
+        record it on ``loaded``, where the index engine finds it.
 
         The node array is what the index probe path touches; its content
         is the Python-side index structure (the simulator prices the
@@ -343,7 +348,7 @@ class RelationalMemorySystem:
         """
         from ..storage.index import BPlusTreeIndex
 
-        if loaded.versioned is not None:
+        if self._own(loaded).versioned is not None:
             raise ConfigurationError(
                 f"cannot index versioned table {loaded.name!r}: a B+-tree "
                 "over physical versions cannot apply MVCC visibility"
@@ -354,7 +359,9 @@ class RelationalMemorySystem:
             self._padded(index.nbytes),
         )
         self.hierarchy.add_backend(region, self._dram_backend)
-        return LoadedIndex(index=index, region=region, table=loaded)
+        built = LoadedIndex(index=index, region=region, table=loaded)
+        loaded.indexes.append(built)
+        return built
 
     # -- ephemeral variables ---------------------------------------------------------------
     def register_var(
@@ -404,7 +411,6 @@ class RelationalMemorySystem:
         """
         from .ephemeral import FilteredEphemeralVariable
 
-        offset, width = loaded.schema.column_group(columns)
         group = loaded.schema.group_schema(columns)
         if predicate_column not in group:
             raise ConfigurationError(
@@ -563,7 +569,7 @@ class RelationalMemorySystem:
                 "operator pushdown over MVCC-versioned tables is not "
                 "supported; use a plain ephemeral variable"
             )
-        n_rows = loaded.table.n_rows
+        n_rows = self._own(loaded).table.n_rows
         if loaded.loaded_rows != n_rows:
             raise ConfigurationError(
                 f"table {loaded.name!r} has unsynced appends; call sync_table()"
@@ -715,3 +721,20 @@ class RelationalMemorySystem:
     @property
     def tables(self) -> List[str]:
         return sorted(self._tables)
+
+    def table(self, name: str) -> LoadedTable:
+        """The table loaded as ``name``: every tree leaf resolves here.
+
+        >>> from repro.bench.workloads import make_relation
+        >>> system = RelationalMemorySystem()
+        >>> loaded = system.load_table(make_relation(64))
+        >>> system.table("S") is loaded
+        True
+        >>> system.table("T")
+        Traceback (most recent call last):
+        repro.errors.QueryError: no loaded table named 'T'; loaded: ['S']
+        """
+        if name not in self._tables:
+            raise QueryError(
+                f"no loaded table named {name!r}; loaded: {self.tables}")
+        return self._tables[name]

@@ -148,13 +148,3 @@ class Cache:
     def flush(self) -> None:
         """Drop every line (between experiments)."""
         self._sets.clear()
-
-    # -- introspection ------------------------------------------------------------
-    @property
-    def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets.values())
-
-    @property
-    def miss_rate(self) -> float:
-        requests = self.stats.count("requests")
-        return self.stats.count("misses") / requests if requests else 0.0

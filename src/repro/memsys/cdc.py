@@ -38,13 +38,5 @@ class ClockDomain:
             return 0.0
         return self.cycle_ns - remainder
 
-    def crossing_delay(self, now: float, sync_cycles: float) -> float:
-        """Total delay for a signal entering this domain at time ``now``.
-
-        The signal first waits for the next edge of this clock, then spends
-        ``sync_cycles`` cycles in the synchroniser flip-flops.
-        """
-        return self.align_delay(now) + self.cycles(sync_cycles)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClockDomain({self.name} @ {self.freq_mhz:g} MHz)"

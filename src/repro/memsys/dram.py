@@ -213,12 +213,6 @@ class DRAM:
         return None
 
     # -- introspection --------------------------------------------------------
-    @property
-    def row_hit_rate(self) -> float:
-        hits = self.stats.count("row_hits")
-        total = hits + self.stats.count("row_misses") + self.stats.count("row_empty")
-        return hits / total if total else 0.0
-
     def reset_state(self) -> None:
         """Close all rows and clear reservations (not the statistics)."""
         for bank in self._banks:

@@ -92,15 +92,6 @@ class MemoryMap:
         self._by_name[name] = region
         return region
 
-    def unmap(self, name: str) -> None:
-        """Remove a region (its address range is not reused)."""
-        region = self._by_name.pop(name, None)
-        if region is None:
-            raise MemoryMapError(f"region {name!r} is not mapped")
-        index = self._regions.index(region)
-        del self._regions[index]
-        del self._bases[index]
-
     def find(self, addr: int) -> Region:
         """The region containing ``addr``.
 

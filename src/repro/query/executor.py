@@ -24,7 +24,8 @@ from itertools import compress
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.access_path import AccessPath
-from ..core.ephemeral import EphemeralVariable
+from ..core.ephemeral import (EphemeralVariable, FilteredEphemeralVariable,
+                              HWAggregateVariable, HWGroupByVariable)
 from ..core.relmem import (
     LoadedColumnGroup,
     LoadedIndex,
@@ -41,12 +42,17 @@ from .queries import HASH_BUILD_NS, HASH_PROBE_NS, Query
 _NODE_SEARCH_NS = 2.7
 
 
-def columnar_refusal(query: Query, columnar: LoadedColumnGroup) -> str:
-    """Why the copy cannot serve ``query`` (it lacks a column the query
-    reads), or ``""``: the columnar engine's one eligibility check."""
-    missing = [c for c in query.columns() if c not in columnar.columns]
+def columnar_refusal(query: Query, loaded: LoadedTable,
+                     copy: LoadedColumnGroup) -> str:
+    """Why the copy cannot serve ``query`` over ``loaded`` (built over
+    another table, or it lacks a column the query reads), or ``""``: the
+    columnar engine's one eligibility check."""
+    if copy.table is not loaded:
+        return (f"columnar copy {copy.region.name!r} was built over table "
+                f"{copy.table.name!r}, not over the bound {loaded.name!r}")
+    missing = [c for c in query.columns() if c not in copy.columns]
     if missing:
-        return f"columnar copy {columnar.name!r} lacks columns {missing}"
+        return f"columnar copy {copy.region.name!r} lacks columns {missing}"
     return ""
 
 
@@ -66,6 +72,28 @@ def index_refusal(query: Query, loaded: LoadedTable,
         return (f"predicate {query.predicate!r} does not impose a range on "
                 f"indexed column {column!r}")
     return ""
+
+
+def eligible_copy(query: Query, loaded: LoadedTable
+                  ) -> Tuple[Optional[LoadedColumnGroup], str]:
+    """The first copy of ``loaded`` that :func:`columnar_refusal` passes
+    and ``""``, or None and why no copy serves ``query``."""
+    for copy in loaded.copies:
+        if not columnar_refusal(query, loaded, copy):
+            return copy, ""
+    return None, f"no copy of {loaded.name} covers {query.columns()}"
+
+
+def eligible_index(query: Query, loaded: LoadedTable
+                   ) -> Tuple[Optional[LoadedIndex], str]:
+    """The first index of ``loaded`` that :func:`index_refusal` passes
+    and ``""``, or None and why the last (or no) index refuses."""
+    reason = f"no index over {loaded.name}"
+    for built in loaded.indexes:
+        reason = index_refusal(query, loaded, built)
+        if not reason:
+            return built, ""
+    return None, reason
 
 
 @dataclass
@@ -98,10 +126,6 @@ class QueryResult:
     state: str  #: "cold" / "hot" for the RME path, "-" otherwise
     cache_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
-    @property
-    def ns_per_row(self) -> float:
-        return self.elapsed_ns / self.rows_scanned if self.rows_scanned else 0.0
-
 
 class QueryExecutor:
     """Runs queries over a loaded table via any access path."""
@@ -114,39 +138,26 @@ class QueryExecutor:
         self, query: Query, loaded: LoadedTable, flush: bool = True
     ) -> QueryResult:
         """Scan the row-oriented base table (the paper's Direct Access)."""
-        offset, width = loaded.schema.covering_group(query.columns())
         value, selectivity, n_rows = self._answer(query, loaded)
-        compute = query.row_compute_ns(selectivity)
-        segment = ScanSegment(
-            start=loaded.base_addr + offset,
-            n_elems=n_rows,
-            elem_size=width,
-            stride=loaded.schema.row_size,
-            compute_ns=compute,
-            name=f"direct:{query.name}",
-        )
-        elapsed = self._measure([segment] * query.passes, flush)
+        elapsed = self._row_scan(query, loaded, selectivity, "direct", flush)
         return self._result(query, AccessPath.DIRECT_ROW, value, elapsed,
                             n_rows, selectivity, "-")
 
     def run_columnar(
-        self,
-        query: Query,
-        loaded: LoadedTable,
-        columnar: LoadedColumnGroup,
-        flush: bool = True,
+        self, query: Query, loaded: LoadedTable, *, flush: bool = True
     ) -> QueryResult:
-        """Scan a materialised columnar copy (the Columnar baseline)."""
-        reason = columnar_refusal(query, columnar)
+        """Scan the table's first columnar copy that covers the query
+        (the Columnar baseline)."""
+        copy, reason = eligible_copy(query, loaded)
         if reason:
             raise QueryError(reason)
         value, selectivity, n_rows = self._answer(query, loaded)
         compute = query.row_compute_ns(selectivity)
         segment = ScanSegment(
-            start=columnar.base_addr,
-            n_elems=columnar.n_rows,
-            elem_size=columnar.width,
-            stride=columnar.width,
+            start=copy.region.base,
+            n_elems=copy.n_rows,
+            elem_size=copy.width,
+            stride=copy.width,
             compute_ns=compute,
             name=f"columnar:{query.name}",
         )
@@ -169,9 +180,14 @@ class QueryExecutor:
             )
         self.system.activate(var)
         state = "hot" if var.is_hot else "cold"
-        value, selectivity, n_rows = self._answer(query, var.loaded, var)
+        rows = var.values(needed)
+        n_rows = var.loaded.table.n_rows
+        value, selectivity = self._evaluate(query, needed, rows, n_rows)
         compute = query.row_compute_ns(selectivity)
-        segments = var.scan_segment(compute, query.passes)
+        # A filtered view scans the rows its answer already holds.
+        segments = (var._segments(len(rows), compute, query.passes)
+                    if isinstance(var, FilteredEphemeralVariable)
+                    else var.scan_segment(compute, query.passes))
         faults = self.system.faults
         if faults is None:
             elapsed = self._measure(segments, flush)
@@ -293,8 +309,8 @@ class QueryExecutor:
             for query, loaded in ((lhs_query, lhs_loaded),
                                   (rhs_query, rhs_loaded)):
                 value, selectivity, _ = self._answer(query, loaded)
-                elapsed += self._fallback_rescan_ns(query, loaded,
-                                                    selectivity)
+                elapsed += self._row_scan(query, loaded, selectivity,
+                                          "fallback", flush=False)
                 sides.append([dict(zip(query.select, row)) for row in value])
             joined = ops.hash_join(sides[0], sides[1], on)
             elapsed += (HASH_BUILD_NS * len(sides[0])
@@ -331,8 +347,6 @@ class QueryExecutor:
         condition); the CPU then scans only matching rows and spends no
         cycles on the comparison.
         """
-        from ..core.ephemeral import FilteredEphemeralVariable
-
         if not isinstance(var, FilteredEphemeralVariable):
             raise QueryError("run_rme_pushdown needs a filtered ephemeral view")
         self.system.activate(var)
@@ -359,27 +373,22 @@ class QueryExecutor:
         read stalls until the engine's fetch stream drains (the whole
         aggregation happens in hardware), hot it is a single buffer hit.
         """
-        from ..core.ephemeral import HWAggregateVariable
-
         if not isinstance(var, HWAggregateVariable):
             raise QueryError("run_rme_hw_aggregate needs a HW-aggregate view")
         self.system.activate(var)
         state = "hot" if self.system.rme.pushdown_done and self.system.is_active(var) else "cold"
         value = var.expected_result()
-        segments = var.scan_segment()
-        elapsed = self._measure(segments, flush)
+        elapsed = self._measure(var.scan_segment(), flush)
         agg = var.hw_aggregation
-        n_rows = var.loaded.table.n_rows
         return self._result(
             Query(name=f"hw_{agg.func}", sql=f"PL {agg.func} pushdown",
                   select=("__register__",)),
-            AccessPath.RME, value, elapsed, n_rows, 1.0, state,
+            AccessPath.RME, value, elapsed, var.loaded.table.n_rows, 1.0,
+            state,
         )
 
     def run_rme_hw_group_by(self, var: EphemeralVariable, flush: bool = True) -> QueryResult:
         """Read a PL-computed GROUP BY table: one 16-byte entry per group."""
-        from ..core.ephemeral import HWGroupByVariable
-
         if not isinstance(var, HWGroupByVariable):
             raise QueryError("run_rme_hw_group_by needs a HW group-by view")
         self.system.activate(var)
@@ -387,28 +396,25 @@ class QueryExecutor:
         value = var.expected_result()
         elapsed = self._measure(var._segments(max(1, len(value))), flush)
         cfg = var.hw_group_by
-        n_rows = var.loaded.table.n_rows
         return self._result(
             Query(name=f"hw_groupby_{cfg.func}",
                   sql=f"PL {cfg.func} GROUP BY pushdown",
                   select=("__groups__",)),
-            AccessPath.RME, value, elapsed, n_rows, 1.0, state,
+            AccessPath.RME, value, elapsed, var.loaded.table.n_rows, 1.0,
+            state,
         )
 
     def run_index(
-        self,
-        query: Query,
-        loaded: LoadedTable,
-        loaded_index: LoadedIndex,
-        flush: bool = True,
+        self, query: Query, loaded: LoadedTable, *, flush: bool = True
     ) -> QueryResult:
-        """Probe a B+-tree and fetch only the qualifying rows.
+        """Probe the table's first B+-tree that serves the predicate and
+        fetch only the qualifying rows.
 
         The index narrows the scan to matching rows (a point access per
         match), which wins only for very selective queries — the
         trade-off Section 4 describes.
         """
-        reason = index_refusal(query, loaded, loaded_index)
+        loaded_index, reason = eligible_index(query, loaded)
         if reason:
             raise QueryError(reason)
         index = loaded_index.index
@@ -439,34 +445,23 @@ class QueryExecutor:
         elapsed += self.system.measure_points(
             fetches, query.work_cost_ns() + query.predicate_cost_ns()
         )
-        result = self._result(query, AccessPath.INDEX, value, elapsed,
-                              n_rows, selectivity, "-")
-        return result
+        return self._result(query, AccessPath.INDEX, value, elapsed,
+                            n_rows, selectivity, "-")
 
     # -- functional evaluation -----------------------------------------------------
-    def _answer(
-        self,
-        query: Query,
-        loaded: LoadedTable,
-        var: Optional[EphemeralVariable] = None,
-    ):
+    def _answer(self, query: Query, loaded: LoadedTable):
         """Returns ``(value, selectivity, physical_rows_scanned)``.
 
         The scan always walks every *physical* row (superseded MVCC
         versions included — that is what sits in memory); the answer only
-        uses versions visible at the snapshot, matching what the RME
-        regenerates for ephemeral variables.
+        uses currently-valid versions, as a row-at-a-time engine checking
+        the begin/end timestamps while scanning would.
         """
         columns = query.columns()
-        if var is not None:
-            tuples = var.values(columns)
-        else:
-            tuples = loaded.table.scan(columns)
-            if loaded.versioned is not None:
-                # A row-at-a-time engine checks the begin/end timestamps
-                # while scanning; only currently-valid versions contribute.
-                mask = loaded.versioned.visibility_mask(loaded.current_ts())
-                tuples = compress(tuples, mask)
+        tuples = loaded.table.scan(columns)
+        if loaded.versioned is not None:
+            mask = loaded.versioned.visibility_mask(loaded.current_ts())
+            tuples = compress(tuples, mask)
         n_rows = loaded.table.n_rows
         value, selectivity = self._evaluate(query, columns, tuples, n_rows)
         return value, selectivity, n_rows
@@ -533,26 +528,13 @@ class QueryExecutor:
                   selectivity: float, n_rows: int,
                   spent_ns: float) -> QueryResult:
         """The CPU fallback's result: the base-table answer, billed as
-        the ``spent_ns`` already burnt plus a direct re-scan."""
-        rescan = self._fallback_rescan_ns(query, loaded, selectivity)
+        the ``spent_ns`` already burnt plus a direct re-scan (no cache
+        flush — the fault interrupted a run already in progress)."""
+        rescan = self._row_scan(query, loaded, selectivity, "fallback",
+                                flush=False)
         return self._result(query, AccessPath.DIRECT_ROW, value,
                             spent_ns + rescan, n_rows, selectivity,
                             "degraded")
-
-    def _fallback_rescan_ns(self, query: Query, loaded: LoadedTable,
-                            selectivity: float) -> float:
-        """Price the degraded-mode base-table re-scan (no cache flush —
-        the fault interrupted a run already in progress)."""
-        offset, width = loaded.schema.covering_group(query.columns())
-        segment = ScanSegment(
-            start=loaded.base_addr + offset,
-            n_elems=loaded.table.n_rows,
-            elem_size=width,
-            stride=loaded.schema.row_size,
-            compute_ns=query.row_compute_ns(selectivity),
-            name=f"fallback:{query.name}",
-        )
-        return self._measure([segment] * query.passes, flush=False)
 
     def _audit_rme(self, query, var, value, selectivity, n_rows, elapsed):
         """End-to-end check of the packed projection after a clean scan.
@@ -594,6 +576,21 @@ class QueryExecutor:
                             n_rows, selectivity, "corrupt")
 
     # -- timing ------------------------------------------------------------------------
+    def _row_scan(self, query: Query, loaded: LoadedTable,
+                  selectivity: float, kind: str, flush: bool) -> float:
+        """Measure ``query.passes`` strided scans of the row-store's
+        covering group for ``query`` (``kind`` names the segment)."""
+        offset, width = loaded.schema.covering_group(query.columns())
+        segment = ScanSegment(
+            start=loaded.base_addr + offset,
+            n_elems=loaded.table.n_rows,
+            elem_size=width,
+            stride=loaded.schema.row_size,
+            compute_ns=query.row_compute_ns(selectivity),
+            name=f"{kind}:{query.name}",
+        )
+        return self._measure([segment] * query.passes, flush)
+
     def _measure(self, segments: Sequence[ScanSegment], flush: bool) -> float:
         self._reset(flush)
         return self.system.measure(segments)

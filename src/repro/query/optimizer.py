@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.access_path import AccessPath
-from ..core.relmem import LoadedColumnGroup, LoadedIndex, LoadedTable
-from ..errors import QueryError
+from ..core.relmem import LoadedTable
 from ..model.analytical import AnalyticalModel
 from ..pim import (estimate_join_ns, estimate_query_ns, pim_join_refusal,
                    pim_refusal)
 from ..rme.designs import DesignParams, MLP
-from .executor import columnar_refusal, index_refusal
+from .executor import eligible_copy, eligible_index
 from .queries import HASH_BUILD_NS, HASH_PROBE_NS, Query
 
 
@@ -37,29 +36,22 @@ class AccessPathChoice:
     estimates_ns: Dict[AccessPath, float]
     reason: str
 
-    def speedup_vs(self, other: AccessPath) -> float:
-        """Estimated speedup of the chosen path over ``other``."""
-        if other not in self.estimates_ns:
-            raise QueryError(f"no estimate for path {other}")
-        return self.estimates_ns[other] / self.estimates_ns[self.best]
-
 
 def choose_access_path(
     query: Query,
     loaded: LoadedTable,
     design: DesignParams = MLP,
-    columnar: Optional[LoadedColumnGroup] = None,
     rme_hot: bool = False,
     selectivity: float = 1.0,
-    index: Optional[LoadedIndex] = None,
     model: Optional[AnalyticalModel] = None,
 ) -> AccessPathChoice:
     """Pick the cheapest access path for a scan query.
 
     Prices exactly the engines whose eligibility check passes: the CPU
-    row scan and RME always, the ``columnar`` copy, the ``index`` and
-    the banks when their ``*_refusal`` check returns ``""`` (the copy's
-    storage and maintenance are not priced). ``rme_hot`` prices the RME
+    row scan and RME always, a copy or an index of ``loaded`` when
+    ``eligible_copy``/``eligible_index`` finds one, and the banks when
+    their ``pim_refusal`` returns ``""`` (the copy's storage and
+    maintenance are not priced). ``rme_hot`` prices the RME
     path with the projection already buffered (e.g. a repeated query on
     the same column group). With a selective predicate the index wins,
     otherwise the packed scans do — the alternation Section 4 sketches.
@@ -78,7 +70,7 @@ def choose_access_path(
         + (passes - 1)
         * model.direct_repeat_ns(schema.row_size, width, n_rows, compute)
     }
-    if columnar is not None and not columnar_refusal(query, columnar):
+    if eligible_copy(query, loaded)[0] is not None:
         estimates[AccessPath.COLUMNAR] = passes * model.columnar_ns(
             width, n_rows, compute
         )
@@ -92,7 +84,8 @@ def choose_access_path(
         hot = model.rme_hot_ns(width, n_rows, compute)
         estimates[AccessPath.RME] = cold + (passes - 1) * hot
 
-    if index is not None and not index_refusal(query, loaded, index):
+    index = eligible_index(query, loaded)[0]
+    if index is not None:
         tree = index.index
         matches = max(1, int(round(selectivity * n_rows)))
         estimates[AccessPath.INDEX] = passes * model.index_ns(
@@ -187,8 +180,7 @@ def _explain(query: Query, best: AccessPath, width: int, row_size: int) -> str:
         )
     if best is AccessPath.COLUMNAR:
         return "a maintained columnar copy exists and packed streaming wins"
-    detail = "buffered projection streams from BRAM" if query.passes > 1 else (
+    return "buffered projection streams from BRAM" if query.passes > 1 else (
         f"only {projectivity:.0%} of each row is useful; on-the-fly projection "
         "skips the rest"
     )
-    return detail

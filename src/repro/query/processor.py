@@ -11,9 +11,10 @@ IR (:mod:`repro.query.relation`). It does three jobs:
    engine, explicit :class:`~repro.query.relation.Transfer` nodes at
    the boundaries, compute operators on the CPU.
 2. **Execution** (:meth:`Processor.execute`): compile a placed tree
-   once into the query its scan answers, run the scan through one
-   table from engine to :class:`~repro.query.executor.QueryExecutor`
-   method, and return the usual
+   once into the query its scan answers, resolve each leaf through
+   :meth:`RelationalMemorySystem.table`, run the scan through one table
+   from engine to :class:`~repro.query.executor.QueryExecutor` method,
+   and return the usual
    :class:`~repro.query.executor.QueryResult`. A tree over a ``Join``
    compiles the same way: the operators above the join become the
    query the joined rows are finalised with. Because the engines
@@ -50,12 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.relmem import (
-    LoadedColumnGroup,
-    LoadedIndex,
-    LoadedTable,
-    RelationalMemorySystem,
-)
+from ..core.relmem import LoadedTable, RelationalMemorySystem
 from ..errors import QueryError
 from ..pim import pim_join_refusal, pim_refusal
 from . import ops
@@ -69,8 +65,8 @@ from .engines import (
     RME,
     Engine,
 )
-from .executor import (QueryExecutor, QueryResult, columnar_refusal,
-                       index_refusal)
+from .executor import (QueryExecutor, QueryResult, eligible_copy,
+                       eligible_index)
 from .optimizer import AccessPathChoice, choose_access_path, choose_join_path
 from .queries import Query
 from .relation import (
@@ -89,15 +85,22 @@ from .relation import (
 #: AccessPath -> the planner-eligible engine the optimizer priced it as.
 _ENGINE_OF_PATH = {engine.access_path: engine for engine in ALL_ENGINES}
 
-#: Engine -> the QueryExecutor method that scans for it, and the
-#: :meth:`Processor.execute` bindings that method takes after the query.
+#: Engine -> the QueryExecutor method that scans the leaf's table for
+#: it (the RME scans an ephemeral variable over that table instead).
 _SCANS = {
-    CPU: (QueryExecutor.run_direct, ("loaded",)),
-    DEGRADED: (QueryExecutor.run_direct, ("loaded",)),
-    RME: (QueryExecutor.run_rme, ("var",)),
-    PIM: (QueryExecutor.run_pim, ("loaded",)),
-    COLUMNAR: (QueryExecutor.run_columnar, ("loaded", "columnar")),
-    INDEX: (QueryExecutor.run_index, ("loaded", "index")),
+    CPU: QueryExecutor.run_direct,
+    DEGRADED: QueryExecutor.run_direct,
+    PIM: QueryExecutor.run_pim,
+    COLUMNAR: QueryExecutor.run_columnar,
+    INDEX: QueryExecutor.run_index,
+}
+
+#: Engine -> why it cannot run a query over a table and the copies and
+#: indexes the table holds, or ``""``; the CPU and the RME run anything.
+_REFUSALS = {
+    PIM: pim_refusal,
+    COLUMNAR: lambda query, loaded: eligible_copy(query, loaded)[1],
+    INDEX: lambda query, loaded: eligible_index(query, loaded)[1],
 }
 
 
@@ -382,8 +385,8 @@ def to_query(relation: Relation) -> Query:
     """
     compiled = _QueryCompiler().compile(relation)
     if compiled.join is not None:
-        raise QueryError("Join trees execute via Processor.execute with "
-                         "table bindings, not via to_query")
+        raise QueryError("Join trees execute via Processor.execute, not "
+                         "via to_query")
     return compiled.query
 
 
@@ -513,8 +516,6 @@ class Processor:
         self,
         query: Query,
         loaded: LoadedTable,
-        columnar: Optional[LoadedColumnGroup] = None,
-        index: Optional[LoadedIndex] = None,
         hot: bool = False,
         selectivity: float = 1.0,
         engine: Optional[Engine] = None,
@@ -523,26 +524,28 @@ class Processor:
         """Choose an engine for the fetch and build the placed tree.
 
         With ``engine`` given, placement is pinned (no costing), and the
-        engine's eligibility check refusing the query on the bindings
-        given raises its reason as a ``QueryError``. Else the cost model
-        prices every engine whose check passes — the CPU row scan and
-        RME (cold first pass unless ``hot``) always, the columnar copy
-        and the index only when supplied — and the cheapest wins.
+        engine's eligibility check refusing the query on ``loaded`` and
+        the copies and indexes built over it raises its reason as a
+        ``QueryError``. Else the cost model prices every engine whose
+        check passes — the CPU row scan and RME (cold first pass unless
+        ``hot``) always, a columnar copy and an index only when the
+        table has one that serves the query — and the cheapest wins.
         """
+        self._leaf_tables([loaded.name], loaded=loaded)
         choice = None
         if engine is None:
             choice = choose_access_path(
                 query,
                 loaded,
                 design=self.system.design,
-                columnar=columnar,
                 rme_hot=hot,
                 selectivity=selectivity,
-                index=index,
             )
             engine = _ENGINE_OF_PATH[choice.best]
-        else:
-            _check_pinned(engine, query, loaded, columnar, index)
+        elif engine in _REFUSALS:
+            reason = _REFUSALS[engine](query, loaded)
+            if reason:
+                raise QueryError(reason)
         relation = relation_from_query(
             query,
             engine=engine,
@@ -572,9 +575,10 @@ class Processor:
         its reason as a ``QueryError``); else
         :func:`~repro.query.optimizer.choose_join_path` prices the CPU
         hash join against the in-bank partitioned join and the cheapest
-        wins. Execute the plan with ``tables={leaf: loaded, ...}``
-        bindings.
+        wins.
         """
+        for loaded in (lhs_loaded, rhs_loaded):
+            self._leaf_tables([loaded.name], loaded)
         choice = None
         if engine is None:
             choice = choose_join_path(
@@ -597,47 +601,46 @@ class Processor:
         )
         return ExecutionPlan(relation=relation, choice=choice)
 
-    def explain(self, relation: Relation) -> str:
-        """Render ``relation`` as the engine-annotated plan tree."""
-        return print_tree(relation)
-
     # -- execution ----------------------------------------------------------------
     def execute(
         self,
         relation: Relation,
         loaded: Optional[LoadedTable] = None,
         var=None,
-        columnar: Optional[LoadedColumnGroup] = None,
-        index: Optional[LoadedIndex] = None,
         tables: Optional[Dict[str, LoadedTable]] = None,
         flush: bool = True,
     ) -> QueryResult:
         """Execute a placed tree and return the measured result.
 
-        Bindings supply the storage objects each engine scans: the
-        ``loaded`` row table (CPU / degraded / PIM / index), the
-        ``columnar`` copy, the ephemeral ``var`` (RME), or — for join
-        trees — the ``tables`` map from leaf name to loaded table. The
-        executed tree (with any fault re-rooting applied) lands in
+        Each leaf scans the table the system loaded under its name, with
+        the copies and indexes built over it; a tree placed on the RME
+        also needs the ephemeral ``var`` it scans. ``loaded=`` and
+        ``tables=`` (leaf name → table) are only checked: one that is
+        not the system's table for a leaf, or a ``var`` over another
+        table, raises a ``QueryError`` before simulated time moves. The
+        executed tree (fault re-rooting applied) lands in
         :attr:`last_report`.
         """
         compiled = _QueryCompiler().compile(relation)
-        if compiled.join is not None:
-            result = self._run_join(compiled, tables or {}, flush)
+        join, engine = compiled.join, compiled.scan_engine
+        sides = ([_compile_side(join.lhs), _compile_side(join.rhs)]
+                 if join is not None else [compiled])
+        resolved = self._leaf_tables([side.leaf.name for side in sides],
+                                     loaded, var, tables)
+        if join is not None:
+            result = self._run_join(compiled, sides, resolved, flush)
+        elif engine == RME:
+            if var is None:
+                raise QueryError(f"a tree placed on rme scans an ephemeral "
+                                 f"variable over {resolved[0].name!r}; "
+                                 f"pass var=")
+            result = self.executor.run_rme(compiled.query, var, flush)
+        elif engine in _SCANS:
+            result = _SCANS[engine](self.executor, compiled.query,
+                                    resolved[0], flush=flush)
         else:
-            engine = compiled.scan_engine
-            if engine not in _SCANS:
-                raise QueryError(f"no scan is registered for engine "
-                                 f"{engine.name!r}")
-            run, needs = _SCANS[engine]
-            bound = {"loaded": loaded, "var": var, "columnar": columnar,
-                     "index": index}
-            missing = [f"{name}=" for name in needs if bound[name] is None]
-            if missing:
-                raise QueryError(f"a tree placed on {engine.name} needs "
-                                 f"{' and '.join(missing)} to execute")
-            result = run(self.executor, compiled.query,
-                         *(bound[name] for name in needs), flush)
+            raise QueryError(f"no scan is registered for engine "
+                             f"{engine.name!r}")
         executed = _reroot(compiled) if result.state == "degraded" else relation
         self.last_report = ExecutionReport(planned=relation, executed=executed,
                                            result=result)
@@ -647,8 +650,6 @@ class Processor:
         self,
         query: Query,
         loaded: LoadedTable,
-        columnar: Optional[LoadedColumnGroup] = None,
-        index: Optional[LoadedIndex] = None,
         hot: bool = False,
         selectivity: float = 1.0,
         engine: Optional[Engine] = None,
@@ -661,8 +662,8 @@ class Processor:
         supplied, one is registered for the fetch columns (and warmed
         when ``hot``). Returns the full :class:`ExecutionReport`.
         """
-        plan = self.plan(query, loaded, columnar=columnar, index=index,
-                         hot=hot, selectivity=selectivity, engine=engine)
+        plan = self.plan(query, loaded, hot=hot, selectivity=selectivity,
+                         engine=engine)
         if plan.engine == RME and var is None:
             var = self.system.register_var(
                 loaded, list(query.columns()), allow_noncontiguous=True
@@ -670,13 +671,32 @@ class Processor:
             if hot:
                 self.system.warm_up(var)
                 self.system.flush_caches()
-        self.execute(plan.relation, loaded=loaded, var=var,
-                     columnar=columnar, index=index, flush=flush)
+        self.execute(plan.relation, var=var, flush=flush)
         return self.last_report
+
+    def _leaf_tables(self, leaves: Sequence[str],
+                     loaded: Optional[LoadedTable] = None, var=None,
+                     tables: Optional[Dict[str, LoadedTable]] = None
+                     ) -> List[LoadedTable]:
+        """The system's table for each leaf name, after checking each
+        binding is one: ``tables`` by key, ``loaded``/``var`` a leaf's."""
+        resolved = [self.system.table(name) for name in leaves]
+        claims = [(f"tables[{name!r}]", table, [self.system.table(name)])
+                  for name, table in (tables or {}).items()]
+        claims += [(binding, table, resolved) for binding, table in (
+            ("loaded=", loaded), ("var=", getattr(var, "loaded", None)))
+            if table is not None]
+        for binding, table, catalog in claims:
+            if all(table is not own for own in catalog):
+                raise QueryError(
+                    f"{binding} binds table {table.name!r}, which is not "
+                    f"this system's {' or '.join(repr(own.name) for own in catalog)}")
+        return resolved
 
     # -- joins --------------------------------------------------------------------
     def _run_join(self, compiled: _QueryCompiler,
-                  tables: Dict[str, LoadedTable], flush: bool) -> QueryResult:
+                  sides: List[_QueryCompiler], resolved: List[LoadedTable],
+                  flush: bool) -> QueryResult:
         """Join on the Join node's engine, then apply the operators above.
 
         The rows and the bill come from the engine's executor method —
@@ -684,13 +704,22 @@ class Processor:
         or the in-bank partition/build/probe bill on the PIM engine —
         and the operators above the join from the compiled query,
         finalised like any single-table scan. The surviving right-side
-        rows are the denominator of the reported selectivity.
+        rows are the denominator of the reported selectivity. A PIM join
+        scans both inputs at the banks; any other join runs as a CPU
+        hash join over two row-store scans.
         """
         join, query = compiled.join, compiled.query
+        scans = (PIM,) if join.engine == PIM else (CPU, DEGRADED)
+        for side in sides:
+            if side.scan_engine not in scans:
+                raise QueryError(
+                    f"a join on {join.engine.name} scans its inputs on "
+                    f"{scans[0].name}; got {side.scan_engine.name}"
+                )
         run = (self.executor.run_pim_join if join.engine == PIM
                else self.executor.run_join)
-        (lhs_query, lhs), (rhs_query, rhs) = self._join_inputs(join, tables)
-        scan = run(join.on, lhs_query, lhs, rhs_query, rhs, flush)
+        (lhs, rhs), (lhs_table, rhs_table) = sides, resolved
+        scan = run(join.on, lhs.query, lhs_table, rhs.query, rhs_table, flush)
         kept = ops.filter_rows(scan.rows, query.predicate)
         return QueryResult(
             query=query.name,
@@ -702,47 +731,6 @@ class Processor:
             state=scan.state,
             cache_stats=self.system.cache_stats(),
         )
-
-    @staticmethod
-    def _join_inputs(
-        join: Join, tables: Dict[str, LoadedTable]
-    ) -> List[Tuple[Query, LoadedTable]]:
-        """Compile both join inputs and bind each to its loaded table.
-
-        A PIM join scans both inputs at the banks; any other join runs
-        as a CPU hash join over two row-store scans.
-        """
-        scans = (PIM,) if join.engine == PIM else (CPU, DEGRADED)
-        inputs = []
-        for side in (join.lhs, join.rhs):
-            compiled = _compile_side(side)
-            if compiled.scan_engine not in scans:
-                raise QueryError(
-                    f"a join on {join.engine.name} scans its inputs on "
-                    f"{scans[0].name}; got {compiled.scan_engine.name}"
-                )
-            name = compiled.leaf.name
-            if name not in tables:
-                raise QueryError(f"join executes with tables={{...}}; no "
-                                 f"binding for leaf {name!r}")
-            inputs.append((compiled.query, tables[name]))
-        return inputs
-
-
-def _check_pinned(engine: Engine, query: Query, loaded: LoadedTable,
-                  columnar: Optional[LoadedColumnGroup],
-                  index: Optional[LoadedIndex]) -> None:
-    """Raise ``engine``'s refusal of ``query`` on the bindings given (a
-    binding not given is checked when the tree executes)."""
-    reason = ""
-    if engine == PIM:
-        reason = pim_refusal(query, loaded)
-    elif engine == COLUMNAR and columnar is not None:
-        reason = columnar_refusal(query, columnar)
-    elif engine == INDEX and index is not None:
-        reason = index_refusal(query, loaded, index)
-    if reason:
-        raise QueryError(reason)
 
 
 def explain_placement(query: Query, engine: Engine = RME,

@@ -112,10 +112,6 @@ class Query:
             raise QueryError(f"selectivity {selectivity} outside [0, 1]")
         return self.predicate_cost_ns() + selectivity * self.work_cost_ns()
 
-    @property
-    def is_aggregate(self) -> bool:
-        return self.aggregate is not None
-
 
 # ---------------------------------------------------------------------------
 # The seven benchmark queries (Listings 5 and 6)

@@ -162,9 +162,9 @@ class LeafRelation(Relation):
     """Direct storage of rows: the row-oriented base table in DRAM.
 
     ``schema_columns`` may be ``None`` when the tree is built before the
-    table is bound (e.g. straight from SQL); binding happens at plan
-    time. The leaf always lives on an engine — by default the CPU's
-    row-store memory.
+    table is known (e.g. straight from SQL); executing the tree resolves
+    ``name`` through the system's catalog of loaded tables. The leaf
+    always lives on an engine — by default the CPU's row-store memory.
 
     >>> LeafRelation("S", ("A1", "A2")).columns
     ('A1', 'A2')

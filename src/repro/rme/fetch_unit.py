@@ -259,10 +259,3 @@ class FetchUnitPool:
             yield self.sim.timeout(delay)
 
     # -- introspection -------------------------------------------------------------------
-    @property
-    def wasted_fraction(self) -> float:
-        """Fraction of fetched bytes the extractor discarded."""
-        fetched = self.stats.total("bytes_fetched")
-        if not fetched:
-            return 0.0
-        return 1.0 - self.stats.total("bytes_useful") / fetched

@@ -148,15 +148,3 @@ class TableGeometry:
     def packed_line_count(self, line_size: int = 64) -> int:
         """Number of cache lines in the packed column-group output."""
         return -(-self.projected_bytes // line_size)
-
-    def rows_touching_line(self, line_idx: int, line_size: int = 64) -> range:
-        """Rows whose extracted bytes land (at least partly) in packed line
-        ``line_idx`` — the Monitor Bypass uses this to know when a line is
-        complete."""
-        start_byte = line_idx * line_size
-        end_byte = min(start_byte + line_size, self.projected_bytes)
-        if start_byte >= self.projected_bytes:
-            raise GeometryError(f"packed line {line_idx} beyond the projection")
-        first_row = start_byte // self.col_width
-        last_row = (end_byte - 1) // self.col_width
-        return range(first_row, last_row + 1)

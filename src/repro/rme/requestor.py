@@ -78,7 +78,3 @@ class Requestor:
     def retire(self) -> None:
         """Called by a Fetch Unit when it finishes a descriptor."""
         self.credits.release()
-
-    @property
-    def descriptors_emitted(self) -> int:
-        return self.stats.count("descriptors")

@@ -107,10 +107,6 @@ class ResourceReport:
     def timing_met(self) -> bool:
         return self.wns_ns >= 0.0
 
-    @property
-    def total_power_w(self) -> float:
-        return self.static_w + self.dynamic_w
-
     def rows(self) -> list:
         """Table 3's rows as (label, value) pairs for the report printer."""
         return [

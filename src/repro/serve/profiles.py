@@ -215,7 +215,7 @@ def _profile_pair(index: int, context: tuple) -> QueryProfile:
         raise ConfigurationError(
             f"cold/hot answers diverged for {spec.name}/{template}"
         )
-    direct = processor.execute(cpu_plan.relation, loaded=table)
+    direct = processor.execute(cpu_plan.relation)
     if direct.value != cold.value:
         raise ConfigurationError(
             f"RME answer diverged from direct scan for "

@@ -72,9 +72,6 @@ class TenantSpec:
                 f"tenant {self.name!r} has duplicate template names"
             )
 
-    def template_names(self) -> List[str]:
-        return [name for name, _query in self.templates]
-
     def query(self, template: str) -> Query:
         for name, query in self.templates:
             if name == template:

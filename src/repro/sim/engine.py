@@ -310,8 +310,3 @@ class Simulator:
                     f"simulation exceeded {max_events} events; likely a livelock"
                 )
         return self.now
-
-    @property
-    def pending_events(self) -> int:
-        """Number of callbacks still queued."""
-        return len(self._queue) + len(self._immediate)

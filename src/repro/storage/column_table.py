@@ -73,12 +73,6 @@ class ColumnTable:
                 column.ctype.pack(value)
 
     # -- reads ------------------------------------------------------------------
-    def column_bytes(self, name: str) -> bytes:
-        try:
-            return bytes(self._columns[name])
-        except KeyError:
-            raise SchemaError(f"unknown column {name!r}") from None
-
     def column_values(self, name: str) -> List[Any]:
         """One column's values, decoded in one pass over its array."""
         record = self.schema.subset_schema([name]).record()

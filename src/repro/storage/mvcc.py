@@ -130,18 +130,6 @@ class VersionedRowTable:
                 return idx
         return None
 
-    def visible_rows(self, ts: int) -> List[Tuple[Any, Tuple[Any, ...]]]:
-        """``(key, user-tuple)`` for each logical row visible at ``ts``,
-        ordered by the physical position of the visible version — the
-        order a full :meth:`snapshot` scan would produce them in."""
-        found = []
-        for key in self._versions:
-            idx = self.visible_version(key, ts)
-            if idx is not None:
-                found.append((idx, key))
-        found.sort()
-        return [(key, self.table.row(idx)[:-2]) for idx, key in found]
-
     def snapshot(self, ts: int) -> Iterator[Tuple[Any, ...]]:
         """User-schema tuples of every version valid at time ``ts``."""
         return iter(self.snapshot_values(ts))
@@ -170,19 +158,6 @@ class Transaction:
         self.active = True
 
     # -- reads ------------------------------------------------------------------
-    def read_all(self) -> List[Tuple[Any, ...]]:
-        """All rows visible in this transaction's snapshot, with own writes
-        applied on top (read-your-writes)."""
-        self._check_active()
-        table = self.manager.table
-        rows = {key: row for key, row in table.visible_rows(self.start_ts)}
-        for key, (op, values) in self.write_set.items():
-            if op == "delete":
-                rows.pop(key, None)
-            else:
-                rows[key] = tuple(values)
-        return list(rows.values())
-
     def read(self, key: Any) -> Optional[Tuple[Any, ...]]:
         """Point read: own buffered write, else the key's version chain
         (via the per-key index — O(chain), not O(n_versions))."""

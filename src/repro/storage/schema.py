@@ -392,9 +392,6 @@ class Schema:
     def unpack_row(self, data: bytes) -> Tuple[Any, ...]:
         return self.record().row(self._whole_row(data))
 
-    def unpack_column(self, name: str, row_data: bytes) -> Any:
-        return self.record((name,)).row(self._whole_row(row_data))[0]
-
     def _whole_row(self, data: bytes) -> bytes:
         if len(data) != self.row_size:
             raise SchemaError(

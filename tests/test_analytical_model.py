@@ -26,8 +26,8 @@ def measured():
     query = q1()
     out["compute"] = query.row_compute_ns(1.0)
     out["direct"] = executor.run_direct(query, loaded).elapsed_ns
-    colgrp = system.load_column_group(table, ["A1"])
-    out["columnar"] = executor.run_columnar(query, loaded, colgrp).elapsed_ns
+    system.load_column_group(loaded, ["A1"])
+    out["columnar"] = executor.run_columnar(query, loaded).elapsed_ns
     var = system.register_var(loaded, ["A1"])
     out["cold"] = executor.run_rme(query, var).elapsed_ns
     out["hot"] = executor.run_rme(query, var).elapsed_ns

@@ -33,9 +33,7 @@ def test_measure_paths_collects_everything(runner, small_table):
     assert times.columnar_ns > 0
     assert set(times.cold_ns) == {"MLP"}
     assert set(times.hot_ns) == {"MLP"}
-    norm = times.normalized_to_direct()
-    assert norm["Direct"] == 1.0
-    assert norm["Columnar"] < 1.0
+    assert times.columnar_ns < times.direct_ns
 
 
 def test_fastpath_baselines_match_the_event_path(small_table):

@@ -92,7 +92,7 @@ def test_invalidate_and_flush():
     cache.fill(64)
     cache.fill(128)
     cache.flush()
-    assert cache.resident_lines == 0
+    assert not cache.contains(64) and not cache.contains(128)
 
 
 def test_demand_vs_prefetch_accounting():
@@ -121,4 +121,5 @@ def test_miss_rate():
     cache.lookup(0)
     cache.fill(0)
     cache.lookup(0)
-    assert cache.miss_rate == pytest.approx(0.5)
+    assert cache.stats.count("misses") == 1
+    assert cache.stats.count("requests") == 2

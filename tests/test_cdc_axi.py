@@ -25,11 +25,6 @@ def test_align_delay_mid_cycle_waits_for_edge():
     assert pl.align_delay(29.999) == pytest.approx(0.001, abs=1e-6)
 
 
-def test_crossing_delay_includes_sync_cycles():
-    pl = ClockDomain("pl", 100.0)
-    assert pl.crossing_delay(23.0, 2.0) == pytest.approx(7.0 + 20.0)
-
-
 def test_invalid_frequency():
     with pytest.raises(ConfigurationError):
         ClockDomain("bad", 0.0)

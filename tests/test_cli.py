@@ -115,30 +115,32 @@ def test_query_pim_row_explains_ineligibility():
 
 
 def test_figures_subset():
-    code, text = run_cli("figures", "fig01", "--rows", "64")
+    code, text = run_cli("bench", "fig01", "--rows", "64")
     assert code == 0
     assert "Figure 1" in text
 
 
 def test_figures_small_simulated():
-    code, text = run_cli("figures", "fig07", "--rows", "128")
+    code, text = run_cli("bench", "fig07", "--rows", "128")
     assert code == 0
     assert "L1 misses" in text
 
 
 def test_figures_unknown_name():
-    code, text = run_cli("figures", "fig99")
+    code, text = run_cli("bench", "fig01", "fig99")
     assert code == 2
-    assert "unknown figures" in text
+    assert "unknown sweeps: fig99" in text
 
 
 def test_figures_csv_export(tmp_path):
-    code, text = run_cli("figures", "fig01", "--csv", str(tmp_path / "out"))
+    code, text = run_cli("bench", "fig01", "fig09", "--rows", "64",
+                         "--csv", str(tmp_path / "out"))
     assert code == 0
     csv_file = tmp_path / "out" / "fig01.csv"
     assert csv_file.exists()
     header = csv_file.read_text().splitlines()[0]
     assert header.startswith("projectivity,")
+    assert (tmp_path / "out" / "fig09.csv").exists()
 
 
 def one_line(text):

@@ -81,7 +81,6 @@ def test_placement_invariants(cls):
         assert placement.primary_for(tenant) == replicas[0]
         # Deterministic: same inputs, same answer.
         assert replicas == cls(tenants, 4, 3).replicas_for(tenant)
-    assert set(placement.assignment()) == set(tenants)
 
 
 def test_replication_capped_at_node_count():

@@ -24,7 +24,7 @@ def test_from_rows_matches_source():
 def test_column_bytes_are_packed():
     rows = make_row_table(4)
     cols = ColumnTable.from_rows(rows)
-    a1 = cols.column_bytes("A1")
+    a1 = cols.group_bytes(["A1"])
     assert len(a1) == 16
     assert cols.column_values("A1") == [0, 1, 2, 3]
 
@@ -47,4 +47,4 @@ def test_append_arity_checked():
 def test_unknown_column_rejected():
     cols = ColumnTable.from_rows(make_row_table(2))
     with pytest.raises(SchemaError):
-        cols.column_bytes("missing")
+        cols.group_bytes(["missing"])

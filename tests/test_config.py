@@ -24,7 +24,6 @@ def test_zcu102_matches_table2():
 
 def test_clock_helpers():
     assert ZCU102.pl_cycle_ns == pytest.approx(10.0)
-    assert ZCU102.ps_cycle_ns == pytest.approx(1000.0 / 1500.0)
     assert ZCU102.pl_cycles(3) == pytest.approx(30.0)
     assert ZCU102.cdc_ns == pytest.approx(ZCU102.cdc_pl_cycles * 10.0)
 

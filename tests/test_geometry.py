@@ -59,17 +59,6 @@ def test_packed_line_count():
     assert geom(N=16, C=4).packed_line_count(64) == 1
 
 
-def test_rows_touching_line_partition():
-    g = geom(N=100, C=4)
-    seen = []
-    for line in range(g.packed_line_count()):
-        seen.extend(g.rows_touching_line(line))
-    # Lines may share boundary rows, but every row must appear.
-    assert set(seen) == set(range(100))
-    with pytest.raises(GeometryError):
-        g.rows_touching_line(g.packed_line_count())
-
-
 def test_descriptors_iterates_all_rows():
     g = geom(N=17)
     descs = list(g.descriptors())

@@ -161,8 +161,8 @@ def indexed_env():
     table = build_relation(n_rows=1024)
     system = RelationalMemorySystem()
     loaded = system.load_table(table)
-    index = system.load_index(loaded, "A1")
-    return table, system, loaded, index
+    system.load_index(loaded, "A1")
+    return table, system, loaded
 
 
 def selective_query(k):
@@ -172,53 +172,53 @@ def selective_query(k):
 
 
 def test_index_path_functionally_exact(indexed_env):
-    table, system, loaded, index = indexed_env
+    table, system, loaded = indexed_env
     executor = QueryExecutor(system)
     for k in (-990, 0, 990):
         query = selective_query(k)
-        via_index = executor.run_index(query, loaded, index)
+        via_index = executor.run_index(query, loaded)
         via_scan = executor.run_direct(query, loaded)
         assert via_index.value == via_scan.value
         assert via_index.path is AccessPath.INDEX
 
 
 def test_index_wins_when_selective(indexed_env):
-    table, system, loaded, index = indexed_env
+    table, system, loaded = indexed_env
     executor = QueryExecutor(system)
     query = selective_query(-995)
-    via_index = executor.run_index(query, loaded, index)
+    via_index = executor.run_index(query, loaded)
     via_scan = executor.run_direct(query, loaded)
     assert via_index.selectivity < 0.02
     assert via_index.elapsed_ns < via_scan.elapsed_ns / 4
 
 
 def test_scan_wins_when_unselective(indexed_env):
-    table, system, loaded, index = indexed_env
+    table, system, loaded = indexed_env
     executor = QueryExecutor(system)
     query = selective_query(995)
-    via_index = executor.run_index(query, loaded, index)
+    via_index = executor.run_index(query, loaded)
     via_scan = executor.run_direct(query, loaded)
     assert via_index.elapsed_ns > via_scan.elapsed_ns
 
 
 def test_index_requires_indexable_predicate(indexed_env):
-    table, system, loaded, index = indexed_env
+    table, system, loaded = indexed_env
     executor = QueryExecutor(system)
     from repro import q4
     with pytest.raises(QueryError):
-        executor.run_index(q4(), loaded, index)  # no predicate
+        executor.run_index(q4(), loaded)  # no predicate
     bad = Query(name="x", sql="", select=(), aggregate="sum",
                 agg_expr=Col("A2"), predicate=Col("A3") < 0)
     with pytest.raises(QueryError):
-        executor.run_index(bad, loaded, index)  # predicate on A3, index on A1
+        executor.run_index(bad, loaded)  # predicate on A3, index on A1
 
 
 def test_optimizer_alternates_with_selectivity(indexed_env):
-    table, system, loaded, index = indexed_env
+    table, system, loaded = indexed_env
     selective = choose_access_path(selective_query(-990), loaded,
-                                   selectivity=0.005, index=index)
+                                   selectivity=0.005)
     broad = choose_access_path(selective_query(990), loaded,
-                               selectivity=0.95, index=index)
+                               selectivity=0.95)
     # Few matches: a point-access path (the index probe, or the in-bank
     # PIM fold, which reads out one register line regardless) beats the
     # streaming scans.

@@ -64,15 +64,15 @@ def test_direct_bit_identical(query):
 def test_columnar_bit_identical(query):
     table, system, loaded = fresh()
     columns = table.schema.covering_columns(query.columns())
-    columnar = system.load_column_group(table, columns)
-    old = QueryExecutor(system).run_columnar(query, loaded, columnar)
+    system.load_column_group(loaded, columns)
+    old = QueryExecutor(system).run_columnar(query, loaded)
 
     table2, system2, loaded2 = fresh()
-    columnar2 = system2.load_column_group(table2, columns)
+    system2.load_column_group(loaded2, columns)
     processor = Processor(system2)
     plan = processor.plan(query, loaded2, engine=COLUMNAR,
                           fetch_columns=columns)
-    new = processor.execute(plan.relation, loaded=loaded2, columnar=columnar2)
+    new = processor.execute(plan.relation, loaded=loaded2)
 
     assert fingerprint(new) == fingerprint(old)
 
@@ -106,14 +106,14 @@ def test_index_bit_identical():
     query = q2(col="A1", sel_col="A2", k=0)
 
     table, system, loaded = fresh()
-    index = system.load_index(loaded, "A2")
-    old = QueryExecutor(system).run_index(query, loaded, index)
+    system.load_index(loaded, "A2")
+    old = QueryExecutor(system).run_index(query, loaded)
 
     table2, system2, loaded2 = fresh()
-    index2 = system2.load_index(loaded2, "A2")
+    system2.load_index(loaded2, "A2")
     processor = Processor(system2)
     plan = processor.plan(query, loaded2, engine=INDEX)
-    new = processor.execute(plan.relation, loaded=loaded2, index=index2)
+    new = processor.execute(plan.relation, loaded=loaded2)
 
     assert fingerprint(new) == fingerprint(old)
 

@@ -43,16 +43,6 @@ def test_find_and_region_lookup():
         mm.region("nope")
 
 
-def test_unmap():
-    mm = MemoryMap()
-    mm.map("x", 64)
-    mm.unmap("x")
-    with pytest.raises(MemoryMapError):
-        mm.region("x")
-    with pytest.raises(MemoryMapError):
-        mm.unmap("x")
-
-
 def test_address_space_exhaustion():
     mm = MemoryMap(size=1024)
     mm.map("big", 1000)

@@ -128,7 +128,8 @@ def test_pushdown_query_agrees_with_software_paths(env):
 
 
 def test_each_pushdown_scan_builds_its_packed_view_once(env, monkeypatch):
-    """The answer and the timing's row count come from one packed view."""
+    """The answer and the timing's row count come from one packed view,
+    also when ``run_rme`` scans a filtered (here semi-join) view."""
     table, system, loaded, executor = env
     builds = []
     project_bytes = RowTable.project_bytes
@@ -140,8 +141,13 @@ def test_each_pushdown_scan_builds_its_packed_view_once(env, monkeypatch):
     monkeypatch.setattr(RowTable, "project_bytes", counted)
     fvar = system.register_filtered_var(loaded, ["A1", "A2"], "A2", ">", 0)
     gvar = system.register_hw_group_by(loaded, "A1", "A2", max_groups=4096)
+    keys = set(table.column_values("A1")[::3])
+    jvar = system.register_semijoin_var(loaded, ["A1", "A2"], "A1", keys)
     for scan in (lambda: executor.run_rme_pushdown(sum_where_query(), fvar),
-                 lambda: executor.run_rme_hw_group_by(gvar)):
+                 lambda: executor.run_rme_hw_group_by(gvar),
+                 lambda: executor.run_rme(Query(
+                     name="q4", sql="SELECT SUM(A2) FROM S", select=(),
+                     aggregate="sum", agg_expr=Col("A2")), jvar)):
         for state in ("cold", "hot"):
             builds.clear()
             assert scan().state == state

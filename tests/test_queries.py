@@ -33,8 +33,8 @@ def test_sql_strings():
 
 
 def test_aggregate_flags():
-    assert not q1().is_aggregate
-    assert q4().is_aggregate
+    assert q1().aggregate is None
+    assert q4().aggregate == "sum"
     assert q6().group_by == "A2"
 
 

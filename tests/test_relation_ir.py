@@ -283,33 +283,39 @@ def test_processor_run_records_report():
 
 
 #: One case per engine: the engine the tree is placed on (``None`` for a
-#: join tree) and the binding execute() is called without.
+#: join tree) and the refusal naming the storage it finds missing.
 MISSING_BINDINGS = {
     "rme-without-var": (RME, "var="),
-    "cpu-without-loaded": (CPU, "loaded="),
-    "pim-without-loaded": (PIM, "loaded="),
-    "columnar-without-columnar": (COLUMNAR, "columnar="),
-    "index-without-index": (INDEX, "index="),
-    "join-without-a-leaf": (None, "tables="),
+    "cpu-without-loaded": (CPU, r"no loaded table named 'X'; loaded: \['S'\]"),
+    "pim-without-loaded": (PIM, r"no loaded table named 'X'; loaded: \['S'\]"),
+    "columnar-without-columnar": (COLUMNAR, r"no copy of S covers \['A1'\]"),
+    "index-without-index": (INDEX, "no index over S"),
+    "join-without-a-leaf": (None, r"no loaded table named 't'; loaded: \['r'\]"),
 }
 
 
 @pytest.mark.parametrize("case", list(MISSING_BINDINGS))
 def test_processor_missing_bindings_raise(case):
-    """A tree executed without the storage its engine scans is refused
-    with a one-line QueryError naming the missing binding."""
-    engine, needed = MISSING_BINDINGS[case]
+    """A tree whose engine finds no storage to scan — its leaf's table
+    is not loaded, the table has no copy or index that serves it, or an
+    RME tree has no variable — is refused with a one-line QueryError
+    naming what is missing, before simulated time moves."""
+    engine, refusal = MISSING_BINDINGS[case]
     if engine is None:
-        _, _, tables, processor, join = make_rt_join()
-        tree, bindings = join.label("J1"), {"tables": {"r": tables["r"]}}
+        r, _, _, _, join = make_rt_join()
+        system = RelationalMemorySystem()
+        system.load_table(r)
+        processor, tree = Processor(system), join.label("J1")
     else:
         _, system, loaded = make_system()
         processor = Processor(system)
-        tree = processor.plan(q4(), loaded, engine=engine).relation
-        bindings = {} if needed == "loaded=" else {"loaded": loaded}
-    with pytest.raises(QueryError, match=needed) as info:
-        processor.execute(tree, **bindings)
+        table = "X" if "without-loaded" in case else "S"
+        tree = relation_from_query(q4(), engine=engine, table=table)
+    before = system.sim.now
+    with pytest.raises(QueryError, match=refusal) as info:
+        processor.execute(tree)
     assert "\n" not in str(info.value)
+    assert system.sim.now == before
 
 
 def test_processor_degraded_reroot_on_fault():
@@ -359,7 +365,7 @@ def test_processor_join_execution():
     r, t, loaded, processor, join = make_rt_join()
     tree = join.label("J1")
     assert tree.columns == ("k", "x", "y")
-    result = processor.execute(tree, tables=loaded)
+    result = processor.execute(tree)
     expected = sorted(
         (rv[0], rv[1], tv[1])
         for rv in r.scan()
@@ -397,7 +403,7 @@ def test_operators_above_a_join_run_like_single_table(shape):
             if rv[0] == tv[0]]
     tree = build(join).label("J")
     try:
-        result = processor.execute(tree, tables=loaded)
+        result = processor.execute(tree)
     except QueryError:
         return
     assert result.value == reference(rows)

@@ -179,8 +179,8 @@ def _execute_scan(platform, *, kind, row_bytes, n_rows, query, flush):
     if kind == "direct":
         first = executor.run_direct(query, loaded, flush=flush)
     elif kind == "columnar":
-        columnar = system.load_column_group(table, ["A1", "A2"])
-        first = executor.run_columnar(query, loaded, columnar, flush=flush)
+        system.load_column_group(loaded, ["A1", "A2"])
+        first = executor.run_columnar(query, loaded, flush=flush)
     else:  # join: left side flushes, right side reuses the warm caches
         first = executor.run_direct(query, loaded, flush=True)
     second = executor.run_direct(q1("A1"), loaded, flush=False)

@@ -141,4 +141,3 @@ def test_fetch_stats_track_waste(sim):
     pool = engine.fetch_pool
     assert pool.stats.total("bytes_useful") == 4 * 64
     assert pool.stats.total("bytes_fetched") == 16 * 64  # one beat per row
-    assert pool.wasted_fraction == pytest.approx(0.75)

@@ -129,7 +129,6 @@ def test_pack_unpack_row_roundtrip():
     packed = schema.pack_row(row)
     assert len(packed) == schema.row_size
     assert schema.unpack_row(packed) == row
-    assert schema.unpack_column("v", packed) == -5
 
 
 def test_schema_pickles_after_using_its_codec():

@@ -46,7 +46,7 @@ def test_mix_refuses_weights_summing_past_the_float_range():
 
 def test_tenant_template_lookup():
     spec = tenants(1)[0]
-    assert spec.template_names() == ["project", "filter", "sum"]
+    assert [name for name, _ in spec.templates] == ["project", "filter", "sum"]
     assert spec.query("sum").aggregate == "sum"
     with pytest.raises(ConfigurationError):
         spec.query("nope")
@@ -156,7 +156,8 @@ def test_mix_draws_as_with_plain_weights():
 
 def test_schedule_draws_only_known_templates():
     specs = tenants()
-    names = {spec.name: set(spec.template_names()) for spec in specs}
+    names = {spec.name: {name for name, _ in spec.templates}
+             for spec in specs}
     for arrival in OpenLoopWorkload(
         specs, rate_qps=10_000, n_requests=300, seed=2
     ).schedule():

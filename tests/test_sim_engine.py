@@ -8,7 +8,6 @@ from repro.sim.engine import Timeout
 
 def test_clock_starts_at_zero(sim):
     assert sim.now == 0.0
-    assert sim.pending_events == 0
 
 
 def test_schedule_runs_in_time_order(sim):
